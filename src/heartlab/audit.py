@@ -588,9 +588,11 @@ def audit(group_id: GroupId, n: int | None = None, seed: int = 0, deep: bool = F
         branch = "iii"
 
     heart_rep = None
+    endo = None
     if branch == "iii" or deep:
         heart_rep = heart(simple_group)
-        evidence.endo_dimension = endomorphism_algebra(heart_rep).dimension
+        endo = endomorphism_algebra(heart_rep)
+        evidence.endo_dimension = endo.dimension
         evidence.endo_source = "computed"
     else:
         # Klemm's criterion applies exactly when branch (i)/(ii) hypotheses hold
@@ -601,13 +603,11 @@ def audit(group_id: GroupId, n: int | None = None, seed: int = 0, deep: bool = F
             citations.append("klemm-endo")
 
     if deep:
-        if heart_rep is None:
-            heart_rep = heart(simple_group)
         verdict = is_irreducible(heart_rep, seed)
         evidence.irreducibility = verdict.status
         if verdict.witness is not None:
             evidence.irreducibility_witness_dimension = verdict.witness.dimension
-        evidence.indecomposability = is_indecomposable(heart_rep).status
+        evidence.indecomposability = is_indecomposable(heart_rep, endo).status
 
     branch_ok, requirement = _branch_requirement(branch, evidence)
     certificate = check_unbounded(simple_id, g)

@@ -76,8 +76,9 @@ def _cmd_heart(args) -> int:
         "degree": group.degree,
         "heart_dimension": rep.dimension,
     }
-    if args.endo:
-        payload["endo_dimension"] = endomorphism_algebra(rep).dimension
+    endo = endomorphism_algebra(rep) if args.endo else None
+    if endo is not None:
+        payload["endo_dimension"] = endo.dimension
     if args.meataxe:
         verdict = is_irreducible(rep, args.seed)
         entry: dict = {"status": verdict.status, "attempts": verdict.attempts}
@@ -89,7 +90,7 @@ def _cmd_heart(args) -> int:
             }
         payload["irreducibility"] = entry
     if args.indecomposable:
-        verdict = is_indecomposable(rep)
+        verdict = is_indecomposable(rep, endo)
         entry = {"status": verdict.status, "endo_dimension": verdict.endo_dimension}
         if verdict.witness is not None:
             entry["idempotent_rows_hex"] = _hex_rows(verdict.witness.rows)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 from . import fppoly
-from .linalg import ModMatrix, Subspace, charpoly, kernel, spin
+from .linalg import ModMatrix, Subspace, _Echelon, charpoly, kernel, spin
 from .perms import PermGroup, Permutation
 from .rng import SplitMix64
 
@@ -133,50 +133,107 @@ def _matrix_of_vec(v, d: int, ell: int) -> ModMatrix:
     return ModMatrix(ell, d, d, rows)
 
 
-def _spread_bits(mask: int, stride: int) -> int:
-    """Bit k of mask moves to bit k*stride."""
-    out = 0
-    while mask:
-        low = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        out |= 1 << (low * stride)
-    return out
-
-
 def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
-    """Kernel of the stacked commutation system X.A - A.X = 0 over all images.
+    """All matrices X with X.A = A.X for every generator image A.
 
-    The unknown X is vectorized row-major into d^2 coordinates; the constraint
-    rows for each generator image are assembled bitwise for ell = 2.
+    Spin-and-relations method for module homomorphisms (Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 7):
+
+    1. Spin seeds e_0, e_1, ... (each standard basis vector not yet in the
+       span) until they span the module, recording the spanning tree
+       w_child = w_parent.A_g and, for each non-tree edge (k, g), the relation
+       w_k.A_g = sum_l c_l w_l.
+    2. An endomorphism is fixed by the images of the s seeds: s*d unknowns.
+    3. Each tree vector's image is pushed symbolically through the tree, and
+       each relation becomes d linear conditions on the unknowns.  The
+       scalars always commute, so once the conditions reach rank s*d - 1 the
+       solution space is the scalar line and the remaining relations hold.
+    4. Each solution maps back to the standard basis as X = W^-1.Y, where W
+       has rows w_k and Y rows the images of the w_k.
+    5. The basis returned is the reduced-echelon basis of the row-major
+       d^2-vectorisation, so it does not depend on the seeds or the tree.
+
+    Every basis element is checked against every generator before returning.
     """
     d = rep.dimension
     ell = rep.ell
-    constraints = []
-    if ell == 2:
+    transposed = rep.transposed_images()
+
+    # 1. spanning tree: tree[k] is (parent, g) with w_k = w_parent.A_g, or None
+    # for a seed; roots lists the seeds' tree indices in seed order
+    ech = _Echelon(ell, d)
+    vectors: list = []
+    tree: list[tuple[int, int] | None] = []
+    roots: list[int] = []
+    relations: list[tuple[int, int]] = []
+    for e in ModMatrix.identity(ell, d).rows:
+        if ech.dimension == d:
+            break
+        if ech.insert(e) is None:
+            continue
+        head = len(vectors)
+        roots.append(head)
+        vectors.append(e)
+        tree.append(None)
+        while head < len(vectors):
+            for g, a in enumerate(rep.images):
+                image = a.act(vectors[head])
+                if ech.insert(image) is None:
+                    relations.append((head, g))
+                else:
+                    vectors.append(image)
+                    tree.append((head, g))
+            head += 1
+    unknowns = len(roots) * d
+    w_inverse = ModMatrix(ell, d, d, vectors).inverse()
+
+    # 2-3. symbolic images: row m of images[k] is coordinate m of phi(w_k) as
+    # a linear form in the unknowns (the seed images, d per seed)
+    free = ModMatrix.identity(ell, unknowns).rows
+    images: list[ModMatrix] = []
+    for k, edge in enumerate(tree):
+        if edge is None:
+            j = roots.index(k)
+            images.append(ModMatrix(ell, d, unknowns, free[j * d : (j + 1) * d]))
+        else:
+            parent, g = edge
+            images.append(transposed[g] * images[parent])
+    # by_coordinate[m] has row l = coordinate m of phi(w_l), so a relation's
+    # right-hand side sum_l c_l phi(w_l) is one action per coordinate
+    by_coordinate = [
+        ModMatrix(ell, d, unknowns, [image.rows[m] for image in images]) for m in range(d)
+    ]
+    negated_inverse = w_inverse.scale(-1)
+    conditions = _Echelon(ell, unknowns)
+    for k, g in relations:
+        if conditions.dimension == unknowns - 1:
+            break
+        neg_c = negated_inverse.act(rep.images[g].act(vectors[k]))
+        rhs = ModMatrix(ell, d, unknowns, [col.act(neg_c) for col in by_coordinate])
+        for row in (transposed[g] * images[k] + rhs).rows:
+            conditions.insert(row)
+    null = kernel(ModMatrix(ell, conditions.dimension, unknowns, conditions.basis_rows()))
+
+    # 4. back to the standard basis: X = W^-1 . (phi(w_k))_k
+    seed_slices = {k: images[k].transpose() for k in roots}
+    solutions = []
+    for y in null.basis:
+        phi: list = []
+        for k, edge in enumerate(tree):
+            if edge is None:
+                phi.append(seed_slices[k].act(y))
+            else:
+                parent, g = edge
+                phi.append(rep.images[g].act(phi[parent]))
+        solutions.append(_vec_of_matrix(w_inverse * ModMatrix(ell, d, d, phi)))
+
+    # 5. canonical basis, then the soundness check
+    span = Subspace.from_vectors(ell, d * d, solutions)
+    basis = [_matrix_of_vec(v, d, ell) for v in span.basis]
+    for x in basis:
         for a in rep.images:
-            at = a.transpose()
-            col_masks = at.rows  # col_masks[j] has bit k iff A[k][j] == 1
-            spreads = [_spread_bits(r, d) for r in a.rows]
-            for i in range(d):
-                block = i * d
-                spread_i = spreads[i]
-                for j in range(d):
-                    row = (col_masks[j] << block) ^ (spread_i << j)
-                    if row:
-                        constraints.append(row)
-    else:
-        for a in rep.images:
-            for i in range(d):
-                for j in range(d):
-                    row = [0] * (d * d)
-                    for k in range(d):
-                        row[i * d + k] = (row[i * d + k] + a.entry(k, j)) % ell
-                        row[k * d + j] = (row[k * d + j] - a.entry(i, k)) % ell
-                    if any(row):
-                        constraints.append(tuple(row))
-    system = ModMatrix(ell, len(constraints), d * d, constraints)
-    null = kernel(system)
-    basis = [_matrix_of_vec(v, d, ell) for v in null.basis]
+            if x * a != a * x:
+                raise AssertionError("endomorphism basis element does not commute")
     return EndoAlgebra(ell, len(basis), basis)
 
 
@@ -317,15 +374,17 @@ class IndecomposabilityVerdict:
 IDEMPOTENT_ENUM_CAP = 20
 
 
-def is_indecomposable(rep: GModuleRep) -> IndecomposabilityVerdict:
+def is_indecomposable(rep: GModuleRep, endo: EndoAlgebra | None = None) -> IndecomposabilityVerdict:
     """Exhaustive idempotent search in the endomorphism algebra.
 
     The module decomposes iff End contains an idempotent other than 0 and the
     identity; the witness idempotent's image and kernel are the complementary
     invariant summands.  Dimensions above the enumeration cap return
-    inconclusive rather than guessing.
+    inconclusive rather than guessing.  ``endo``, when given, must be
+    ``endomorphism_algebra(rep)``; it saves a second solve.
     """
-    endo = endomorphism_algebra(rep)
+    if endo is None:
+        endo = endomorphism_algebra(rep)
     k = endo.dimension
     ell = rep.ell
     if ell**k > 2**IDEMPOTENT_ENUM_CAP:

@@ -1,7 +1,10 @@
 """Fact table, unboundedness rules, and audit verdict logic."""
 
+import importlib
+
 import pytest
 
+from heartlab import cli, reps
 from heartlab.audit import (
     CITATIONS,
     AuditEvidence,
@@ -267,3 +270,38 @@ class TestAudit:
         assert payload["unbounded_certificate"]
         for step in payload["unbounded_certificate"]:
             assert set(step) == {"rule", "statement", "citations"}
+
+
+class TestOneEndSolve:
+    """End is solved once per command and shared with is_indecomposable."""
+
+    @pytest.fixture
+    def end_calls(self, monkeypatch):
+        calls = []
+        original = reps.endomorphism_algebra
+
+        def counted(rep):
+            calls.append(rep.dimension)
+            return original(rep)
+
+        # audit and cli bind the name at import, so patch every binding; the
+        # package re-exports an audit() function that shadows the submodule
+        for module in (reps, importlib.import_module("heartlab.audit"), cli):
+            monkeypatch.setattr(module, "endomorphism_algebra", counted)
+        return calls
+
+    def test_deep_audit_branch_ii(self, end_calls):
+        report = audit(GroupId("mathieu", (24,)), deep=True)
+        assert report.evidence.indecomposability == "indecomposable"
+        assert end_calls == [22]
+
+    def test_deep_audit_branch_iii(self, end_calls):
+        report = audit(GroupId("psl", (4, 3)), deep=True)
+        assert report.branch == "iii"
+        assert report.evidence.indecomposability == "indecomposable"
+        assert end_calls == [38]
+
+    def test_heart_endo_and_indecomposable(self, end_calls, capsys):
+        assert cli.main(["heart", "M22", "--endo", "--indecomposable"]) == 0
+        capsys.readouterr()
+        assert end_calls == [20]

@@ -84,6 +84,16 @@ class TestAuditCommand:
         assert code == 0
         assert doc["payload"]["evidence"]["irreducibility"] == "reducible"
 
+    def test_psl45_branch_iii_computes_endo(self, capsys):
+        # degree 156, heart dimension 154: End is solved, not implied
+        code, doc, _ = run_json(capsys, "audit", "PSL(4,5)")
+        assert code == 0
+        payload = doc["payload"]
+        assert payload["verdict"] == "certified"
+        assert payload["condition_branch"] == "iii"
+        assert payload["evidence"]["endo_source"] == "computed"
+        assert payload["evidence"]["endo_dimension"] == 1
+
 
 class TestHeartCommand:
     def test_m24_meataxe(self, capsys):
@@ -102,6 +112,12 @@ class TestHeartCommand:
         code, doc, _ = run_json(capsys, "heart", "PSL(3,3)", "--endo")
         assert code == 0
         assert doc["payload"]["heart_dimension"] == 12
+        assert doc["payload"]["endo_dimension"] == 1
+
+    def test_psl39_endo(self, capsys):
+        code, doc, _ = run_json(capsys, "heart", "PSL(3,9)", "--endo")
+        assert code == 0
+        assert doc["payload"]["heart_dimension"] == 90
         assert doc["payload"]["endo_dimension"] == 1
 
     def test_a5_endo(self, capsys):

@@ -16,7 +16,15 @@ from heartlab.reps import (
     permutation_module,
     sum_zero_module,
 )
-from heartlab.zoo import GroupId, alternating, build_group, cyclic, dihedral, symmetric
+from heartlab.zoo import (
+    GroupId,
+    alternating,
+    build_group,
+    cyclic,
+    dihedral,
+    parse_group_spec,
+    symmetric,
+)
 
 
 def mat(g):
@@ -125,7 +133,82 @@ def brute_force_commutant_dimension(rep):
     return dim
 
 
+def _spread_bits(mask, stride):
+    """Bit k of mask moves to bit k*stride."""
+    out = 0
+    while mask:
+        low = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        out |= 1 << (low * stride)
+    return out
+
+
+def commutation_kernel(rep):
+    """Oracle: the kernel of the stacked system X.A - A.X = 0 over all images.
+
+    The unknown X is vectorized row-major into d^2 coordinates.  Returns the
+    reduced-echelon basis of that kernel as lists of matrix rows, the form
+    endomorphism_algebra promises for its basis.
+    """
+    d = rep.dimension
+    ell = rep.ell
+    constraints = []
+    if ell == 2:
+        for a in rep.images:
+            col_masks = a.transpose().rows  # col_masks[j] has bit k iff A[k][j] == 1
+            spreads = [_spread_bits(r, d) for r in a.rows]
+            for i in range(d):
+                for j in range(d):
+                    row = (col_masks[j] << (i * d)) ^ (spreads[i] << j)
+                    if row:
+                        constraints.append(row)
+    else:
+        for a in rep.images:
+            for i in range(d):
+                for j in range(d):
+                    row = [0] * (d * d)
+                    for k in range(d):
+                        row[i * d + k] = (row[i * d + k] + a.entry(k, j)) % ell
+                        row[k * d + j] = (row[k * d + j] - a.entry(i, k)) % ell
+                    if any(row):
+                        constraints.append(tuple(row))
+    null = kernel(ModMatrix(ell, len(constraints), d * d, constraints))
+    if ell == 2:
+        mask = (1 << d) - 1
+        return [[(v >> (i * d)) & mask for i in range(d)] for v in null.basis]
+    return [[tuple(v[i * d : (i + 1) * d]) for i in range(d)] for v in null.basis]
+
+
+ORACLE_GROUPS = [
+    "M11", "M12", "M22", "M23", "M24",
+    "PSL(3,2)", "PSL(3,3)", "PSL(3,4)", "PSL(4,2)", "PSL(2,8)", "PGL(3,3)",
+    "PSL(3,5)", "PSL(4,3)", "PSL(5,2)", "A5", "S6",
+    *[f"C{n}" for n in range(5, 13)], "D5", "D10",
+]
+ORACLE_MODULES = {"heart": heart, "permutation": permutation_module, "sum-zero": sum_zero_module}
+SMALL_MODULES = {
+    "trivial-group-permutation": lambda: permutation_module(PermGroup([identity(3)]), 2),
+    "trivial-group-heart": lambda: heart(PermGroup([identity(4)])),
+    "F3-C3": lambda: permutation_module(cyclic(3), 3),
+    "F3-C4": lambda: permutation_module(cyclic(4), 3),
+    "F3-S3": lambda: permutation_module(symmetric(3), 3),
+    "F3-S4": lambda: permutation_module(symmetric(4), 3),
+}
+
+
 class TestEndomorphismAlgebra:
+    @pytest.mark.parametrize("module", ORACLE_MODULES)
+    @pytest.mark.parametrize("spec", ORACLE_GROUPS)
+    def test_basis_matches_commutation_kernel(self, spec, module):
+        rep = ORACLE_MODULES[module](build_group(parse_group_spec(spec)))
+        assert rep.dimension <= 40
+        assert [b.rows for b in endomorphism_algebra(rep).basis] == commutation_kernel(rep)
+
+    @pytest.mark.parametrize("name", SMALL_MODULES)
+    def test_small_basis_matches_commutation_kernel(self, name):
+        rep = SMALL_MODULES[name]()
+        assert [b.rows for b in endomorphism_algebra(rep).basis] == commutation_kernel(rep)
+
     def test_trivial_group_full_matrix_algebra(self):
         rep = permutation_module(PermGroup([identity(3)]), 2)
         assert endomorphism_algebra(rep).dimension == 9
