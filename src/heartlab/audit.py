@@ -149,12 +149,7 @@ _ALLOWED_FLAGS = {
     "lie_type_char2",
     "wagner_char2_bound",
 }
-_ALLOWED_COVER_RULES = {
-    "feit_tits_transfer",
-    "kleidman_liebeck_m4",
-    "order7_cyclotomic",
-    "g2_automatic",
-}
+_ALLOWED_COVER_RULES = {"feit_tits_transfer", "kleidman_liebeck_m4"}
 _COND_RE = re.compile(r"^(m|q|n)(>=|=|>)(\d+)$")
 _BOUND_RE = re.compile(r"^[0-9mqng+\-*/()^ ]+$")
 

@@ -1,9 +1,9 @@
-"""Exact dense linear algebra over prime fields F_ell, specialized for ell=2.
+"""Exact dense linear algebra over F_2, rows as int bitsets.
 
-Row vectors over F_2 are plain Python ints used as bitsets (bit j = column j),
-so row operations are single word-level XORs; rows over odd ell are tuples of
-residues.  Echelon forms are fully reduced (pivot entries 1, zeros above and
-below), which makes subspace equality plain representation equality.
+A row vector is a plain Python int used as a bitset (bit j = column j), so a
+row operation is a single word-level XOR.  Echelon forms are fully reduced
+(pivot entries 1, zeros above and below), which makes subspace equality plain
+representation equality.
 """
 
 from __future__ import annotations
@@ -14,76 +14,50 @@ def _low_bit(x: int) -> int:
 
 
 class _Echelon:
-    """Incremental reduced-echelon row basis over F_ell.
+    """Incremental reduced-echelon row basis.
 
     Rows are kept mutually reduced: a pivot column has a 1 in its own row and
     zeros in every other basis row, so reducing an incoming vector is a single
     pass over the pivot table in any order.
     """
 
-    def __init__(self, ell: int, width: int):
-        self.ell = ell
-        self.width = width
-        self.rows: dict[int, int | tuple] = {}  # pivot column -> reduced row
-        self._pivot_mask = 0  # ell == 2: union of pivot bits
+    def __init__(self):
+        self.rows: dict[int, int] = {}  # pivot column -> reduced row
+        self._pivot_mask = 0  # union of pivot bits
 
-    def reduce(self, v):
+    def reduce(self, v: int) -> int:
         """Residue of v modulo the current row space."""
-        if self.ell == 2:
-            # mutual reduction means each basis row carries no foreign pivot
-            # bits, so one pass over the actual pivot hits suffices
-            hits = v & self._pivot_mask
-            rows = self.rows
-            while hits:
-                low = (hits & -hits).bit_length() - 1
-                hits &= hits - 1
-                v ^= rows[low]
-            return v
-        v = list(v)
-        ell = self.ell
-        for pivot, row in self.rows.items():
-            c = v[pivot]
-            if c:
-                for j in range(pivot, self.width):
-                    v[j] = (v[j] - c * row[j]) % ell
-        return tuple(v)
+        # mutual reduction means each basis row carries no foreign pivot bits,
+        # so one pass over the actual pivot hits suffices
+        hits = v & self._pivot_mask
+        rows = self.rows
+        while hits:
+            low = (hits & -hits).bit_length() - 1
+            hits &= hits - 1
+            v ^= rows[low]
+        return v
 
-    def insert(self, v) -> int | None:
+    def insert(self, v: int) -> int | None:
         """Reduce v and add the residue to the basis.
 
         Returns the new pivot column, or None if v was dependent.
         """
         v = self.reduce(v)
-        if self.ell == 2:
-            if v == 0:
-                return None
-            pivot = _low_bit(v)
-            bit = 1 << pivot
-            for p in list(self.rows):
-                if self.rows[p] & bit:
-                    self.rows[p] ^= v
-            self._pivot_mask |= bit
-        else:
-            pivot = next((j for j in range(self.width) if v[j]), None)
-            if pivot is None:
-                return None
-            inv = pow(v[pivot], self.ell - 2, self.ell)
-            v = tuple((c * inv) % self.ell for c in v)
-            for p in list(self.rows):
-                c = self.rows[p][pivot]
-                if c:
-                    row = self.rows[p]
-                    self.rows[p] = tuple(
-                        (row[j] - c * v[j]) % self.ell for j in range(self.width)
-                    )
+        if v == 0:
+            return None
+        pivot = _low_bit(v)
+        bit = 1 << pivot
+        for p in list(self.rows):
+            if self.rows[p] & bit:
+                self.rows[p] ^= v
+        self._pivot_mask |= bit
         self.rows[pivot] = v
         return pivot
 
-    def contains(self, v) -> bool:
-        residue = self.reduce(v)
-        return residue == 0 if self.ell == 2 else not any(residue)
+    def contains(self, v: int) -> bool:
+        return self.reduce(v) == 0
 
-    def basis_rows(self) -> list:
+    def basis_rows(self) -> list[int]:
         return [self.rows[p] for p in sorted(self.rows)]
 
     @property
@@ -92,31 +66,27 @@ class _Echelon:
 
 
 class Subspace:
-    """A subspace of F_ell^ambient held as a reduced-echelon row basis."""
+    """A subspace of F_2^ambient held as a reduced-echelon row basis."""
 
-    def __init__(self, ell: int, ambient: int, echelon: _Echelon):
-        self.ell = ell
+    def __init__(self, ambient: int, echelon: _Echelon):
         self.ambient = ambient
         self._echelon = echelon
         self.basis = echelon.basis_rows()
         self.pivots = sorted(echelon.rows)
 
     @classmethod
-    def from_vectors(cls, ell: int, ambient: int, vectors) -> "Subspace":
-        ech = _Echelon(ell, ambient)
+    def from_vectors(cls, ambient: int, vectors) -> "Subspace":
+        ech = _Echelon()
         for v in vectors:
             ech.insert(v)
-        return cls(ell, ambient, ech)
+        return cls(ambient, ech)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def contains(self, v) -> bool:
+    def contains(self, v: int) -> bool:
         return self._echelon.contains(v)
-
-    def reduce(self, v):
-        return self._echelon.reduce(v)
 
     def is_proper_nonzero(self) -> bool:
         return 0 < self.dimension < self.ambient
@@ -124,276 +94,152 @@ class Subspace:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
-            and (self.ell, self.ambient, self.basis) == (other.ell, other.ambient, other.basis)
+            and (self.ambient, self.basis) == (other.ambient, other.basis)
         )
 
     def __repr__(self) -> str:
-        return f"Subspace(dim={self.dimension}, ambient={self.ambient}, ell={self.ell})"
+        return f"Subspace(dim={self.dimension}, ambient={self.ambient})"
 
 
 class ModMatrix:
-    """Dense matrix over F_ell; rows are int bitsets when ell == 2."""
+    """Dense matrix over F_2; row i is an int bitset of its entries."""
 
-    __slots__ = ("ell", "nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, ell: int, nrows: int, ncols: int, rows):
-        self.ell = ell
+    def __init__(self, nrows: int, ncols: int, rows: list[int]):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
 
     @classmethod
-    def from_entries(cls, ell: int, entries) -> "ModMatrix":
+    def from_entries(cls, entries) -> "ModMatrix":
         entries = [list(r) for r in entries]
         nrows = len(entries)
         ncols = len(entries[0]) if entries else 0
         if any(len(r) != ncols for r in entries):
             raise ValueError("ragged rows")
-        if ell == 2:
-            rows = [sum((e & 1) << j for j, e in enumerate(r)) for r in entries]
-        else:
-            rows = [tuple(e % ell for e in r) for r in entries]
-        return cls(ell, nrows, ncols, rows)
+        rows = [sum((e & 1) << j for j, e in enumerate(r)) for r in entries]
+        return cls(nrows, ncols, rows)
 
     @classmethod
-    def zeros(cls, ell: int, nrows: int, ncols: int) -> "ModMatrix":
-        rows = [0] * nrows if ell == 2 else [(0,) * ncols] * nrows
-        return cls(ell, nrows, ncols, list(rows))
+    def zeros(cls, nrows: int, ncols: int) -> "ModMatrix":
+        return cls(nrows, ncols, [0] * nrows)
 
     @classmethod
-    def identity(cls, ell: int, n: int) -> "ModMatrix":
-        if ell == 2:
-            rows = [1 << i for i in range(n)]
-        else:
-            rows = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-        return cls(ell, n, n, rows)
+    def identity(cls, n: int) -> "ModMatrix":
+        return cls(n, n, [1 << i for i in range(n)])
 
     def entry(self, i: int, j: int) -> int:
-        if self.ell == 2:
-            return (self.rows[i] >> j) & 1
-        return self.rows[i][j]
-
-    def to_entries(self) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
-
-    def _check_ell(self, other: "ModMatrix") -> None:
-        if self.ell != other.ell:
-            raise ValueError("mixed moduli")
+        return (self.rows[i] >> j) & 1
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ModMatrix)
-            and (self.ell, self.nrows, self.ncols) == (other.ell, other.nrows, other.ncols)
+            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
             and self.rows == other.rows
         )
 
     def __add__(self, other: "ModMatrix") -> "ModMatrix":
-        self._check_ell(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in addition")
-        if self.ell == 2:
-            rows = [a ^ b for a, b in zip(self.rows, other.rows)]
-        else:
-            ell = self.ell
-            rows = [tuple((x + y) % ell for x, y in zip(a, b)) for a, b in zip(self.rows, other.rows)]
-        return ModMatrix(self.ell, self.nrows, self.ncols, rows)
-
-    def scale(self, c: int) -> "ModMatrix":
-        c %= self.ell
-        if self.ell == 2:
-            rows = list(self.rows) if c else [0] * self.nrows
-        else:
-            rows = [tuple((c * x) % self.ell for x in r) for r in self.rows]
-        return ModMatrix(self.ell, self.nrows, self.ncols, rows)
+        return ModMatrix(self.nrows, self.ncols, [a ^ b for a, b in zip(self.rows, other.rows)])
 
     def __mul__(self, other: "ModMatrix") -> "ModMatrix":
-        self._check_ell(other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        if self.ell == 2:
-            brows = other.rows
-            rows = []
-            for r in self.rows:
-                acc = 0
-                while r:
-                    k = _low_bit(r)
-                    r &= r - 1
-                    acc ^= brows[k]
-                rows.append(acc)
-        else:
-            ell = self.ell
-            brows = other.rows
-            rows = []
-            for r in self.rows:
-                acc = [0] * other.ncols
-                for k, c in enumerate(r):
-                    if c:
-                        brow = brows[k]
-                        for j in range(other.ncols):
-                            acc[j] = (acc[j] + c * brow[j]) % ell
-                rows.append(tuple(acc))
-        return ModMatrix(self.ell, self.nrows, other.ncols, rows)
+        return ModMatrix(self.nrows, other.ncols, [other.act(r) for r in self.rows])
 
-    def act(self, v):
+    def act(self, v: int) -> int:
         """Right action on a row vector: returns v . M (v has length nrows)."""
-        if self.ell == 2:
-            acc = 0
-            rows = self.rows
-            while v:
-                k = _low_bit(v)
-                v &= v - 1
-                acc ^= rows[k]
-            return acc
-        ell = self.ell
-        acc = [0] * self.ncols
-        for k, c in enumerate(v):
-            if c:
-                row = self.rows[k]
-                for j in range(self.ncols):
-                    acc[j] = (acc[j] + c * row[j]) % ell
-        return tuple(acc)
+        acc = 0
+        rows = self.rows
+        while v:
+            k = _low_bit(v)
+            v &= v - 1
+            acc ^= rows[k]
+        return acc
 
     def transpose(self) -> "ModMatrix":
-        if self.ell == 2:
-            rows = [0] * self.ncols
-            for i, r in enumerate(self.rows):
-                while r:
-                    j = _low_bit(r)
-                    r &= r - 1
-                    rows[j] |= 1 << i
-        else:
-            rows = [tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)]
-        return ModMatrix(self.ell, self.ncols, self.nrows, rows)
+        rows = [0] * self.ncols
+        for i, r in enumerate(self.rows):
+            while r:
+                j = _low_bit(r)
+                r &= r - 1
+                rows[j] |= 1 << i
+        return ModMatrix(self.ncols, self.nrows, rows)
 
     def is_zero(self) -> bool:
-        if self.ell == 2:
-            return all(r == 0 for r in self.rows)
-        return all(not any(r) for r in self.rows)
+        return not any(self.rows)
 
     def is_identity(self) -> bool:
-        return self.nrows == self.ncols and self == ModMatrix.identity(self.ell, self.nrows)
+        return self.nrows == self.ncols and self.rows == ModMatrix.identity(self.nrows).rows
 
     def is_scalar(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        c = self.entry(0, 0)
-        return self == ModMatrix.identity(self.ell, self.nrows).scale(c)
-
-    def __pow__(self, k: int) -> "ModMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = ModMatrix.identity(self.ell, self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        """Over F_2 the scalar matrices are zero and the identity."""
+        return self.nrows == self.ncols and (self.is_zero() or self.is_identity())
 
     def inverse(self) -> "ModMatrix":
         """Exact inverse via row reduction of [M | I]; raises if singular."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        if self.ell == 2:
-            work = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-            ech = _Echelon(2, 2 * n)
-            for r in work:
-                ech.insert(r)
-            if sorted(ech.rows)[: n] != list(range(n)) or len(ech.rows) < n:
-                raise ValueError("matrix is singular")
-            mask = (1 << n) - 1
-            rows = [ech.rows[i] >> n for i in range(n)]
-            if any(ech.rows[i] & mask != (1 << i) for i in range(n)):
-                raise ValueError("matrix is singular")
-            return ModMatrix(2, n, n, rows)
-        work = [tuple(self.rows[i]) + tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        ech = _Echelon(self.ell, 2 * n)
-        for r in work:
-            ech.insert(r)
-        if len(ech.rows) < n or sorted(ech.rows)[: n] != list(range(n)):
+        ech = _Echelon()
+        for i in range(n):
+            ech.insert(self.rows[i] | (1 << (n + i)))
+        mask = (1 << n) - 1
+        if any(ech.rows.get(i, 0) & mask != (1 << i) for i in range(n)):
             raise ValueError("matrix is singular")
-        rows = [tuple(ech.rows[i][n:]) for i in range(n)]
-        return ModMatrix(self.ell, n, n, rows)
+        return ModMatrix(n, n, [ech.rows[i] >> n for i in range(n)])
 
     def __repr__(self) -> str:
-        return f"ModMatrix(ell={self.ell}, {self.nrows}x{self.ncols})"
+        return f"ModMatrix({self.nrows}x{self.ncols})"
 
 
 def rank(matrix: ModMatrix) -> int:
-    ech = _Echelon(matrix.ell, matrix.ncols)
+    ech = _Echelon()
     for r in matrix.rows:
         ech.insert(r)
     return ech.dimension
 
 
-def row_space(matrix: ModMatrix) -> Subspace:
-    return Subspace.from_vectors(matrix.ell, matrix.ncols, matrix.rows)
-
-
 def kernel(matrix: ModMatrix) -> Subspace:
     """Right kernel {x : M x = 0} as row vectors of length ncols."""
-    ech = _Echelon(matrix.ell, matrix.ncols)
+    ech = _Echelon()
     for r in matrix.rows:
         ech.insert(r)
-    pivots = set(ech.rows)
     vectors = []
-    if matrix.ell == 2:
-        for free in range(matrix.ncols):
-            if free in pivots:
-                continue
-            v = 1 << free
-            for p, row in ech.rows.items():
-                if (row >> free) & 1:
-                    v |= 1 << p
-            vectors.append(v)
-    else:
-        ell = matrix.ell
-        for free in range(matrix.ncols):
-            if free in pivots:
-                continue
-            v = [0] * matrix.ncols
-            v[free] = 1
-            for p, row in ech.rows.items():
-                v[p] = (-row[free]) % ell
-            vectors.append(tuple(v))
-    return Subspace.from_vectors(matrix.ell, matrix.ncols, vectors)
-
-
-def solve(matrix: ModMatrix, rhs) -> int | tuple | None:
-    """Any x with M x = rhs (rhs has length nrows), or None if inconsistent."""
-    n, c = matrix.nrows, matrix.ncols
-    if matrix.ell == 2:
-        if isinstance(rhs, (list, tuple)):
-            rhs = sum((int(b) & 1) << i for i, b in enumerate(rhs))
-        work = [matrix.rows[i] | (((rhs >> i) & 1) << c) for i in range(n)]
-        ech = _Echelon(2, c + 1)
-        for r in work:
-            ech.insert(r)
-        if c in ech.rows:
-            return None
-        x = 0
+    for free in range(matrix.ncols):
+        if free in ech.rows:
+            continue
+        v = 1 << free
         for p, row in ech.rows.items():
-            if (row >> c) & 1:
-                x |= 1 << p
-        return x
-    rhs = tuple(int(b) % matrix.ell for b in rhs)
-    work = [tuple(matrix.rows[i]) + (rhs[i],) for i in range(n)]
-    ech = _Echelon(matrix.ell, c + 1)
-    for r in work:
-        ech.insert(r)
+            if (row >> free) & 1:
+                v |= 1 << p
+        vectors.append(v)
+    return Subspace.from_vectors(matrix.ncols, vectors)
+
+
+def solve(matrix: ModMatrix, rhs) -> int | None:
+    """Any x with M x = rhs, or None if inconsistent.
+
+    rhs is a bitset of length nrows, or a sequence of nrows bits.
+    """
+    n, c = matrix.nrows, matrix.ncols
+    if isinstance(rhs, (list, tuple)):
+        rhs = sum((int(b) & 1) << i for i, b in enumerate(rhs))
+    ech = _Echelon()
+    for i in range(n):
+        ech.insert(matrix.rows[i] | (((rhs >> i) & 1) << c))
     if c in ech.rows:
         return None
-    x = [0] * c
+    x = 0
     for p, row in ech.rows.items():
-        x[p] = row[c]
-    return tuple(x)
+        if (row >> c) & 1:
+            x |= 1 << p
+    return x
 
 
-def spin(seed_vectors, actions: list[ModMatrix], ell: int, ambient: int) -> Subspace:
+def spin(seed_vectors, actions: list[ModMatrix], ambient: int) -> Subspace:
     """Smallest subspace containing the seeds and closed under every action.
 
     Worklist closure: each newly independent residue is queued and hit with
@@ -403,9 +249,7 @@ def spin(seed_vectors, actions: list[ModMatrix], ell: int, ambient: int) -> Subs
     for a in actions:
         if a.nrows != a.ncols or a.nrows != ambient:
             raise ValueError("actions must be square of the ambient dimension")
-        if a.ell != ell:
-            raise ValueError("mixed moduli")
-    ech = _Echelon(ell, ambient)
+    ech = _Echelon()
     worklist = []
     for v in seed_vectors:
         pivot = ech.insert(v)
@@ -419,19 +263,19 @@ def spin(seed_vectors, actions: list[ModMatrix], ell: int, ambient: int) -> Subs
             pivot = ech.insert(a.act(v))
             if pivot is not None:
                 worklist.append(ech.rows[pivot])
-    return Subspace(ell, ambient, ech)
+    return Subspace(ambient, ech)
 
 
 def charpoly(matrix: ModMatrix) -> list[int]:
-    """Characteristic polynomial coefficients over F_ell, constant term first.
+    """Characteristic polynomial coefficients over F_2, constant term first.
 
     Reduces to upper Hessenberg form by exact similarity transforms, then
-    expands the determinant recurrence on leading principal minors.
+    expands the determinant recurrence on leading principal minors.  Over F_2
+    every pivot is 1 and every sign is +, so the arithmetic is XOR and AND.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = matrix.nrows
-    ell = matrix.ell
     if n == 0:
         return [1]
     h = [[matrix.entry(i, j) for j in range(n)] for i in range(n)]
@@ -447,37 +291,30 @@ def charpoly(matrix: ModMatrix) -> list[int]:
             h[col + 1], h[pivot] = h[pivot], h[col + 1]
             for r in h:
                 r[col + 1], r[pivot] = r[pivot], r[col + 1]
-        inv = pow(h[col + 1][col], ell - 2, ell)
+        hc = h[col + 1]
         for row in range(col + 2, n):
-            c = (h[row][col] * inv) % ell
-            if not c:
+            if not h[row][col]:
                 continue
-            hc = h[col + 1]
-            hr = h[row]
-            for j in range(n):
-                hr[j] = (hr[j] - c * hc[j]) % ell
+            h[row] = [a ^ b for a, b in zip(h[row], hc)]
             # paired column operation keeping the transform a similarity
             for rr in h:
-                rr[col + 1] = (rr[col + 1] + c * rr[row]) % ell
+                rr[col + 1] ^= rr[row]
     # determinant recurrence for Hessenberg matrices: p_k = charpoly of leading k x k block
     polys = [[1]]  # p_0 = 1
     for k in range(1, n + 1):
-        # p_k = (x - h[k-1][k-1]) p_{k-1} - sum_i (prod subdiag) h[i-1][k-1] p_{i-1}
+        # p_k = (x + h[k-1][k-1]) p_{k-1} + sum_i (prod subdiag) h[i-1][k-1] p_{i-1}
         prev = polys[k - 1]
         term = [0] + prev  # x * p_{k-1}
-        a = (-h[k - 1][k - 1]) % ell
-        for idx in range(len(prev)):
-            term[idx] = (term[idx] + a * prev[idx]) % ell
-        subdiag = 1
+        if h[k - 1][k - 1]:
+            for idx in range(len(prev)):
+                term[idx] ^= prev[idx]
         for i in range(k - 1, 0, -1):
-            subdiag = (subdiag * h[i][i - 1]) % ell
-            if not subdiag:
-                break
-            c = (subdiag * h[i - 1][k - 1]) % ell
-            if not c:
+            if not h[i][i - 1]:
+                break  # the subdiagonal product is 0 from here on
+            if not h[i - 1][k - 1]:
                 continue
             pi = polys[i - 1]
             for idx in range(len(pi)):
-                term[idx] = (term[idx] - c * pi[idx]) % ell
-        polys.append([c % ell for c in term])
+                term[idx] ^= pi[idx]
+        polys.append(term)
     return polys[n]

@@ -1,5 +1,5 @@
-"""G-modules over prime fields: permutation module, heart, endomorphism
-algebra, MeatAxe irreducibility, absolute irreducibility, indecomposability.
+"""G-modules over F_2: permutation module, heart, endomorphism algebra,
+MeatAxe irreducibility, absolute irreducibility, indecomposability.
 
 Modules are spaces of row vectors with generators acting on the right
 (v -> v.A), so the matrix of a permutation g has row i equal to e_{g(i)}.
@@ -24,20 +24,15 @@ class MeatAxeInconclusive(RuntimeError):
     """The randomized irreducibility test hit its attempt cap."""
 
 
-def permutation_matrix(p: Permutation, ell: int = 2) -> ModMatrix:
+def permutation_matrix(p: Permutation) -> ModMatrix:
     n = p.degree
-    if ell == 2:
-        rows = [1 << p.images[i] for i in range(n)]
-        return ModMatrix(2, n, n, rows)
-    rows = [tuple(1 if j == p.images[i] else 0 for j in range(n)) for i in range(n)]
-    return ModMatrix(ell, n, n, rows)
+    return ModMatrix(n, n, [1 << p.images[i] for i in range(n)])
 
 
 @dataclass
 class GModuleRep:
     """A representation given by generator images (parallel to group generators)."""
 
-    ell: int
     dimension: int
     images: list[ModMatrix]
     provenance: str
@@ -47,9 +42,9 @@ class GModuleRep:
         return [a.transpose() for a in self.images]
 
 
-def permutation_module(group: PermGroup, ell: int = 2) -> GModuleRep:
-    images = [permutation_matrix(g, ell) for g in group.generators]
-    return GModuleRep(ell, group.degree, images, "permutation", group)
+def permutation_module(group: PermGroup) -> GModuleRep:
+    images = [permutation_matrix(g) for g in group.generators]
+    return GModuleRep(group.degree, images, "permutation", group)
 
 
 def _sum_zero_image(g: Permutation) -> ModMatrix:
@@ -60,13 +55,13 @@ def _sum_zero_image(g: Permutation) -> ModMatrix:
     for i in range(n - 1):
         ambient = (1 << g.images[i]) ^ (1 << g.images[n - 1])
         rows.append(ambient & mask)
-    return ModMatrix(2, n - 1, n - 1, rows)
+    return ModMatrix(n - 1, n - 1, rows)
 
 
 def sum_zero_module(group: PermGroup) -> GModuleRep:
     """The stable hyperplane of coordinate-sum-zero vectors in F_2^n."""
     images = [_sum_zero_image(g) for g in group.generators]
-    return GModuleRep(2, group.degree - 1, images, "sum-zero", group)
+    return GModuleRep(group.degree - 1, images, "sum-zero", group)
 
 
 def heart(group: PermGroup) -> GModuleRep:
@@ -76,7 +71,7 @@ def heart(group: PermGroup) -> GModuleRep:
         raise ValueError("heart needs degree >= 3")
     if n % 2 == 1:
         rep = sum_zero_module(group)
-        return GModuleRep(2, n - 1, rep.images, "heart", group)
+        return GModuleRep(n - 1, rep.images, "heart", group)
     ones = (1 << (n - 1)) - 1
     images = []
     for g in group.generators:
@@ -87,8 +82,8 @@ def heart(group: PermGroup) -> GModuleRep:
             if u & 1:
                 u ^= ones
             rows.append(u >> 1)
-        images.append(ModMatrix(2, n - 2, n - 2, rows))
-    return GModuleRep(2, n - 2, images, "heart", group)
+        images.append(ModMatrix(n - 2, n - 2, rows))
+    return GModuleRep(n - 2, images, "heart", group)
 
 
 # -- endomorphism algebra ------------------------------------------------------
@@ -98,39 +93,26 @@ def heart(group: PermGroup) -> GModuleRep:
 class EndoAlgebra:
     """Basis of all matrices commuting with every generator image."""
 
-    ell: int
     dimension: int
     basis: list[ModMatrix] = field(repr=False)
 
     def contains_identity(self) -> bool:
         n = self.basis[0].nrows if self.basis else 0
-        target = ModMatrix.identity(self.ell, n)
-        span = Subspace.from_vectors(
-            self.ell, n * n, [_vec_of_matrix(b) for b in self.basis]
-        )
-        return span.contains(_vec_of_matrix(target))
+        span = Subspace.from_vectors(n * n, [_vec_of_matrix(b) for b in self.basis])
+        return span.contains(_vec_of_matrix(ModMatrix.identity(n)))
 
 
-def _vec_of_matrix(m: ModMatrix):
+def _vec_of_matrix(m: ModMatrix) -> int:
     d = m.ncols
-    if m.ell == 2:
-        v = 0
-        for i, r in enumerate(m.rows):
-            v |= r << (i * d)
-        return v
-    out = []
-    for r in m.rows:
-        out.extend(r)
-    return tuple(out)
+    v = 0
+    for i, r in enumerate(m.rows):
+        v |= r << (i * d)
+    return v
 
 
-def _matrix_of_vec(v, d: int, ell: int) -> ModMatrix:
-    if ell == 2:
-        mask = (1 << d) - 1
-        rows = [(v >> (i * d)) & mask for i in range(d)]
-        return ModMatrix(2, d, d, rows)
-    rows = [tuple(v[i * d : (i + 1) * d]) for i in range(d)]
-    return ModMatrix(ell, d, d, rows)
+def _matrix_of_vec(v: int, d: int) -> ModMatrix:
+    mask = (1 << d) - 1
+    return ModMatrix(d, d, [(v >> (i * d)) & mask for i in range(d)])
 
 
 def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
@@ -156,17 +138,16 @@ def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
     Every basis element is checked against every generator before returning.
     """
     d = rep.dimension
-    ell = rep.ell
     transposed = rep.transposed_images()
 
     # 1. spanning tree: tree[k] is (parent, g) with w_k = w_parent.A_g, or None
     # for a seed; roots lists the seeds' tree indices in seed order
-    ech = _Echelon(ell, d)
+    ech = _Echelon()
     vectors: list = []
     tree: list[tuple[int, int] | None] = []
     roots: list[int] = []
     relations: list[tuple[int, int]] = []
-    for e in ModMatrix.identity(ell, d).rows:
+    for e in ModMatrix.identity(d).rows:
         if ech.dimension == d:
             break
         if ech.insert(e) is None:
@@ -185,34 +166,33 @@ def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
                     tree.append((head, g))
             head += 1
     unknowns = len(roots) * d
-    w_inverse = ModMatrix(ell, d, d, vectors).inverse()
+    w_inverse = ModMatrix(d, d, vectors).inverse()
 
     # 2-3. symbolic images: row m of images[k] is coordinate m of phi(w_k) as
     # a linear form in the unknowns (the seed images, d per seed)
-    free = ModMatrix.identity(ell, unknowns).rows
+    free = ModMatrix.identity(unknowns).rows
     images: list[ModMatrix] = []
     for k, edge in enumerate(tree):
         if edge is None:
             j = roots.index(k)
-            images.append(ModMatrix(ell, d, unknowns, free[j * d : (j + 1) * d]))
+            images.append(ModMatrix(d, unknowns, free[j * d : (j + 1) * d]))
         else:
             parent, g = edge
             images.append(transposed[g] * images[parent])
     # by_coordinate[m] has row l = coordinate m of phi(w_l), so a relation's
     # right-hand side sum_l c_l phi(w_l) is one action per coordinate
     by_coordinate = [
-        ModMatrix(ell, d, unknowns, [image.rows[m] for image in images]) for m in range(d)
+        ModMatrix(d, unknowns, [image.rows[m] for image in images]) for m in range(d)
     ]
-    negated_inverse = w_inverse.scale(-1)
-    conditions = _Echelon(ell, unknowns)
+    conditions = _Echelon()
     for k, g in relations:
         if conditions.dimension == unknowns - 1:
             break
-        neg_c = negated_inverse.act(rep.images[g].act(vectors[k]))
-        rhs = ModMatrix(ell, d, unknowns, [col.act(neg_c) for col in by_coordinate])
+        c = w_inverse.act(rep.images[g].act(vectors[k]))
+        rhs = ModMatrix(d, unknowns, [col.act(c) for col in by_coordinate])
         for row in (transposed[g] * images[k] + rhs).rows:
             conditions.insert(row)
-    null = kernel(ModMatrix(ell, conditions.dimension, unknowns, conditions.basis_rows()))
+    null = kernel(ModMatrix(conditions.dimension, unknowns, conditions.basis_rows()))
 
     # 4. back to the standard basis: X = W^-1 . (phi(w_k))_k
     seed_slices = {k: images[k].transpose() for k in roots}
@@ -225,16 +205,16 @@ def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
             else:
                 parent, g = edge
                 phi.append(rep.images[g].act(phi[parent]))
-        solutions.append(_vec_of_matrix(w_inverse * ModMatrix(ell, d, d, phi)))
+        solutions.append(_vec_of_matrix(w_inverse * ModMatrix(d, d, phi)))
 
     # 5. canonical basis, then the soundness check
-    span = Subspace.from_vectors(ell, d * d, solutions)
-    basis = [_matrix_of_vec(v, d, ell) for v in span.basis]
+    span = Subspace.from_vectors(d * d, solutions)
+    basis = [_matrix_of_vec(v, d) for v in span.basis]
     for x in basis:
         for a in rep.images:
             if x * a != a * x:
                 raise AssertionError("endomorphism basis element does not commute")
-    return EndoAlgebra(ell, len(basis), basis)
+    return EndoAlgebra(len(basis), basis)
 
 
 # -- MeatAxe -------------------------------------------------------------------
@@ -263,17 +243,17 @@ def _random_word(images: list[ModMatrix], rng: SplitMix64, max_length: int) -> M
 
 
 def _random_algebra_element(images: list[ModMatrix], rng: SplitMix64, attempt: int) -> ModMatrix:
-    """Words of length <= 4 with coefficients, alternating with sums of two
-    conjugated generators; both widen the spectrum of the sampled element."""
+    """Sums of up to three words of length <= 4 (each kept on a coin flip),
+    alternating with sums of two conjugated generators; both widen the
+    spectrum of the sampled element."""
     d = images[0].nrows
-    ell = images[0].ell
     if attempt % 2 == 0:
-        theta = ModMatrix.zeros(ell, d, d)
+        theta = ModMatrix.zeros(d, d)
         for _ in range(3):
-            c = rng.below(ell)
+            c = rng.below(2)
             word = _random_word(images, rng, 4)
             if c:
-                theta = theta + word.scale(c)
+                theta = theta + word
     else:
         g = images[rng.below(len(images))]
         h = _random_word(images, rng, 3)
@@ -288,19 +268,19 @@ def _verify_invariant(witness: Subspace, images: list[ModMatrix]) -> None:
                 raise AssertionError("witness subspace is not invariant")
 
 
-def _orthogonal_complement(dual_witness: Subspace, ell: int, d: int) -> Subspace:
-    m = ModMatrix(ell, len(dual_witness.basis), d, list(dual_witness.basis))
-    return kernel(m)
+def _orthogonal_complement(dual_witness: Subspace, d: int) -> Subspace:
+    return kernel(ModMatrix(len(dual_witness.basis), d, list(dual_witness.basis)))
 
 
 def _matrix_poly(coeffs, m: ModMatrix) -> ModMatrix:
     """Evaluate a polynomial (constant term first) at a square matrix."""
     d = m.nrows
-    acc = ModMatrix.zeros(m.ell, d, d)
+    identity = ModMatrix.identity(d)
+    acc = ModMatrix.zeros(d, d)
     for c in reversed(coeffs):
         acc = acc * m
         if c:
-            acc = acc + ModMatrix.identity(m.ell, d).scale(c)
+            acc = acc + identity
     return acc
 
 
@@ -315,7 +295,6 @@ def is_irreducible(rep: GModuleRep, seed: int = 0) -> IrreducibilityVerdict:
     only when the p(theta)-kernel has the minimal dimension deg(p).
     """
     d = rep.dimension
-    ell = rep.ell
     if d == 0:
         raise ValueError("empty module")
     rng = SplitMix64(seed)
@@ -325,16 +304,16 @@ def is_irreducible(rep: GModuleRep, seed: int = 0) -> IrreducibilityVerdict:
     transposed = rep.transposed_images()
     for attempt in range(1, MEATAXE_ATTEMPT_CAP + 1):
         theta = _random_algebra_element(images, rng, attempt)
-        if theta.is_zero() or theta.is_scalar():
+        if theta.is_scalar():  # zero or the identity
             continue
-        factors = fppoly.factor(tuple(charpoly(theta)), ell, rng)
+        factors = fppoly.factor(tuple(charpoly(theta)), 2, rng)
         for poly_factor, _multiplicity in factors:
             p_of_theta = _matrix_poly(poly_factor, theta)
             null = kernel(p_of_theta.transpose())  # vectors v with v.p(theta) = 0
             if null.dimension == 0:
                 continue
             v = null.basis[0]
-            span = spin([v], images, ell, d)
+            span = spin([v], images, d)
             if span.is_proper_nonzero():
                 _verify_invariant(span, images)
                 return IrreducibilityVerdict("reducible", span, attempt)
@@ -342,9 +321,9 @@ def is_irreducible(rep: GModuleRep, seed: int = 0) -> IrreducibilityVerdict:
                 continue
             dual_null = kernel(p_of_theta)  # kernel under the transposed action
             w = dual_null.basis[0]
-            dual_span = spin([w], transposed, ell, d)
+            dual_span = spin([w], transposed, d)
             if dual_span.is_proper_nonzero():
-                complement = _orthogonal_complement(dual_span, ell, d)
+                complement = _orthogonal_complement(dual_span, d)
                 _verify_invariant(complement, images)
                 return IrreducibilityVerdict("reducible", complement, attempt)
             return IrreducibilityVerdict("irreducible", attempts=attempt)
@@ -386,17 +365,16 @@ def is_indecomposable(rep: GModuleRep, endo: EndoAlgebra | None = None) -> Indec
     if endo is None:
         endo = endomorphism_algebra(rep)
     k = endo.dimension
-    ell = rep.ell
-    if ell**k > 2**IDEMPOTENT_ENUM_CAP:
+    if k > IDEMPOTENT_ENUM_CAP:
         return IndecomposabilityVerdict("inconclusive", endo_dimension=k)
     d = rep.dimension
-    zero = ModMatrix.zeros(ell, d, d)
-    identity = ModMatrix.identity(ell, d)
-    for coeffs in iter_product(range(ell), repeat=k):
+    zero = ModMatrix.zeros(d, d)
+    identity = ModMatrix.identity(d)
+    for coeffs in iter_product(range(2), repeat=k):
         x = zero
         for c, b in zip(coeffs, endo.basis):
             if c:
-                x = x + b.scale(c)
+                x = x + b
         if x == zero or x == identity:
             continue
         if x * x == x:
@@ -407,7 +385,7 @@ def is_indecomposable(rep: GModuleRep, endo: EndoAlgebra | None = None) -> Indec
 
 def _verify_idempotent_witness(x: ModMatrix, rep: GModuleRep) -> None:
     d = rep.dimension
-    image = Subspace.from_vectors(rep.ell, d, list(x.rows))
+    image = Subspace.from_vectors(d, list(x.rows))
     null = kernel(x.transpose())  # vectors with v.x = 0
     if image.dimension + null.dimension != d:
         raise AssertionError("idempotent image and kernel do not sum to the space")

@@ -11,6 +11,7 @@ from heartlab.audit import (
     InconclusiveUnbounded,
     NoFactError,
     UnboundedCertificate,
+    _ALLOWED_COVER_RULES,
     _branch_requirement,
     _decide,
     _load_facts,
@@ -62,6 +63,9 @@ class TestFactTable:
         assert len(facts) == 10
         for fact in facts:
             assert fact.citation in CITATIONS
+
+    def test_every_allowed_cover_rule_is_used(self):
+        assert _ALLOWED_COVER_RULES == {fact.cover_rule for fact in _load_facts()}
 
     @pytest.mark.parametrize(
         "gid,bound",

@@ -1,4 +1,4 @@
-"""Exact F_ell linear algebra: rank, kernel, solve, spin, charpoly."""
+"""Exact F_2 linear algebra on bitset rows: rank, kernel, solve, spin, charpoly."""
 
 import random
 
@@ -10,80 +10,74 @@ from heartlab.reps import permutation_matrix
 from heartlab.zoo import symmetric
 
 
-def random_matrix(rng, ell, rows, cols):
-    return ModMatrix.from_entries(
-        ell, [[rng.randrange(ell) for _ in range(cols)] for _ in range(rows)]
-    )
+def random_matrix(rng, rows, cols):
+    return ModMatrix.from_entries([[rng.randrange(2) for _ in range(cols)] for _ in range(rows)])
 
 
 class TestRankKernelSolve:
     def test_identity(self):
-        m = ModMatrix.identity(2, 5)
+        m = ModMatrix.identity(5)
         assert rank(m) == 5
         assert kernel(m).dimension == 0
 
     def test_all_ones(self):
-        m = ModMatrix.from_entries(2, [[1] * 4] * 4)
+        m = ModMatrix.from_entries([[1] * 4] * 4)
         assert rank(m) == 1
         assert kernel(m).dimension == 3
 
     def test_rank_plus_nullity(self):
         rng = random.Random(5)
-        for ell in (2, 3, 5):
-            for _ in range(20):
-                rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
-                m = random_matrix(rng, ell, rows, cols)
-                assert rank(m) + kernel(m).dimension == cols
+        for _ in range(60):
+            rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+            m = random_matrix(rng, rows, cols)
+            assert rank(m) + kernel(m).dimension == cols
 
     def test_planted_rank(self):
         rng = random.Random(1)
         while True:
-            a = random_matrix(rng, 2, 20, 13)
-            b = random_matrix(rng, 2, 13, 20)
+            a = random_matrix(rng, 20, 13)
+            b = random_matrix(rng, 13, 20)
             if rank(a) == 13 and rank(b) == 13:
                 break
         assert rank(a * b) == 13
 
     def test_rank_of_product_bounded(self):
         rng = random.Random(9)
-        for ell in (2, 7):
-            for _ in range(15):
-                a = random_matrix(rng, ell, 6, 5)
-                b = random_matrix(rng, ell, 5, 7)
-                assert rank(a * b) <= min(rank(a), rank(b))
+        for _ in range(30):
+            a = random_matrix(rng, 6, 5)
+            b = random_matrix(rng, 5, 7)
+            assert rank(a * b) <= min(rank(a), rank(b))
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(3)
-        for ell in (2, 3):
-            m = random_matrix(rng, ell, 6, 9)
+        for _ in range(2):
+            m = random_matrix(rng, 6, 9)
             for v in kernel(m).basis:
                 # v is a length-ncols row vector with M v = 0
                 for i in range(m.nrows):
-                    if ell == 2:
-                        acc = 0
-                        for j in range(m.ncols):
-                            acc ^= m.entry(i, j) & ((v >> j) & 1)
-                    else:
-                        acc = sum(m.entry(i, j) * v[j] for j in range(m.ncols)) % ell
+                    acc = 0
+                    for j in range(m.ncols):
+                        acc ^= m.entry(i, j) & ((v >> j) & 1)
                     assert acc == 0
 
     def test_solve_consistent_and_inconsistent(self):
-        m = ModMatrix.from_entries(2, [[1, 1, 0], [1, 1, 0]])
+        def apply(m, x):  # M x as a bitset of length nrows
+            return sum((bin(r & x).count("1") & 1) << i for i, r in enumerate(m.rows))
+
+        m = ModMatrix.from_entries([[1, 1, 0], [1, 1, 0]])
         assert solve(m, [1, 0]) is None
         x = solve(m, [1, 1])
-        assert x is not None
-        m3 = ModMatrix.from_entries(3, [[1, 2], [2, 1]])
-        assert solve(m3, (1, 1)) is None  # adding the equations gives 0 = 2 mod 3
-        m3b = ModMatrix.from_entries(3, [[1, 2], [0, 1]])
-        x = solve(m3b, (1, 1))
-        assert x is not None
-        assert [(x[0] + 2 * x[1]) % 3, x[1] % 3] == [1, 1]
+        assert x is not None and apply(m, x) == 0b11
+        m2 = ModMatrix.from_entries([[1, 1], [0, 1], [1, 0]])
+        assert solve(m2, 0b111) is None  # adding the three equations gives 0 = 1
+        x = solve(m2, 0b110)
+        assert x is not None and apply(m2, x) == 0b110
 
     def test_inverse_roundtrip_f2(self):
         rng = random.Random(11)
         found = 0
         while found < 10:
-            m = random_matrix(rng, 2, 6, 6)
+            m = random_matrix(rng, 6, 6)
             if rank(m) < 6:
                 continue
             found += 1
@@ -92,40 +86,48 @@ class TestRankKernelSolve:
 
     def test_inverse_of_singular_raises(self):
         with pytest.raises(ValueError):
-            ModMatrix.from_entries(2, [[1, 1], [1, 1]]).inverse()
+            ModMatrix.from_entries([[1, 1], [1, 1]]).inverse()
+
+    def test_is_scalar_degenerate_sizes(self):
+        assert ModMatrix.identity(0).is_scalar()
+        assert ModMatrix.zeros(0, 0).is_scalar()
+        assert ModMatrix.identity(1).is_scalar()
+        assert ModMatrix.zeros(1, 1).is_scalar()
+        assert not ModMatrix.from_entries([[0, 1], [0, 0]]).is_scalar()
+        assert not ModMatrix.zeros(1, 2).is_scalar()
 
 
 class TestSubspace:
     def test_equality_is_representation_equality(self):
-        a = Subspace.from_vectors(2, 4, [0b0011, 0b0110])
-        b = Subspace.from_vectors(2, 4, [0b0101, 0b0011])
+        a = Subspace.from_vectors(4, [0b0011, 0b0110])
+        b = Subspace.from_vectors(4, [0b0101, 0b0011])
         assert a == b
         assert a.basis == b.basis
 
     def test_pivots_strictly_increasing(self):
-        s = Subspace.from_vectors(2, 6, [0b110010, 0b000111, 0b101010])
+        s = Subspace.from_vectors(6, [0b110010, 0b000111, 0b101010])
         assert s.pivots == sorted(s.pivots)
         assert len(set(s.pivots)) == len(s.pivots)
 
     def test_contains(self):
-        s = Subspace.from_vectors(2, 4, [0b0011, 0b1100])
+        s = Subspace.from_vectors(4, [0b0011, 0b1100])
         assert s.contains(0b1111)
         assert not s.contains(0b0001)
 
 
 class TestSpin:
     def test_single_seed_identity_action(self):
-        sub = spin([0b1], [ModMatrix.identity(2, 4)], 2, 4)
+        sub = spin([0b1], [ModMatrix.identity(4)], 4)
         assert sub.dimension == 1
 
     def test_constants_line_is_stable(self):
         actions = [permutation_matrix(g) for g in symmetric(6).generators]
-        sub = spin([0b111111], actions, 2, 6)
+        sub = spin([0b111111], actions, 6)
         assert sub.dimension == 1
 
     def test_sum_zero_hyperplane_from_pair(self):
         actions = [permutation_matrix(g) for g in symmetric(5).generators]
-        sub = spin([0b00011], actions, 2, 5)
+        sub = spin([0b00011], actions, 5)
         assert sub.dimension == 4
         # brute-force closure over all 32 vectors as an oracle
         vectors = {0b00011}
@@ -149,35 +151,27 @@ class TestSpin:
         rng = random.Random(2)
         actions = [permutation_matrix(g) for g in symmetric(7).generators]
         seeds = [rng.randrange(1, 2**7) for _ in range(3)]
-        sub = spin(seeds, actions, 2, 7)
+        sub = spin(seeds, actions, 7)
         for v in sub.basis:
             for a in actions:
                 assert sub.contains(a.act(v))
-        again = spin(list(sub.basis), actions, 2, 7)
+        again = spin(list(sub.basis), actions, 7)
         assert again == sub
-
-    def test_spin_odd_ell(self):
-        actions = [permutation_matrix(g, 3) for g in symmetric(4).generators]
-        all_ones = (1, 1, 1, 1)
-        sub = spin([all_ones], actions, 3, 4)
-        assert sub.dimension == 1
 
 
 class TestCharpoly:
     def test_permutation_matrix_charpoly(self):
         p = from_cycles(5, [(0, 1, 2), (3, 4)])
-        for ell in (2, 5):
-            got = charpoly(permutation_matrix(p, ell))
-            # (x^3 - 1)(x^2 - 1) = x^5 - x^3 - x^2 + 1
-            assert got == [1, 0, (-1) % ell, (-1) % ell, 0, 1]
+        # (x^3 + 1)(x^2 + 1) = x^5 + x^3 + x^2 + 1 over F_2
+        assert charpoly(permutation_matrix(p)) == [1, 0, 1, 1, 0, 1]
 
     def test_identity_charpoly(self):
-        got = charpoly(ModMatrix.identity(3, 4))
-        # (x - 1)^4 = x^4 + 2x^3 + 2x + 1 mod 3
-        assert got == [1, 2, 0, 2, 1]
+        # (x + 1)^4 = x^4 + 1 over F_2
+        assert charpoly(ModMatrix.identity(4)) == [1, 0, 0, 0, 1]
 
     def test_brute_force_cross_check_f2(self):
-        # det(xI - M) by cofactor expansion over F_2[x] for random 4x4s
+        # det(xI + M) by cofactor expansion over F_2[x], sizes 1-6: random,
+        # zero and strictly upper triangular (nilpotent) matrices
         rng = random.Random(23)
 
         def polymul(a, b):
@@ -204,15 +198,20 @@ class TestCharpoly:
                 acc = polyadd(acc, term)  # signs vanish mod 2
             return acc
 
-        for _ in range(10):
-            m = random_matrix(rng, 2, 4, 4)
+        cases = []
+        for n in range(1, 7):
+            cases += [random_matrix(rng, n, n) for _ in range(10)]
+            cases.append(ModMatrix.zeros(n, n))
+            cases.append(ModMatrix(n, n, [rng.randrange(2**n) >> (i + 1) << (i + 1) for i in range(n)]))
+        for m in cases:
+            n = m.nrows
             entries = [
                 [
                     polyadd([m.entry(i, j)], [0, 1] if i == j else [0])
-                    for j in range(4)
+                    for j in range(n)
                 ]
-                for i in range(4)
+                for i in range(n)
             ]
             expected = det(entries)
-            expected += [0] * (5 - len(expected))
+            expected += [0] * (n + 1 - len(expected))
             assert charpoly(m) == expected

@@ -7,7 +7,7 @@ enumeration as the oracle for order, membership, and transitivity.
 import random
 
 from heartlab.linalg import ModMatrix
-from heartlab.perms import PermGroup, Permutation, compose, identity
+from heartlab.perms import PermGroup, Permutation
 from heartlab.reps import GModuleRep, heart, is_irreducible, sum_zero_module
 from heartlab.zoo import GroupId, build_group
 
@@ -93,8 +93,8 @@ def block_diagonal_double(rep):
     images = []
     for a in rep.images:
         rows = list(a.rows) + [r << d for r in a.rows]
-        images.append(ModMatrix(2, 2 * d, 2 * d, rows))
-    return GModuleRep(2, 2 * d, images, "submodule", None)
+        images.append(ModMatrix(2 * d, 2 * d, rows))
+    return GModuleRep(2 * d, images, "submodule", None)
 
 
 class TestMeatAxeHardCases:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from heartlab.linalg import ModMatrix, kernel, rank
-from heartlab.perms import PermGroup, Permutation, compose, identity
+from heartlab.perms import PermGroup, compose, identity
 from heartlab.reps import (
     endomorphism_algebra,
     heart,
@@ -27,56 +27,46 @@ from heartlab.zoo import (
 )
 
 
-def mat(g):
-    return build_group(g) if isinstance(g, GroupId) else g
-
-
 class TestPermutationModule:
     def test_images_are_permutation_matrices(self):
-        rep = permutation_module(symmetric(3), 2)
+        rep = permutation_module(symmetric(3))
         assert rep.dimension == 3
         for image, g in zip(rep.images, symmetric(3).generators):
             for i in range(3):
                 assert image.rows[i] == 1 << g.images[i]
 
     def test_constant_vector_fixed(self):
-        rep = permutation_module(build_group(GroupId("mathieu", (11,))), 2)
+        rep = permutation_module(build_group(GroupId("mathieu", (11,))))
         ones = (1 << 11) - 1
         for image in rep.images:
             assert image.act(ones) == ones
 
     def test_sum_zero_subspace_invariant(self):
         group = build_group(GroupId("mathieu", (11,)))
-        rep = permutation_module(group, 2)
+        rep = permutation_module(group)
         from heartlab.linalg import Subspace
 
         sum_zero = Subspace.from_vectors(
-            2, 11, [(1 << i) | (1 << 10) for i in range(10)]
+            11, [(1 << i) | (1 << 10) for i in range(10)]
         )
         for image in rep.images:
             for v in sum_zero.basis:
                 assert sum_zero.contains(image.act(v))
 
-    def test_odd_ell_module(self):
-        rep = permutation_module(symmetric(4), 3)
-        assert rep.ell == 3
-        for image in rep.images:
-            assert rank(image) == 4
-
     def test_word_images_match_permutation_products(self):
         # matrix of a product equals the product of matrices in action order
         group = build_group(GroupId("psl", (3, 2)))
-        rep = permutation_module(group, 2)
+        rep = permutation_module(group)
         rng = random.Random(12)
         gens = group.generators
         for _ in range(20):
             word = [rng.randrange(len(gens)) for _ in range(4)]
             perm = identity(group.degree)
-            matrix = ModMatrix.identity(2, group.degree)
+            matrix = ModMatrix.identity(group.degree)
             for idx in word:
                 perm = compose(gens[idx], perm)  # apply gens[idx] after perm
                 matrix = matrix * rep.images[idx]
-            assert matrix == permutation_matrix(perm, 2)
+            assert matrix == permutation_matrix(perm)
             assert group.contains(perm)
 
 
@@ -121,11 +111,11 @@ class TestHeart:
 def brute_force_commutant_dimension(rep):
     """Enumerate all 2^(d^2) matrices; only sane for d <= 4."""
     d = rep.dimension
-    assert rep.ell == 2 and d <= 4
+    assert d <= 4
     count = 0
     for bits in range(2 ** (d * d)):
         mask = (1 << d) - 1
-        candidate = ModMatrix(2, d, d, [(bits >> (i * d)) & mask for i in range(d)])
+        candidate = ModMatrix(d, d, [(bits >> (i * d)) & mask for i in range(d)])
         if all(candidate * a == a * candidate for a in rep.images):
             count += 1
     dim = count.bit_length() - 1
@@ -151,32 +141,18 @@ def commutation_kernel(rep):
     endomorphism_algebra promises for its basis.
     """
     d = rep.dimension
-    ell = rep.ell
     constraints = []
-    if ell == 2:
-        for a in rep.images:
-            col_masks = a.transpose().rows  # col_masks[j] has bit k iff A[k][j] == 1
-            spreads = [_spread_bits(r, d) for r in a.rows]
-            for i in range(d):
-                for j in range(d):
-                    row = (col_masks[j] << (i * d)) ^ (spreads[i] << j)
-                    if row:
-                        constraints.append(row)
-    else:
-        for a in rep.images:
-            for i in range(d):
-                for j in range(d):
-                    row = [0] * (d * d)
-                    for k in range(d):
-                        row[i * d + k] = (row[i * d + k] + a.entry(k, j)) % ell
-                        row[k * d + j] = (row[k * d + j] - a.entry(i, k)) % ell
-                    if any(row):
-                        constraints.append(tuple(row))
-    null = kernel(ModMatrix(ell, len(constraints), d * d, constraints))
-    if ell == 2:
-        mask = (1 << d) - 1
-        return [[(v >> (i * d)) & mask for i in range(d)] for v in null.basis]
-    return [[tuple(v[i * d : (i + 1) * d]) for i in range(d)] for v in null.basis]
+    for a in rep.images:
+        col_masks = a.transpose().rows  # col_masks[j] has bit k iff A[k][j] == 1
+        spreads = [_spread_bits(r, d) for r in a.rows]
+        for i in range(d):
+            for j in range(d):
+                row = (col_masks[j] << (i * d)) ^ (spreads[i] << j)
+                if row:
+                    constraints.append(row)
+    null = kernel(ModMatrix(len(constraints), d * d, constraints))
+    mask = (1 << d) - 1
+    return [[(v >> (i * d)) & mask for i in range(d)] for v in null.basis]
 
 
 ORACLE_GROUPS = [
@@ -187,12 +163,8 @@ ORACLE_GROUPS = [
 ]
 ORACLE_MODULES = {"heart": heart, "permutation": permutation_module, "sum-zero": sum_zero_module}
 SMALL_MODULES = {
-    "trivial-group-permutation": lambda: permutation_module(PermGroup([identity(3)]), 2),
+    "trivial-group-permutation": lambda: permutation_module(PermGroup([identity(3)])),
     "trivial-group-heart": lambda: heart(PermGroup([identity(4)])),
-    "F3-C3": lambda: permutation_module(cyclic(3), 3),
-    "F3-C4": lambda: permutation_module(cyclic(4), 3),
-    "F3-S3": lambda: permutation_module(symmetric(3), 3),
-    "F3-S4": lambda: permutation_module(symmetric(4), 3),
 }
 
 
@@ -210,7 +182,7 @@ class TestEndomorphismAlgebra:
         assert [b.rows for b in endomorphism_algebra(rep).basis] == commutation_kernel(rep)
 
     def test_trivial_group_full_matrix_algebra(self):
-        rep = permutation_module(PermGroup([identity(3)]), 2)
+        rep = permutation_module(PermGroup([identity(3)]))
         assert endomorphism_algebra(rep).dimension == 9
 
     @pytest.mark.parametrize(
@@ -250,15 +222,6 @@ class TestEndomorphismAlgebra:
                 assert basis_element * image == image * basis_element
         assert endo.contains_identity()
 
-    def test_odd_ell_commutant(self):
-        rep = permutation_module(cyclic(3), 3)
-        endo = endomorphism_algebra(rep)
-        # circulants: dimension 3 over any field containing the eigenvalues
-        assert endo.dimension == 3
-        for basis_element in endo.basis:
-            for image in rep.images:
-                assert basis_element * image == image * basis_element
-
     def test_cyclic_negative_controls_up_to_12(self):
         for n in range(3, 13):
             assert endomorphism_algebra(heart(cyclic(n))).dimension > 1
@@ -279,10 +242,10 @@ class TestEndomorphismAlgebra:
         # for a 2-transitive group there are exactly two orbits on pairs,
         # so the full permutation module has a 2-dimensional commutant
         for gid in [GroupId("mathieu", (11,)), GroupId("psl", (3, 2)), GroupId("symmetric", (5,))]:
-            rep = permutation_module(build_group(gid), 2)
+            rep = permutation_module(build_group(gid))
             assert endomorphism_algebra(rep).dimension == 2
         # C_5 acting regularly: orbits on pairs = 5, matching the group algebra
-        rep = permutation_module(cyclic(5), 2)
+        rep = permutation_module(cyclic(5))
         assert endomorphism_algebra(rep).dimension == 5
 
 
@@ -315,7 +278,7 @@ class TestMeatAxe:
 
     def test_one_dimensional_module(self):
         rep = heart(cyclic(3))  # degree 3 odd: dimension 2... use a true 1-dim module
-        one_dim = permutation_module(PermGroup([identity(1)]), 2)
+        one_dim = permutation_module(PermGroup([identity(1)]))
         assert is_irreducible(one_dim, seed=0).status == "irreducible"
         assert rep.dimension == 2
 
@@ -332,13 +295,6 @@ class TestMeatAxe:
         assert endomorphism_algebra(rep).dimension == 1
         assert is_irreducible(rep, seed=0).status == "reducible"
 
-    def test_odd_ell_meataxe(self):
-        # S_3 permutation module over F_3: the constants line is invariant
-        rep = permutation_module(symmetric(3), 3)
-        verdict = is_irreducible(rep, seed=0)
-        assert verdict.status == "reducible"
-        assert verdict.witness is not None
-
 
 class TestIndecomposability:
     def test_big_mathieu_hearts_indecomposable(self):
@@ -348,7 +304,7 @@ class TestIndecomposability:
             assert verdict.endo_dimension == 1
 
     def test_direct_sum_of_trivial_modules_decomposes(self):
-        rep = permutation_module(PermGroup([identity(2)]), 2)
+        rep = permutation_module(PermGroup([identity(2)]))
         verdict = is_indecomposable(rep)
         assert verdict.status == "decomposable"
         witness = verdict.witness
