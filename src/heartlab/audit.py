@@ -25,6 +25,8 @@ Rules:
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -214,9 +216,49 @@ def _selector_matches(selector: str, context: dict[str, int]) -> bool:
     return True
 
 
+_BOUND_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.FloorDiv: operator.floordiv,
+    ast.Pow: operator.pow,
+}
+
+
+def _eval_int_expr(expr: str, context: dict[str, int]) -> int:
+    """Integer expression over int literals and the names in ``context``.
+
+    Operators are ``+ - * // ^`` (``^`` is power) and parentheses, with
+    Python's precedence; the parse tree is walked with that whitelist, so
+    anything else (calls, attributes, ``**``, unknown names) raises ValueError.
+    """
+    if "**" in expr:
+        raise ValueError(f"'**' in bound expression {expr!r}; write powers with '^'")
+    try:
+        tree = ast.parse(expr.replace("^", "**"), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse bound expression {expr!r}") from exc
+
+    def value(node) -> int:
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        if isinstance(node, ast.Name) and node.id in context:
+            return context[node.id]
+        if isinstance(node, ast.BinOp) and type(node.op) in _BOUND_OPS:
+            left, right = value(node.left), value(node.right)
+            if isinstance(node.op, ast.FloorDiv) and right == 0:
+                raise ValueError(f"division by zero in bound expression {expr!r}")
+            if isinstance(node.op, ast.Pow) and right < 0:
+                raise ValueError(f"negative exponent in bound expression {expr!r}")
+            return _BOUND_OPS[type(node.op)](left, right)
+        raise ValueError(f"unsupported {ast.unparse(node)!r} in bound expression {expr!r}")
+
+    return value(tree.body)
+
+
 def _eval_bound(expr: str, context: dict[str, int]) -> int:
-    value = eval(expr.replace("^", "**"), {"__builtins__": {}}, dict(context))
-    if not isinstance(value, int) or value < 2:
+    value = _eval_int_expr(expr, context)
+    if value < 2:
         raise ValueError(f"bound expression {expr!r} did not give an integer >= 2")
     return value
 

@@ -7,7 +7,9 @@ envelope timestamp is null unless --timestamp is passed, precisely so that
 the default output stays reproducible.
 
 Exit codes: audit 0 = certified, 2 = excluded, 3 = inconclusive; probe and
-heart 0 on a successful run; 1 for usage, parse or degree errors everywhere.
+heart 0 on a successful run; 1 for usage, parse or degree errors everywhere;
+4 when an internal check fails (a witness or End verification, or a MeatAxe
+without a verdict), reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -20,13 +22,20 @@ from datetime import datetime, timezone
 from . import __version__
 from .audit import CITATIONS, audit, _load_facts
 from .probe import PolyParseError, parse_poly, probe
-from .reps import heart, endomorphism_algebra, is_irreducible, is_indecomposable
+from .reps import (
+    MeatAxeInconclusive,
+    endomorphism_algebra,
+    heart,
+    is_indecomposable,
+    is_irreducible,
+)
 from .zoo import GroupSpecError, MATHIEU_DEGREES, build_group, parse_group_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EXCLUDED = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _envelope(args, payload: dict, citations: list[str]) -> dict:
@@ -219,6 +228,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GroupSpecError, PolyParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (AssertionError, MeatAxeInconclusive) as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,6 +4,13 @@ Polynomials are tuples of coefficients in [0, p), constant term first, with
 no trailing zeros (the zero polynomial is the empty tuple).  Factorization
 runs distinct-degree splitting first and then Cantor-Zassenhaus equal-degree
 splitting, whose randomness comes from an explicit SplitMix64 stream.
+
+Over F_2 (the MeatAxe's characteristic polynomials) ``factor`` works on
+Python ints instead, bit i the coefficient of x^i: carry-less multiply,
+divmod by shifts, squaring by spreading bits, and the trace map for
+equal-degree splitting.  It draws the same stream and returns the same tuples
+as the coefficient-tuple algorithm would.  The probe's odd-p factoring and
+``distinct_degree_split``/``factor_degrees`` stay on tuples.
 """
 
 from __future__ import annotations
@@ -141,34 +148,18 @@ def _random_poly(max_degree: int, p: int, rng: SplitMix64) -> Poly:
 
 
 def _equal_degree_split(f: Poly, k: int, p: int, rng: SplitMix64) -> list[Poly]:
-    """Cantor-Zassenhaus: split a product of distinct degree-k irreducibles."""
+    """Cantor-Zassenhaus for odd p: split a product of distinct degree-k irreducibles."""
     if degree(f) == k:
         return [monic(f, p)]
     while True:
         r = _random_poly(degree(f) - 1, p, rng)
-        if p == 2:
-            # trace map r + r^2 + ... + r^(2^(k-1)) modulo f
-            t: Poly = ()
-            term = poly_mod(r, f, p)
-            for _ in range(k):
-                t = add(t, term, p)
-                term = poly_mod(mul(term, term, p), f, p)
-            candidate = gcd(t, f, p)
-        else:
-            s = pow_mod(r, (p**k - 1) // 2, f, p)
-            candidate = gcd(sub(s, (1,), p), f, p)
+        s = pow_mod(r, (p**k - 1) // 2, f, p)
+        candidate = gcd(sub(s, (1,), p), f, p)
         if 0 < degree(candidate) < degree(f):
             cofactor = poly_divmod(f, candidate, p)[0]
             return _equal_degree_split(candidate, k, p, rng) + _equal_degree_split(
                 cofactor, k, p, rng
             )
-
-
-def factor_squarefree(f: Poly, p: int, rng: SplitMix64) -> list[Poly]:
-    out = []
-    for k, product in distinct_degree_split(f, p):
-        out.extend(_equal_degree_split(product, k, p, rng))
-    return sorted(out)
 
 
 def _pth_root(f: Poly, p: int) -> Poly:
@@ -177,7 +168,15 @@ def _pth_root(f: Poly, p: int) -> Poly:
 
 
 def factor(f: Poly, p: int, rng: SplitMix64) -> list[tuple[Poly, int]]:
-    """Full monic factorization [(irreducible, multiplicity)], sorted."""
+    """Full monic factorization [(irreducible, multiplicity)], sorted.
+
+    Squarefree part f / gcd(f, f'), then distinct-degree and equal-degree
+    splitting, and the p-th root when f' = 0.  p = 2 runs on ints (_factor2)
+    with the same steps and the same draws from ``rng``.
+    """
+    if p == 2:
+        found2 = _factor2(sum((c & 1) << i for i, c in enumerate(f)), rng)
+        return sorted((_poly_of_int(g), m) for g, m in found2.items())
     f = monic(f, p)
     if degree(f) < 1:
         return []
@@ -189,13 +188,138 @@ def factor(f: Poly, p: int, rng: SplitMix64) -> list[tuple[Poly, int]]:
                 found[g] = found.get(g, 0) + m * p
             break
         radical = poly_divmod(f, gcd(f, deriv, p), p)[0]
-        for g in factor_squarefree(radical, p, rng):
-            m = 0
-            while True:
-                quot, rem = poly_divmod(f, g, p)
-                if rem:
-                    break
-                f = quot
-                m += 1
-            found[g] = found.get(g, 0) + m
+        for k, product in distinct_degree_split(radical, p):
+            for g in _equal_degree_split(product, k, p, rng):
+                m = 0
+                while True:
+                    quot, rem = poly_divmod(f, g, p)
+                    if rem:
+                        break
+                    f = quot
+                    m += 1
+                found[g] = found.get(g, 0) + m
     return sorted(found.items())
+
+
+# -- F_2[x] on ints: bit i is the coefficient of x^i ------------------------------
+
+
+def _poly_of_int(f: int) -> Poly:
+    return tuple(int(c) for c in reversed(format(f, "b")))
+
+
+def clmul(a: int, b: int) -> int:
+    """Carry-less product: multiplication in F_2[x]."""
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b << (low.bit_length() - 1)
+        a ^= low
+    return out
+
+
+def _square2(a: int) -> int:
+    # squaring over F_2 spreads the coefficients: x^i -> x^(2i)
+    return int("0".join(format(a, "b")), 2)
+
+
+def _divmod2(a: int, m: int) -> tuple[int, int]:
+    q = 0
+    dm = m.bit_length()
+    while True:
+        shift = a.bit_length() - dm
+        if shift < 0:
+            return q, a
+        q |= 1 << shift
+        a ^= m << shift
+
+
+def _mod2(a: int, m: int) -> int:
+    dm = m.bit_length()
+    while True:
+        shift = a.bit_length() - dm
+        if shift < 0:
+            return a
+        a ^= m << shift
+
+
+def _sqrt2(f: int) -> int:
+    # f = g(x)^2 = g(x^2) has only even-degree terms; keep every other one
+    return int(format(f, "b")[::2], 2)
+
+
+def _gcd2(a: int, b: int) -> int:
+    # every nonzero F_2 polynomial is monic
+    while b:
+        a, b = b, _mod2(a, b)
+    return a
+
+
+def _distinct_degree_split2(f: int) -> list[tuple[int, int]]:
+    """distinct_degree_split for p = 2 on ints."""
+    out = []
+    h = _mod2(0b10, f)
+    k = 0
+    while f.bit_length() > 1 and 2 * (k + 1) <= f.bit_length() - 1:
+        k += 1
+        h = _mod2(_square2(h), f)
+        g = _gcd2(h ^ 0b10, f)
+        if g.bit_length() > 1:
+            out.append((k, g))
+            f = _divmod2(f, g)[0]
+            h = _mod2(h, f)
+    if f.bit_length() > 1:
+        out.append((f.bit_length() - 1, f))
+    return out
+
+
+def _equal_degree_split2(f: int, k: int, rng: SplitMix64) -> list[int]:
+    """Cantor-Zassenhaus over F_2 with the trace map r + r^2 + ... + r^(2^(k-1)).
+
+    Draws the same stream as _random_poly(deg f - 1, 2, rng): the i-th draw is
+    the coefficient of x^i, redrawn whole while the degree is below 1.
+    """
+    n = f.bit_length() - 1
+    if n == k:
+        return [f]
+    while True:
+        r = 0
+        while r < 2:
+            r = sum(rng.below(2) << i for i in range(n))
+        t = 0
+        term = _mod2(r, f)
+        for _ in range(k):
+            t ^= term
+            term = _mod2(_square2(term), f)
+        candidate = _gcd2(t, f)
+        if 1 < candidate.bit_length() <= n:
+            cofactor = _divmod2(f, candidate)[0]
+            return _equal_degree_split2(candidate, k, rng) + _equal_degree_split2(
+                cofactor, k, rng
+            )
+
+
+def _factor2(f: int, rng: SplitMix64) -> dict[int, int]:
+    """factor() for p = 2 on ints: {irreducible: multiplicity}."""
+    found: dict[int, int] = {}
+    while f.bit_length() > 1:
+        # f' keeps the odd-degree terms, each moved down one degree
+        deriv = (f >> 1) & int("01" * (f.bit_length() // 2 + 1), 2)
+        if not deriv:
+            for g, m in _factor2(_sqrt2(f), rng).items():
+                found[g] = found.get(g, 0) + 2 * m
+            break
+        radical = _divmod2(f, _gcd2(f, deriv))[0]
+        for k, product in _distinct_degree_split2(radical):
+            for g in _equal_degree_split2(product, k, rng):
+                m = 0
+                while True:
+                    quot, rem = _divmod2(f, g)
+                    if rem:
+                        break
+                    f = quot
+                    m += 1
+                found[g] = found.get(g, 0) + m
+    return found

@@ -3,10 +3,13 @@
 A row vector is a plain Python int used as a bitset (bit j = column j), so a
 row operation is a single word-level XOR.  Echelon forms are fully reduced
 (pivot entries 1, zeros above and below), which makes subspace equality plain
-representation equality.
+representation equality.  The characteristic polynomial comes from Krylov
+spinning in one echelon basis, with the F_2[x] product of ``fppoly``.
 """
 
 from __future__ import annotations
+
+from .fppoly import clmul
 
 
 def _low_bit(x: int) -> int:
@@ -154,9 +157,9 @@ class ModMatrix:
         acc = 0
         rows = self.rows
         while v:
-            k = _low_bit(v)
-            v &= v - 1
-            acc ^= rows[k]
+            low = v & -v
+            acc ^= rows[low.bit_length() - 1]
+            v ^= low
         return acc
 
     def transpose(self) -> "ModMatrix":
@@ -269,52 +272,33 @@ def spin(seed_vectors, actions: list[ModMatrix], ambient: int) -> Subspace:
 def charpoly(matrix: ModMatrix) -> list[int]:
     """Characteristic polynomial coefficients over F_2, constant term first.
 
-    Reduces to upper Hessenberg form by exact similarity transforms, then
-    expands the determinant recurrence on leading principal minors.  Over F_2
-    every pivot is 1 and every sign is +, so the arithmetic is XOR and AND.
+    Krylov spinning through a chain of cyclic subspaces (Keller-Gehrig 1985;
+    Holt, Eick and O'Brien ch. 7): each standard vector not yet in the span
+    is pushed as v, v.M, v.M^2, ... into one echelon basis, the k-th Krylov
+    vector carrying the tag bit n + k.  When a push reduces to 0 in the low n
+    bits, its tags from the current block on are the block's monic relation,
+    the charpoly of M on that cyclic quotient; tags of earlier blocks only
+    record vectors already in the earlier span.  The charpoly is the product
+    of the block polynomials.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = matrix.nrows
-    if n == 0:
-        return [1]
-    h = [[matrix.entry(i, j) for j in range(n)] for i in range(n)]
-    for col in range(n - 2):
-        pivot = None
-        for row in range(col + 1, n):
-            if h[row][col]:
-                pivot = row
+    low = (1 << n) - 1
+    ech = _Echelon()
+    result = 1
+    tag = n
+    for i in range(n):
+        if ech.dimension == n:
+            break
+        v = 1 << i
+        start = tag
+        while True:
+            r = ech.reduce(v | (1 << tag))
+            tag += 1
+            if not r & low:
                 break
-        if pivot is None:
-            continue
-        if pivot != col + 1:
-            h[col + 1], h[pivot] = h[pivot], h[col + 1]
-            for r in h:
-                r[col + 1], r[pivot] = r[pivot], r[col + 1]
-        hc = h[col + 1]
-        for row in range(col + 2, n):
-            if not h[row][col]:
-                continue
-            h[row] = [a ^ b for a, b in zip(h[row], hc)]
-            # paired column operation keeping the transform a similarity
-            for rr in h:
-                rr[col + 1] ^= rr[row]
-    # determinant recurrence for Hessenberg matrices: p_k = charpoly of leading k x k block
-    polys = [[1]]  # p_0 = 1
-    for k in range(1, n + 1):
-        # p_k = (x + h[k-1][k-1]) p_{k-1} + sum_i (prod subdiag) h[i-1][k-1] p_{i-1}
-        prev = polys[k - 1]
-        term = [0] + prev  # x * p_{k-1}
-        if h[k - 1][k - 1]:
-            for idx in range(len(prev)):
-                term[idx] ^= prev[idx]
-        for i in range(k - 1, 0, -1):
-            if not h[i][i - 1]:
-                break  # the subdiagonal product is 0 from here on
-            if not h[i - 1][k - 1]:
-                continue
-            pi = polys[i - 1]
-            for idx in range(len(pi)):
-                term[idx] ^= pi[idx]
-        polys.append(term)
-    return polys[n]
+            ech.insert(r)
+            v = matrix.act(v)
+        result = clmul(result, r >> start)
+    return [(result >> k) & 1 for k in range(n + 1)]

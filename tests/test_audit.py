@@ -14,6 +14,8 @@ from heartlab.audit import (
     _ALLOWED_COVER_RULES,
     _branch_requirement,
     _decide,
+    _eval_bound,
+    _fact_context,
     _load_facts,
     audit,
     check_unbounded,
@@ -22,7 +24,7 @@ from heartlab.audit import (
     group_fact,
     min_projective_degree_bound,
 )
-from heartlab.zoo import GroupId, GroupSpecError
+from heartlab.zoo import MATHIEU_DEGREES, GroupId, GroupSpecError, prime_power_decomposition
 
 
 class TestGenus:
@@ -100,6 +102,40 @@ class TestFactTable:
     def test_no_fact(self, gid):
         with pytest.raises(NoFactError):
             group_fact(gid)
+
+    def test_bound_evaluator_matches_python_eval(self):
+        # every zoo group with a fact record: the evaluator gives what
+        # eval(expr with ^ as **) gives, on the same context
+        ids = [GroupId("mathieu", (n,)) for n in MATHIEU_DEGREES]
+        ids += [GroupId(f, (n,)) for f in ("alternating", "symmetric") for n in range(5, 80)]
+        ids += [
+            GroupId(f, (m, q))
+            for f in ("psl", "pgl")
+            for q in range(2, 400)
+            if prime_power_decomposition(q)
+            for m in range(2, 17)
+            if q**m <= 10**5
+        ]
+        checked = 0
+        for gid in ids:
+            try:
+                fact = group_fact(gid)
+            except NoFactError:
+                continue
+            context = _fact_context(gid)
+            expected = eval(fact.bound_expr.replace("^", "**"), {"__builtins__": {}}, context)
+            assert _eval_bound(fact.bound_expr, context) == expected
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["k + 1", "q(2)", "n.bit_length()", "q**2", "__import__", "(q-1", "q-1)", "q 1",
+         "q/2", "2^(1-2)", "q//(q-q)", ""],
+    )
+    def test_bound_evaluator_rejects(self, expr):
+        with pytest.raises(ValueError):
+            _eval_bound(expr, {"m": 3, "q": 4, "n": 21, "g": 10})
 
     def test_m22_flags(self):
         fact = group_fact(GroupId("mathieu", (22,)))

@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from heartlab import cli
+from heartlab.reps import MeatAxeInconclusive
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -66,6 +67,20 @@ class TestExitCodes:
 
     def test_missing_subcommand_exit_one(self, capsys):
         assert run_cli(capsys, )[0] == 1
+
+    @pytest.mark.parametrize(
+        "error",
+        [AssertionError("witness subspace is not invariant"), MeatAxeInconclusive("no verdict")],
+    )
+    def test_internal_check_failure_exit_four(self, capsys, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "is_irreducible", failing)
+        code, out, err = run_cli(capsys, "heart", "M11", "--meataxe")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == f"error: internal check failed: {error}\n"
 
 
 class TestAuditCommand:
@@ -322,10 +337,46 @@ INDECOMPOSABLE_PINS = {
     "D10": "90587caf0ca08768e3c07b9d83674fe8a271d231203ff027cb383f8649e01bcd",
 }
 
+# audit G --deep --seed s on the acceptance groups, recorded before the Krylov
+# charpoly and the int-encoded F_2[x] factoring: the MeatAxe and End results
+# feed the audit evidence.  PSL(3,4) is excluded (exit 2); the rest certify.
+AUDIT_DEEP_PINS = {
+    ("M11", 0): "54617a12540a178edbadbe22e911a529da88e1641763821317367fd7548588c3",
+    ("M11", 1): "54617a12540a178edbadbe22e911a529da88e1641763821317367fd7548588c3",
+    ("M11", 2): "54617a12540a178edbadbe22e911a529da88e1641763821317367fd7548588c3",
+    ("M12", 0): "0f72ca2878ebb71547e7be9ee62331b9fe3ce7b9229582bb62e64769a69281af",
+    ("M12", 1): "0f72ca2878ebb71547e7be9ee62331b9fe3ce7b9229582bb62e64769a69281af",
+    ("M12", 2): "0f72ca2878ebb71547e7be9ee62331b9fe3ce7b9229582bb62e64769a69281af",
+    ("M22", 0): "158cdac8480a65c6a71c2442c8d549a15a74ee493f18473a3339c261f6d503bb",
+    ("M22", 1): "158cdac8480a65c6a71c2442c8d549a15a74ee493f18473a3339c261f6d503bb",
+    ("M22", 2): "158cdac8480a65c6a71c2442c8d549a15a74ee493f18473a3339c261f6d503bb",
+    ("M23", 0): "9b843f3b28ce8a5ecaef88817651254b83afdb571f03657ce3a42ff27f24a618",
+    ("M23", 1): "9b843f3b28ce8a5ecaef88817651254b83afdb571f03657ce3a42ff27f24a618",
+    ("M23", 2): "9b843f3b28ce8a5ecaef88817651254b83afdb571f03657ce3a42ff27f24a618",
+    ("M24", 0): "71a79d36fc82a03bbbf7b27022627872aa3ab4f58d7c278d70b23dcddf99cd27",
+    ("M24", 1): "71a79d36fc82a03bbbf7b27022627872aa3ab4f58d7c278d70b23dcddf99cd27",
+    ("M24", 2): "71a79d36fc82a03bbbf7b27022627872aa3ab4f58d7c278d70b23dcddf99cd27",
+    ("PSL(3,2)", 0): "d7a4e53bbf80aad1e6a65dc0ca9d223bffc5dfa90dffcc0fd03e51275666422f",
+    ("PSL(3,2)", 1): "d7a4e53bbf80aad1e6a65dc0ca9d223bffc5dfa90dffcc0fd03e51275666422f",
+    ("PSL(3,2)", 2): "d7a4e53bbf80aad1e6a65dc0ca9d223bffc5dfa90dffcc0fd03e51275666422f",
+    ("PSL(2,8)", 0): "85698278990bbfda1c9acf3f63d1a06e621ded2a4970d917c82cd40fc95c4ea1",
+    ("PSL(2,8)", 1): "85698278990bbfda1c9acf3f63d1a06e621ded2a4970d917c82cd40fc95c4ea1",
+    ("PSL(2,8)", 2): "85698278990bbfda1c9acf3f63d1a06e621ded2a4970d917c82cd40fc95c4ea1",
+    ("PSL(3,3)", 0): "39c9b10254feb8bd2027884853a0e86c7668cf6da3ffccaa196c08e6df0474ba",
+    ("PSL(3,3)", 1): "39c9b10254feb8bd2027884853a0e86c7668cf6da3ffccaa196c08e6df0474ba",
+    ("PSL(3,3)", 2): "39c9b10254feb8bd2027884853a0e86c7668cf6da3ffccaa196c08e6df0474ba",
+    ("PSL(3,4)", 0): "d34d81d8b1dd917d5a8a50bb375db263803d8bae696f8a806a39badae5fa4795",
+    ("PSL(3,4)", 1): "d34d81d8b1dd917d5a8a50bb375db263803d8bae696f8a806a39badae5fa4795",
+    ("PSL(3,4)", 2): "d34d81d8b1dd917d5a8a50bb375db263803d8bae696f8a806a39badae5fa4795",
+    ("PSL(4,3)", 0): "3b943cd409ded4955729488651b833f8a8a014aa9f044bed088ee3cfaefd2f03",
+    ("PSL(4,3)", 1): "3b943cd409ded4955729488651b833f8a8a014aa9f044bed088ee3cfaefd2f03",
+    ("PSL(4,3)", 2): "3b943cd409ded4955729488651b833f8a8a014aa9f044bed088ee3cfaefd2f03",
+}
 
-def payload_digest(capsys, *argv):
+
+def payload_digest(capsys, *argv, exit_code=0):
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    assert code == exit_code
     payload = json.loads(out)["payload"]
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -340,3 +391,11 @@ class TestPayloadPins:
     def test_indecomposable_payload(self, capsys, group):
         digest = payload_digest(capsys, "heart", group, "--endo", "--indecomposable")
         assert digest == INDECOMPOSABLE_PINS[group]
+
+    @pytest.mark.parametrize("group,seed", list(AUDIT_DEEP_PINS))
+    def test_audit_deep_payload(self, capsys, group, seed):
+        exit_code = 2 if group == "PSL(3,4)" else 0
+        digest = payload_digest(
+            capsys, "audit", group, "--deep", "--seed", str(seed), exit_code=exit_code
+        )
+        assert digest == AUDIT_DEEP_PINS[group, seed]

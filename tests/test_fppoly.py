@@ -1,9 +1,15 @@
-"""Prime-field polynomial arithmetic and factorization."""
+"""Prime-field polynomial arithmetic and factorization.
+
+The int-encoded F_2 path of ``factor`` is cross-checked against
+``tuple_factor2``, the coefficient-tuple Cantor-Zassenhaus with the trace map
+it replaced, kept here as a test oracle.
+"""
 
 import itertools
 import random
 
 from heartlab import fppoly
+from heartlab.fppoly import add, degree, derivative, gcd, monic, mul, normalize, poly_divmod, poly_mod
 from heartlab.rng import SplitMix64
 
 
@@ -15,6 +21,90 @@ def brute_force_irreducible(f, p):
             if not fppoly.poly_divmod(f, divisor, p)[1]:
                 return False
     return True
+
+
+def tuple_equal_degree_split2(f, k, rng):
+    if degree(f) == k:
+        return [monic(f, 2)]
+    while True:
+        r = fppoly._random_poly(degree(f) - 1, 2, rng)
+        # trace map r + r^2 + ... + r^(2^(k-1)) modulo f
+        t = ()
+        term = poly_mod(r, f, 2)
+        for _ in range(k):
+            t = add(t, term, 2)
+            term = poly_mod(mul(term, term, 2), f, 2)
+        candidate = gcd(t, f, 2)
+        if 0 < degree(candidate) < degree(f):
+            cofactor = poly_divmod(f, candidate, 2)[0]
+            return tuple_equal_degree_split2(candidate, k, rng) + tuple_equal_degree_split2(
+                cofactor, k, rng
+            )
+
+
+def tuple_factor2(f, rng):
+    """Full monic factorization over F_2 on coefficient tuples."""
+    f = monic(f, 2)
+    if degree(f) < 1:
+        return []
+    found = {}
+    while degree(f) > 0:
+        deriv = derivative(f, 2)
+        if not deriv:
+            for g, m in tuple_factor2(normalize(f[::2], 2), rng):
+                found[g] = found.get(g, 0) + m * 2
+            break
+        radical = poly_divmod(f, gcd(f, deriv, 2), 2)[0]
+        factors = []
+        for k, product in fppoly.distinct_degree_split(radical, 2):
+            factors.extend(tuple_equal_degree_split2(product, k, rng))
+        for g in sorted(factors):
+            m = 0
+            while True:
+                quot, rem = poly_divmod(f, g, 2)
+                if rem:
+                    break
+                f = quot
+                m += 1
+            found[g] = found.get(g, 0) + m
+    return sorted(found.items())
+
+
+def random_f2_poly(rng, low, high):
+    return normalize([rng.randrange(2) for _ in range(rng.randrange(low, high))] + [1], 2)
+
+
+def f2_irreducibles(d):
+    tails = itertools.product(range(2), repeat=d)
+    return [f for f in (t + (1,) for t in tails) if brute_force_irreducible(f, 2)]
+
+
+def f2_test_poly(rng, same_degree):
+    """Random monic, a product with repeated factors, a square or fourth power,
+    or a product of at least four distinct irreducibles of one degree (so both
+    halves of an equal-degree split split again)."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_f2_poly(rng, 1, 61)
+    if kind == 1:
+        f = random_f2_poly(rng, 1, 8)
+        while degree(f) < 40 and rng.random() < 0.8:
+            g = random_f2_poly(rng, 1, 8)
+            for _ in range(rng.randrange(1, 4)):
+                if degree(f) + degree(g) <= 60:
+                    f = mul(f, g, 2)
+        return f
+    if kind == 3:
+        pool = rng.choice(same_degree)
+        f = (1,)
+        for g in rng.sample(pool, rng.randrange(4, len(pool) + 1)):
+            f = mul(f, g, 2)
+        return f
+    h = random_f2_poly(rng, 1, 16)
+    f = mul(h, h, 2)
+    if rng.random() < 0.5:
+        f = mul(f, f, 2)  # degree at most 60
+    return f
 
 
 class TestArithmetic:
@@ -90,3 +180,23 @@ class TestFactorization:
     def test_determinism_with_fixed_seed(self):
         f = fppoly.normalize([3, 1, 4, 1, 5, 9, 2, 6, 1], 7)
         assert fppoly.factor(f, 7, SplitMix64(0)) == fppoly.factor(f, 7, SplitMix64(0))
+
+
+class TestF2Factorization:
+    def test_int_path_matches_tuple_oracle(self):
+        rng = random.Random(2024)
+        same_degree = [f2_irreducibles(d) for d in (5, 6)]  # 6 and 9 of them
+        polys = [f2_test_poly(rng, same_degree) for _ in range(2000)]
+        assert {degree(f) for f in polys} == set(range(1, 61))
+        assert sum(1 for f in polys if not derivative(f, 2)) > 400  # square-root step
+        for seed, f in enumerate(polys):
+            expected_rng, actual_rng = SplitMix64(seed), SplitMix64(seed)
+            expected = tuple_factor2(f, expected_rng)
+            assert fppoly.factor(f, 2, actual_rng) == expected
+            assert actual_rng.next_u64() == expected_rng.next_u64()
+
+    def test_trivial_inputs(self):
+        for f in [(), (1,)]:
+            rng = SplitMix64(3)
+            assert fppoly.factor(f, 2, rng) == []
+            assert rng.next_u64() == SplitMix64(3).next_u64()

@@ -1,4 +1,8 @@
-"""Exact F_2 linear algebra on bitset rows: rank, kernel, solve, spin, charpoly."""
+"""Exact F_2 linear algebra on bitset rows: rank, kernel, solve, spin, charpoly.
+
+The Krylov ``charpoly`` is cross-checked against ``hessenberg_charpoly``, the
+similarity-to-Hessenberg reduction it replaced, kept here as a test oracle.
+"""
 
 import random
 
@@ -6,12 +10,77 @@ import pytest
 
 from heartlab.linalg import ModMatrix, Subspace, charpoly, kernel, rank, solve, spin
 from heartlab.perms import from_cycles
-from heartlab.reps import permutation_matrix
-from heartlab.zoo import symmetric
+from heartlab.reps import _random_algebra_element, heart, permutation_matrix
+from heartlab.rng import SplitMix64
+from heartlab.zoo import mathieu, psl, symmetric
 
 
 def random_matrix(rng, rows, cols):
     return ModMatrix.from_entries([[rng.randrange(2) for _ in range(cols)] for _ in range(rows)])
+
+
+def hessenberg_charpoly(matrix: ModMatrix) -> list[int]:
+    """Charpoly over F_2, constant term first: reduce to upper Hessenberg form
+    by similarity transforms, then expand the determinant recurrence on the
+    leading principal minors (every pivot is 1 and every sign + over F_2)."""
+    n = matrix.nrows
+    if n == 0:
+        return [1]
+    h = [[matrix.entry(i, j) for j in range(n)] for i in range(n)]
+    for col in range(n - 2):
+        pivot = None
+        for row in range(col + 1, n):
+            if h[row][col]:
+                pivot = row
+                break
+        if pivot is None:
+            continue
+        if pivot != col + 1:
+            h[col + 1], h[pivot] = h[pivot], h[col + 1]
+            for r in h:
+                r[col + 1], r[pivot] = r[pivot], r[col + 1]
+        hc = h[col + 1]
+        for row in range(col + 2, n):
+            if not h[row][col]:
+                continue
+            h[row] = [a ^ b for a, b in zip(h[row], hc)]
+            # paired column operation keeping the transform a similarity
+            for rr in h:
+                rr[col + 1] ^= rr[row]
+    # p_k = (x + h[k-1][k-1]) p_{k-1} + sum_i (prod subdiag) h[i-1][k-1] p_{i-1}
+    polys = [[1]]
+    for k in range(1, n + 1):
+        prev = polys[k - 1]
+        term = [0] + prev
+        if h[k - 1][k - 1]:
+            for idx in range(len(prev)):
+                term[idx] ^= prev[idx]
+        for i in range(k - 1, 0, -1):
+            if not h[i][i - 1]:
+                break  # the subdiagonal product is 0 from here on
+            if not h[i - 1][k - 1]:
+                continue
+            pi = polys[i - 1]
+            for idx in range(len(pi)):
+                term[idx] ^= pi[idx]
+        polys.append(term)
+    return polys[n]
+
+
+def companion(coeffs):
+    """Companion matrix of the monic x^n + sum c_i x^i (coeffs = c_0..c_{n-1}):
+    e_i -> e_{i+1}, e_{n-1} -> sum c_i e_i, so its charpoly is that polynomial."""
+    n = len(coeffs)
+    last = sum(c << i for i, c in enumerate(coeffs))
+    return ModMatrix(n, n, [1 << (i + 1) for i in range(n - 1)] + [last])
+
+
+def block_diagonal(blocks):
+    rows, offset = [], 0
+    for b in blocks:
+        rows += [r << offset for r in b.rows]
+        offset += b.nrows
+    return ModMatrix(offset, offset, rows)
 
 
 class TestRankKernelSolve:
@@ -215,3 +284,57 @@ class TestCharpoly:
             expected = det(entries)
             expected += [0] * (n + 1 - len(expected))
             assert charpoly(m) == expected
+
+    def test_krylov_matches_hessenberg_random(self):
+        rng = random.Random(31)
+        for n in range(65):
+            for _ in range(3 if n <= 16 else 1):
+                m = random_matrix(rng, n, n)
+                assert charpoly(m) == hessenberg_charpoly(m)
+
+    def test_krylov_matches_hessenberg_structured(self):
+        rng = random.Random(37)
+        cases = []
+        for n in (0, 1, 2, 5, 17, 40):
+            cases += [ModMatrix.zeros(n, n), ModMatrix.identity(n)]
+            # strictly upper triangular: nilpotent, charpoly x^n
+            cases.append(ModMatrix(n, n, [rng.randrange(2**n) >> (i + 1) << (i + 1) for i in range(n)]))
+        for n in (3, 8, 24, 33):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            cases.append(ModMatrix(n, n, [1 << perm[i] for i in range(n)]))
+        for coeffs in ([1], [0, 1], [1, 1, 0, 1], [rng.randrange(2) for _ in range(30)]):
+            m = companion(coeffs)
+            assert charpoly(m) == coeffs + [1]
+            cases.append(m)
+        for m in cases:
+            assert len(charpoly(m)) == m.nrows + 1
+            assert charpoly(m) == hessenberg_charpoly(m)
+        assert charpoly(ModMatrix.zeros(6, 6)) == [0] * 6 + [1]
+
+    def test_krylov_matches_hessenberg_repeated_blocks(self):
+        # repeated diagonal blocks give several cyclic blocks whose
+        # polynomials are multiplied together
+        rng = random.Random(41)
+        pieces = [
+            ModMatrix.identity(1),
+            ModMatrix.zeros(1, 1),
+            companion([1, 1]),
+            companion([1, 0, 1]),
+            random_matrix(rng, 3, 3),
+            random_matrix(rng, 4, 4),
+        ]
+        for _ in range(40):
+            blocks = [rng.choice(pieces) for _ in range(rng.randrange(1, 7))]
+            blocks += blocks[: rng.randrange(len(blocks) + 1)]
+            rng.shuffle(blocks)
+            m = block_diagonal(blocks)
+            assert charpoly(m) == hessenberg_charpoly(m)
+
+    @pytest.mark.parametrize("group", [mathieu(24), psl(3, 4)], ids=["M24", "PSL(3,4)"])
+    def test_krylov_matches_hessenberg_meataxe_elements(self, group):
+        images = heart(group).images
+        rng = SplitMix64(5)
+        for attempt in range(1, 21):
+            theta = _random_algebra_element(images, rng, attempt)
+            assert charpoly(theta) == hessenberg_charpoly(theta)
