@@ -8,8 +8,9 @@ the default output stays reproducible.
 
 Exit codes: audit 0 = certified, 2 = excluded, 3 = inconclusive; probe and
 heart 0 on a successful run; 1 for usage, parse or degree errors everywhere;
-4 when an internal check fails (a witness or End verification, or a MeatAxe
-without a verdict), reported as one line on stderr.
+4 when an internal check fails (a witness or End verification, a MeatAxe
+without a verdict, or an element closure past its limit), reported as one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .audit import CITATIONS, audit, _load_facts
-from .probe import PolyParseError, parse_poly, probe
+from .perms import ClosureLimitError
+from .probe import PolyParseError, group_cycle_types, parse_poly, probe
 from .reps import (
     MeatAxeInconclusive,
     endomorphism_algebra,
@@ -126,6 +128,7 @@ def _cmd_probe(args) -> int:
         raise GroupSpecError("no polynomial given (positional or --file)")
     candidates = [parse_group_spec(c) for c in args.candidates.split(",")] if args.candidates else []
     reports = []
+    type_sets: dict = {}  # one cycle-type set per candidate for this command only
     for text in texts:
         poly = parse_poly(text)
         for candidate in candidates:
@@ -134,8 +137,14 @@ def _cmd_probe(args) -> int:
                     f"candidate {candidate.name()} acts on {candidate.natural_degree} "
                     f"points but deg f = {poly.degree}"
                 )
+        for candidate in candidates:
+            if candidate not in type_sets:
+                type_sets[candidate] = group_cycle_types(
+                    candidate, budget=args.budget, seed=args.seed
+                )
         reports.append(
-            probe(poly, args.primes, candidates, seed=args.seed, sample_budget=args.budget)
+            probe(poly, args.primes, candidates, seed=args.seed, sample_budget=args.budget,
+                  type_sets=type_sets)
         )
     payload = reports[0].to_payload() if len(reports) == 1 else {
         "reports": [r.to_payload() for r in reports]
@@ -228,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GroupSpecError, PolyParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AssertionError, MeatAxeInconclusive) as exc:
+    except (AssertionError, MeatAxeInconclusive, ClosureLimitError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -7,19 +7,27 @@ Groups carry a deterministic stabilizer chain built by the Schreier-Sims
 procedure with the forced base 0, 1, 2, ... (points fixed by the respective
 stabilizer contribute nothing and are filtered from the public base).  No
 randomization is used anywhere in the chain construction, so order,
-membership and transitivity results are reproducible bit-for-bit.
+membership and transitivity results are reproducible bit-for-bit.  The chain
+keeps inverse transversals only (the image tuple of u^-1 per orbit point) and
+sifts raw image tuples, so its inner loops never build a ``Permutation`` or
+invert one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 from .rng import SplitMix64
 
 
 class DegreeMismatchError(ValueError):
     """Raised when permutations of different degrees are combined."""
+
+
+class ClosureLimitError(RuntimeError):
+    """Raised when a breadth-first closure grows past its element limit."""
 
 
 class Permutation:
@@ -172,41 +180,52 @@ def cycle_type(p: Permutation) -> CycleType:
 class _Level:
     """One stabilizer-chain level: base point, strong generators, transversal.
 
-    ``transversal[beta]`` is a permutation u with u(point) == beta.  The
+    ``inverses[beta]`` is the image tuple of u^-1, where u is the coset
+    representative with u(point) == beta; the forward representatives are
+    never stored.  ``gen_inverses[k]`` is the image tuple of ``gens[k]``^-1,
+    the same tuple object at every level the generator is listed at.  The
     transversal is only ever extended, never rebuilt, so coset representatives
     stay stable while the chain grows (this keeps the processed-Schreier
     watermarks below valid).
     """
 
-    __slots__ = ("point", "gens", "orbit_list", "transversal", "expanded", "sifted")
+    __slots__ = ("point", "gens", "gen_inverses", "orbit_list", "inverses", "expanded", "sifted")
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, identity_images: tuple[int, ...]):
         self.point = point
         self.gens: list[Permutation] = []
+        self.gen_inverses: list[tuple[int, ...]] = []
         self.orbit_list: list[int] = [point]
-        self.transversal: dict[int, Permutation] = {point: identity(degree)}
+        self.inverses: dict[int, tuple[int, ...]] = {point: identity_images}
         self.expanded: list[int] = []  # orbit positions already expanded per gen
         self.sifted: list[int] = []  # orbit positions whose Schreier gen was sifted per gen
 
-    def add_generator(self, g: Permutation) -> None:
+    def add_generator(self, g: Permutation, g_inverse: tuple[int, ...]) -> None:
         self.gens.append(g)
+        self.gen_inverses.append(g_inverse)
         self.expanded.append(0)
         self.sifted.append(0)
         self._extend_orbit()
 
     def _extend_orbit(self) -> None:
+        inverses = self.inverses
+        orbit = self.orbit_list
+        expanded = self.expanded
         changed = True
         while changed:
             changed = False
             for k, g in enumerate(self.gens):
                 gi = g.images
-                while self.expanded[k] < len(self.orbit_list):
-                    alpha = self.orbit_list[self.expanded[k]]
-                    self.expanded[k] += 1
+                g_inverse = self.gen_inverses[k]
+                while expanded[k] < len(orbit):
+                    alpha = orbit[expanded[k]]
+                    expanded[k] += 1
                     gamma = gi[alpha]
-                    if gamma not in self.transversal:
-                        self.transversal[gamma] = compose(g, self.transversal[alpha])
-                        self.orbit_list.append(gamma)
+                    if gamma not in inverses:
+                        # u_gamma = g u_alpha, so u_gamma^-1 = u_alpha^-1 g^-1
+                        alpha_inverse = inverses[alpha]
+                        inverses[gamma] = itemgetter(*g_inverse)(alpha_inverse)
+                        orbit.append(gamma)
                         changed = True
 
 
@@ -218,57 +237,80 @@ class _StabilizerChain:
     accessors.  A strong generator is listed at every level it stabilizes
     through, so each level's generator list generates the corresponding
     pointwise stabilizer once construction finishes.
+
+    Sifting runs on raw image tuples: each level applies its stored inverse
+    coset representative as one tuple gather (``itemgetter(*p)(u)`` is the
+    image tuple of u∘p), the identity test compares with one cached identity
+    tuple, and Schreier generators are assembled from two stored inverses
+    without inverting anything (Seress 2003, ch. 4; Holt-Eick-O'Brien ch. 4).
+    Only a residue that becomes a strong generator is wrapped as a
+    ``Permutation``, and its inverse is computed once, there.  A gather is
+    only ever made with a nontrivial permutation, so the degree is at least 2
+    and ``itemgetter`` returns a tuple.
     """
 
     def __init__(self, degree: int, generators: list[Permutation]):
         self.degree = degree
         self.levels: list[_Level] = []
+        self._id = tuple(range(degree))
         for g in generators:
-            if not g.is_identity():
-                residue, j = self._strip(g, 0)
-                if not residue.is_identity():
+            if g.images != self._id:
+                residue, j = self._strip(g.images, 0)
+                if residue != self._id:
                     self._place(j, residue)
                     self._process()
 
-    def _strip(self, p: Permutation, start: int) -> tuple[Permutation, int]:
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
-            beta = p.images[level.point]
+    def _strip(self, p: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+        levels = self.levels
+        for i in range(start, len(levels)):
+            level = levels[i]
+            beta = p[level.point]
             if beta == level.point:
                 continue
-            u = level.transversal.get(beta)
-            if u is None:
+            u_inverse = level.inverses.get(beta)
+            if u_inverse is None:
                 return p, i
-            p = compose(u.inverse(), p)
-        return p, len(self.levels)
+            p = itemgetter(*p)(u_inverse)
+        return p, len(levels)
 
-    def _place(self, j: int, residue: Permutation) -> None:
+    def _place(self, j: int, residue: tuple[int, ...]) -> None:
         if j == len(self.levels):
-            self.levels.append(_Level(j, self.degree))
+            self.levels.append(_Level(j, self._id))
+        g = Permutation(residue, _checked=True)
+        g_inverse = g.inverse().images
         for i in range(j + 1):
-            self.levels[i].add_generator(residue)
+            self.levels[i].add_generator(g, g_inverse)
 
     def _process(self) -> None:
         """Drain unprocessed Schreier generators until the chain is closed."""
+        identity_images = self._id
+        degree = self.degree
         progress = True
         while progress:
             progress = False
             i = 0
             while i < len(self.levels):
                 level = self.levels[i]
+                inverses = level.inverses
+                orbit = level.orbit_list
+                sifted = level.sifted
                 k = 0
                 while k < len(level.gens):
-                    s = level.gens[k]
-                    while level.sifted[k] < len(level.orbit_list):
-                        beta = level.orbit_list[level.sifted[k]]
-                        level.sifted[k] += 1
-                        u = level.transversal[beta]
-                        v = level.transversal[s.images[beta]]
-                        schreier = compose(v.inverse(), compose(s, u))
-                        if schreier.is_identity():
+                    s = level.gens[k].images
+                    while sifted[k] < len(orbit):
+                        beta = orbit[sifted[k]]
+                        sifted[k] += 1
+                        # the Schreier generator v^-1 s u (u = u_beta, v = u_s(beta))
+                        # sends u^-1(y) to v^-1(s(y))
+                        v_inverse = inverses[s[beta]]
+                        schreier = [0] * degree
+                        for x, y in zip(inverses[beta], s):
+                            schreier[x] = v_inverse[y]
+                        schreier = tuple(schreier)
+                        if schreier == identity_images:
                             continue
                         residue, j = self._strip(schreier, i + 1)
-                        if not residue.is_identity():
+                        if residue != identity_images:
                             self._place(j, residue)
                             progress = True
                     k += 1
@@ -281,8 +323,8 @@ class _StabilizerChain:
         return result
 
     def contains(self, p: Permutation) -> bool:
-        residue, _ = self._strip(p, 0)
-        return residue.is_identity()
+        residue, _ = self._strip(p.images, 0)
+        return residue == self._id
 
     def base_points(self) -> list[int]:
         return [lvl.point for lvl in self.levels if len(lvl.orbit_list) > 1]
@@ -354,8 +396,8 @@ class PermGroup:
     def enumerate_elements(self, limit: int = 10**6) -> list[Permutation]:
         """All elements by breadth-first closure; independent of the chain.
 
-        Intended as an oracle for small groups; raises if the group has more
-        than ``limit`` elements.
+        Intended as an oracle for small groups; raises ``ClosureLimitError``
+        if the group has more than ``limit`` elements.
         """
         seen = {identity(self.degree).images}
         queue = [identity(self.degree)]
@@ -367,7 +409,7 @@ class PermGroup:
                 nxt = compose(g, current)
                 if nxt.images not in seen:
                     if len(seen) >= limit:
-                        raise RuntimeError(f"closure exceeds limit {limit}")
+                        raise ClosureLimitError(f"closure exceeds limit {limit}")
                     seen.add(nxt.images)
                     queue.append(nxt)
         return queue

@@ -268,9 +268,14 @@ class ProbeReport:
 
 
 def probe(poly: IntPolynomial, prime_count: int, candidates: list[GroupId],
-          seed: int = 0, sample_budget: int = 2000) -> ProbeReport:
+          seed: int = 0, sample_budget: int = 2000,
+          type_sets: dict[GroupId, tuple[set[CycleType], bool]] | None = None) -> ProbeReport:
     """Factor modulo the first ``prime_count`` good primes and compare the
     observed Frobenius cycle types against each candidate group's type set.
+
+    ``type_sets`` maps each candidate to its ``group_cycle_types`` result for
+    this ``seed`` and ``sample_budget``, so a batch of polynomials computes
+    each set once; without it the sets are computed here.
 
     Inconsistency (an observed type outside an exact type set) is sound by
     construction; consistency only says the data does not rule the group out.
@@ -298,7 +303,10 @@ def probe(poly: IntPolynomial, prime_count: int, candidates: list[GroupId],
 
     verdicts = []
     for candidate in candidates:
-        types, exact = group_cycle_types(candidate, budget=sample_budget, seed=seed)
+        if type_sets is None:
+            types, exact = group_cycle_types(candidate, budget=sample_budget, seed=seed)
+        else:
+            types, exact = type_sets[candidate]
         outside = [t for t in observed_order if t not in types]
         if not histogram:
             verdicts.append(CandidateVerdict(candidate.name(), "insufficient_data", exact))

@@ -1,6 +1,7 @@
 """CLI exit codes, JSON schema validity, and byte stability."""
 
 import hashlib
+import importlib
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import jsonschema
 import pytest
 
 from heartlab import cli
+from heartlab.perms import ClosureLimitError, PermGroup
 from heartlab.reps import MeatAxeInconclusive
 
 SCHEMA = json.loads(
@@ -81,6 +83,17 @@ class TestExitCodes:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert err == f"error: internal check failed: {error}\n"
+
+
+    def test_closure_limit_exit_four(self, capsys, monkeypatch):
+        def failing(self, limit=10**6):
+            raise ClosureLimitError(f"closure exceeds limit {limit}")
+
+        monkeypatch.setattr(PermGroup, "enumerate_elements", failing)
+        code, out, err = run_cli(capsys, "probe", "x^5-x-1", "--candidates", "A5")
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal check failed: closure exceeds limit 1000000\n"
 
 
 class TestAuditCommand:
@@ -162,6 +175,26 @@ class TestProbeCommand:
         code, doc, _ = run_json(capsys, "probe", "--file", str(source), "--primes", "8")
         assert code == 0
         assert len(doc["payload"]["reports"]) == 2
+
+    def test_batch_computes_each_type_set_once(self, capsys, monkeypatch, tmp_path):
+        probe_module = importlib.import_module("heartlab.probe")  # the package exports a probe()
+        calls = []
+        original = probe_module.group_cycle_types
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(probe_module, "group_cycle_types", counting)
+        monkeypatch.setattr(cli, "group_cycle_types", counting)
+        source = tmp_path / "polys.txt"
+        source.write_text("x^7-x-1\nx^7-7*x+3\nx^7+x^3+1\n")
+        digest = payload_digest(
+            capsys, "probe", "--file", str(source), "--primes", "30", "--candidates", "A7,S7"
+        )
+        assert calls == ["A7", "S7"]
+        # recorded when every polynomial of a batch still recomputed the sets
+        assert digest == "ebaece3b77aa328728de7f7fd64c30ecf2693d0e67d297b505b4d41696ff6ed1"
 
     def test_m23_probe_runs(self, capsys):
         code, doc, _ = run_json(

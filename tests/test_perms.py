@@ -1,4 +1,14 @@
-"""Permutation arithmetic and stabilizer-chain algorithms."""
+"""Permutation arithmetic and stabilizer-chain algorithms.
+
+``ReferenceChain`` is the Schreier-Sims chain as it was before the chain
+moved to inverse transversals and tuple stripping: forward coset
+representatives as ``Permutation`` objects, an inversion per strip step and
+per Schreier generator.  It is kept here as the oracle that the production
+chain must equal level by level.
+"""
+
+import random
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,10 +22,130 @@ from heartlab.perms import (
     from_cycles,
     identity,
 )
+from heartlab.zoo import build_group, parse_group_spec
 
 
 def perms(degree):
     return st.permutations(range(degree)).map(Permutation)
+
+
+class ReferenceLevel:
+    """One level: base point, strong generators, forward transversal.
+
+    ``transversal[beta]`` is a permutation u with u(point) == beta.
+    """
+
+    def __init__(self, point: int, degree: int):
+        self.point = point
+        self.gens: list[Permutation] = []
+        self.orbit_list: list[int] = [point]
+        self.transversal: dict[int, Permutation] = {point: identity(degree)}
+        self.expanded: list[int] = []
+        self.sifted: list[int] = []
+
+    def add_generator(self, g: Permutation) -> None:
+        self.gens.append(g)
+        self.expanded.append(0)
+        self.sifted.append(0)
+        self._extend_orbit()
+
+    def _extend_orbit(self) -> None:
+        changed = True
+        while changed:
+            changed = False
+            for k, g in enumerate(self.gens):
+                gi = g.images
+                while self.expanded[k] < len(self.orbit_list):
+                    alpha = self.orbit_list[self.expanded[k]]
+                    self.expanded[k] += 1
+                    gamma = gi[alpha]
+                    if gamma not in self.transversal:
+                        self.transversal[gamma] = compose(g, self.transversal[alpha])
+                        self.orbit_list.append(gamma)
+                        changed = True
+
+
+class ReferenceChain:
+    """Deterministic Schreier-Sims chain with base forced to 0, 1, 2, ..."""
+
+    def __init__(self, degree: int, generators: list[Permutation]):
+        self.degree = degree
+        self.levels: list[ReferenceLevel] = []
+        for g in generators:
+            if not g.is_identity():
+                residue, j = self._strip(g, 0)
+                if not residue.is_identity():
+                    self._place(j, residue)
+                    self._process()
+
+    def _strip(self, p: Permutation, start: int) -> tuple[Permutation, int]:
+        for i in range(start, len(self.levels)):
+            level = self.levels[i]
+            beta = p.images[level.point]
+            if beta == level.point:
+                continue
+            u = level.transversal.get(beta)
+            if u is None:
+                return p, i
+            p = compose(u.inverse(), p)
+        return p, len(self.levels)
+
+    def _place(self, j: int, residue: Permutation) -> None:
+        if j == len(self.levels):
+            self.levels.append(ReferenceLevel(j, self.degree))
+        for i in range(j + 1):
+            self.levels[i].add_generator(residue)
+
+    def _process(self) -> None:
+        progress = True
+        while progress:
+            progress = False
+            i = 0
+            while i < len(self.levels):
+                level = self.levels[i]
+                k = 0
+                while k < len(level.gens):
+                    s = level.gens[k]
+                    while level.sifted[k] < len(level.orbit_list):
+                        beta = level.orbit_list[level.sifted[k]]
+                        level.sifted[k] += 1
+                        u = level.transversal[beta]
+                        v = level.transversal[s.images[beta]]
+                        schreier = compose(v.inverse(), compose(s, u))
+                        if schreier.is_identity():
+                            continue
+                        residue, j = self._strip(schreier, i + 1)
+                        if not residue.is_identity():
+                            self._place(j, residue)
+                            progress = True
+                    k += 1
+                i += 1
+
+    def order(self) -> int:
+        result = 1
+        for level in self.levels:
+            result *= len(level.orbit_list)
+        return result
+
+    def contains(self, p: Permutation) -> bool:
+        residue, _ = self._strip(p, 0)
+        return residue.is_identity()
+
+    def transitivity_degree(self) -> int:
+        n = self.degree
+        t = 0
+        for i in range(n):
+            size = len(self.levels[i].orbit_list) if i < len(self.levels) else 1
+            if size != n - i:
+                break
+            t += 1
+        if t == n - 1:
+            t = n
+        return t
+
+
+def reference_chain(group: PermGroup) -> ReferenceChain:
+    return ReferenceChain(group.degree, list(group.generators))
 
 
 class TestPermutation:
@@ -130,6 +260,98 @@ class TestStabilizerChain:
         # generators whose first element fixes the final base points
         g = PermGroup([from_cycles(3, [(1, 2)]), from_cycles(3, [(0, 1)])])
         assert g.order() == 6
+
+
+# the PSL/PGL groups of the benchmark's audit ladder of degree at most 130
+ORACLE_ZOO_GROUPS = (
+    "M11", "M12", "M22", "M23", "M24",
+    "A7", "A8", "A9", "A10", "A11", "A12", "S8", "S9",
+    "PSL(3,2)", "PSL(2,8)", "PSL(2,32)", "PSL(3,3)", "PGL(3,3)", "PSL(5,3)",
+    "PSL(4,3)", "PSL(4,2)", "PSL(3,4)", "PSL(2,5)", "PSL(2,11)",
+    "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12", "D5", "D10",
+)
+
+
+def random_subgroup(seed: int) -> PermGroup:
+    """Two or three random generators of S_n, 8 <= n <= 12.  Even seeds draw
+    permutations of small random support, so some groups are intransitive."""
+    rng = random.Random(seed)
+    n = 8 + seed % 5
+    gens = []
+    for _ in range(2 + seed % 2):
+        images = list(range(n))
+        if seed % 2:
+            rng.shuffle(images)
+        else:
+            support = rng.sample(range(n), rng.randint(2, 5))
+            for a, b in zip(support, support[1:] + support[:1]):
+                images[a] = b
+        gens.append(Permutation(images))
+    return PermGroup(gens)
+
+
+def assert_chain_matches_reference(group: PermGroup, seed: int) -> None:
+    chain = PermGroup(group.generators).chain()
+    ref = reference_chain(group)
+    assert len(chain.levels) == len(ref.levels)
+    for level, ref_level in zip(chain.levels, ref.levels):
+        assert level.point == ref_level.point
+        assert level.orbit_list == ref_level.orbit_list
+        assert [g.images for g in level.gens] == [g.images for g in ref_level.gens]
+        assert level.sifted == ref_level.sifted
+        assert level.expanded == ref_level.expanded
+        assert level.inverses.keys() == ref_level.transversal.keys()
+        for beta, u in ref_level.transversal.items():
+            assert level.inverses[beta] == u.inverse().images
+    assert chain.order() == ref.order()
+    assert chain.transitivity_degree() == ref.transitivity_degree()
+
+    rng = random.Random(seed)
+    members = [compose(a, b) for a in group.generators for b in group.generators]
+    sampler = group.sampler(seed)
+    members += [sampler.sample() for _ in range(10)]
+    for p in members:
+        assert chain.contains(p) and ref.contains(p)
+    candidates = [from_cycles(group.degree, [(0, 1)])]
+    for _ in range(20):
+        images = list(range(group.degree))
+        rng.shuffle(images)
+        candidates.append(Permutation(images))
+    rejected = 0
+    for p in candidates:
+        assert chain.contains(p) == ref.contains(p)
+        rejected += not chain.contains(p)
+    # every proper subgroup of S_n here rejects at least one candidate
+    assert (rejected > 0) == (chain.order() < factorial(group.degree))
+
+
+class TestChainMatchesReference:
+    @pytest.mark.parametrize("name", ORACLE_ZOO_GROUPS)
+    def test_zoo_group(self, name):
+        assert_chain_matches_reference(build_group(parse_group_spec(name)), 0)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_subgroup(self, seed):
+        assert_chain_matches_reference(random_subgroup(seed), seed)
+
+
+# Work counters of the chain, recorded before the chain moved to inverse
+# transversals: (sum of every level's sifted watermarks, strong generators).
+CHAIN_WORK_PINS = {
+    "M24": (1218, 15),
+    "A30": (15359, 50),
+    "PSL(3,16)": (19266, 31),
+    "PSL(5,3)": (22644, 52),
+    "PSL(2,256)": (7185, 18),
+}
+
+
+class TestChainWorkCounters:
+    @pytest.mark.parametrize("name", list(CHAIN_WORK_PINS))
+    def test_sifted_and_strong_generators(self, name):
+        levels = build_group(parse_group_spec(name)).chain().levels
+        sifted = sum(sum(level.sifted) for level in levels)
+        assert (sifted, len(levels[0].gens)) == CHAIN_WORK_PINS[name]
 
 
 class TestTransitivity:
