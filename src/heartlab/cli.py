@@ -9,14 +9,16 @@ the default output stays reproducible.
 Exit codes: audit 0 = certified, 2 = excluded, 3 = inconclusive; probe and
 heart 0 on a successful run; 1 for usage, parse or degree errors everywhere;
 4 when an internal check fails (a witness or End verification, a MeatAxe
-without a verdict, or an element closure past its limit), reported as one
-line on stderr.
+without a verdict, an element closure past its limit, or a known-order
+stabilizer chain that contradicts its group's order), reported as one line
+on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -117,6 +119,11 @@ def _cmd_heart(args) -> int:
     return EXIT_OK
 
 
+def _split_candidates(text: str) -> list[str]:
+    """Split at the commas outside parentheses: "PSL(3,2),A7" is two names."""
+    return re.split(r",(?![^()]*\))", text) if text else []
+
+
 def _cmd_probe(args) -> int:
     texts = []
     if args.poly is not None:
@@ -126,7 +133,7 @@ def _cmd_probe(args) -> int:
             texts.extend(line.strip() for line in handle if line.strip())
     if not texts:
         raise GroupSpecError("no polynomial given (positional or --file)")
-    candidates = [parse_group_spec(c) for c in args.candidates.split(",")] if args.candidates else []
+    candidates = [parse_group_spec(c) for c in _split_candidates(args.candidates)]
     reports = []
     type_sets: dict = {}  # one cycle-type set per candidate for this command only
     for text in texts:

@@ -3,14 +3,19 @@
 Points are the integers 0..n-1.  The composition convention, fixed once for
 the whole package, is ``compose(p, q)(x) == p(q(x))`` (apply q first).
 
-Groups carry a deterministic stabilizer chain built by the Schreier-Sims
-procedure with the forced base 0, 1, 2, ... (points fixed by the respective
-stabilizer contribute nothing and are filtered from the public base).  No
-randomization is used anywhere in the chain construction, so order,
-membership and transitivity results are reproducible bit-for-bit.  The chain
-keeps inverse transversals only (the image tuple of u^-1 per orbit point) and
-sifts raw image tuples, so its inner loops never build a ``Permutation`` or
-invert one.
+Groups carry a stabilizer chain with the forced base 0, 1, 2, ... (points
+fixed by the respective stabilizer contribute nothing and are filtered from
+the public base).  The chain has two build loops.  A group built without an
+order gets the deterministic Schreier-Sims closure.  A group built with its
+known order (every ``zoo`` constructor passes one) gets random Schreier-Sims:
+product-replacement elements are sifted until the product of the basic orbit
+lengths equals that order, which proves the chain complete.  That loop draws
+from a sampler seeded by a fixed module constant, never a user seed, so both
+loops are reproducible bit-for-bit, and a complete chain's orbit sizes along
+the forced base are invariants of the group: order, membership and
+transitivity do not depend on which loop built it.  The chain keeps inverse
+transversals only (the image tuple of u^-1 per orbit point) and sifts raw
+image tuples, so its inner loops never build a ``Permutation`` or invert one.
 """
 
 from __future__ import annotations
@@ -28,6 +33,20 @@ class DegreeMismatchError(ValueError):
 
 class ClosureLimitError(RuntimeError):
     """Raised when a breadth-first closure grows past its element limit."""
+
+
+class ChainOrderError(AssertionError):
+    """Raised when a known-order chain overshoots the given order or runs out
+    of draws before reaching it: the order is not that of the generators."""
+
+
+# The known-order loop's sampler seed and draw budget, max(1000, 20 * degree).
+# They are constants, not parameters, so the chain never depends on a user
+# seed.  The budget is far above need: A60 reaches its order in 67 draws and
+# A100 in 106.
+KNOWN_ORDER_SEED = 0x5EED
+KNOWN_ORDER_MIN_DRAWS = 1000
+KNOWN_ORDER_DRAWS_PER_POINT = 20
 
 
 class Permutation:
@@ -230,13 +249,29 @@ class _Level:
 
 
 class _StabilizerChain:
-    """Deterministic Schreier-Sims chain with base forced to 0, 1, 2, ...
+    """Schreier-Sims chain with base forced to 0, 1, 2, ...
 
     Level i always has base point i; levels whose subgroup fixes their point
     sit in the chain with a singleton orbit and are skipped by the public
     accessors.  A strong generator is listed at every level it stabilizes
     through, so each level's generator list generates the corresponding
     pointwise stabilizer once construction finishes.
+
+    Two build loops share ``_strip``, ``_place`` and the accessors:
+
+    - Without a known order, the deterministic loop strips each generator and
+      then drains every Schreier generator (``_process``) until the chain is
+      closed.  It is the library path and the test oracle.
+    - With a known order, the known-order loop sifts the generators and then
+      elements drawn from ``ElementSampler(group, KNOWN_ORDER_SEED)``,
+      placing each nontrivial residue at the first base point it moves, and
+      stops when ``order()`` equals the given order (Seress 2003, ch. 4,
+      random Schreier-Sims with known order; Holt-Eick-O'Brien ch. 4).  The
+      orbit-length product never exceeds the order of the group the strong
+      generators generate, so equality proves the chain complete.  A product
+      above the given order, or an exhausted draw budget, raises
+      ``ChainOrderError``.  The seed is a fixed constant, so this loop is
+      deterministic too.
 
     Sifting runs on raw image tuples: each level applies its stored inverse
     coset representative as one tuple gather (``itemgetter(*p)(u)`` is the
@@ -249,16 +284,20 @@ class _StabilizerChain:
     and ``itemgetter`` returns a tuple.
     """
 
-    def __init__(self, degree: int, generators: list[Permutation]):
-        self.degree = degree
+    def __init__(self, group: "PermGroup"):
+        self.degree = group.degree
         self.levels: list[_Level] = []
-        self._id = tuple(range(degree))
-        for g in generators:
-            if g.images != self._id:
-                residue, j = self._strip(g.images, 0)
-                if residue != self._id:
-                    self._place(j, residue)
-                    self._process()
+        self._id = tuple(range(self.degree))
+        self.draws = 0  # sampled elements sifted by the known-order loop
+        if group.known_order is None:
+            for g in group.generators:
+                if g.images != self._id:
+                    residue, j = self._strip(g.images, 0)
+                    if residue != self._id:
+                        self._place(j, residue)
+                        self._process()
+        else:
+            self._sift_to_order(group, group.known_order)
 
     def _strip(self, p: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
         levels = self.levels
@@ -274,12 +313,42 @@ class _StabilizerChain:
         return p, len(levels)
 
     def _place(self, j: int, residue: tuple[int, ...]) -> None:
-        if j == len(self.levels):
-            self.levels.append(_Level(j, self._id))
+        while len(self.levels) <= j:
+            self.levels.append(_Level(len(self.levels), self._id))
         g = Permutation(residue, _checked=True)
         g_inverse = g.inverse().images
         for i in range(j + 1):
             self.levels[i].add_generator(g, g_inverse)
+
+    def _sift_to_order(self, group: "PermGroup", order: int) -> None:
+        """The known-order loop: generators first, then sampled elements."""
+        if any(self._sift_reaches(g.images, order) for g in group.generators):
+            return
+        sampler = ElementSampler(group, KNOWN_ORDER_SEED)
+        budget = max(KNOWN_ORDER_MIN_DRAWS, KNOWN_ORDER_DRAWS_PER_POINT * self.degree)
+        while self.draws < budget:
+            self.draws += 1
+            if self._sift_reaches(sampler.sample().images, order):
+                return
+        raise ChainOrderError(
+            f"chain order {self.order()} is still below the given order {order} "
+            f"after {budget} sampled elements"
+        )
+
+    def _sift_reaches(self, p: tuple[int, ...], order: int) -> bool:
+        """Sift p, place a nontrivial residue, and report whether the chain
+        order has reached ``order``."""
+        residue, j = self._strip(p, 0)
+        if residue != self._id:
+            # the residue fixes the points of levels 0..j-1; singleton levels
+            # are inserted for the points it also fixes beyond them
+            while residue[j] == j:
+                j += 1
+            self._place(j, residue)
+        reached = self.order()
+        if reached > order:
+            raise ChainOrderError(f"chain order {reached} exceeds the given order {order}")
+        return reached == order
 
     def _process(self) -> None:
         """Drain unprocessed Schreier generators until the chain is closed."""
@@ -351,9 +420,15 @@ class _StabilizerChain:
 
 
 class PermGroup:
-    """A permutation group given by generators, with a lazy stabilizer chain."""
+    """A permutation group given by generators, with a lazy stabilizer chain.
 
-    def __init__(self, generators, degree: int | None = None):
+    ``order``, when given, must be the order of the group the generators
+    generate; the chain is then built by the known-order loop, which raises
+    ``ChainOrderError`` when its orbit-length product overshoots that order
+    or never reaches it.
+    """
+
+    def __init__(self, generators, degree: int | None = None, order: int | None = None):
         gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
         if not gens:
             if degree is None:
@@ -366,11 +441,12 @@ class PermGroup:
                 raise DegreeMismatchError("generators have mixed degrees")
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
+        self.known_order = order
         self._chain: _StabilizerChain | None = None
 
     def chain(self) -> _StabilizerChain:
         if self._chain is None:
-            self._chain = _StabilizerChain(self.degree, list(self.generators))
+            self._chain = _StabilizerChain(self)
         return self._chain
 
     def order(self) -> int:

@@ -1,8 +1,12 @@
 """Constructors for the group families under study.
 
-Every constructor returns a plain PermGroup on 0-indexed points.  Mathieu
-groups ship with classical hard-coded generator permutations (transcribed
-1-indexed from the literature); the test suite certifies their orders,
+Every constructor returns a plain PermGroup on 0-indexed points, built with
+the family's closed-form order so that its stabilizer chain comes from the
+known-order loop of ``perms`` (each formula's source is cited in its
+constructor's docstring; the test suite checks every formula against the
+deterministic chain).  Mathieu groups ship with classical hard-coded
+generator permutations (transcribed 1-indexed from the literature); the test
+suite certifies their orders,
 degrees and transitivity rather than taking the transcription on faith.
 PSL/PGL act on the canonical projective points of ``fields.projective_points``
 via images of standard SL/GL generator matrices; the point labeling table is
@@ -13,13 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 import re
 
 from .fields import FieldElement, FieldSpec, make_field, projective_points, canonicalize
 from .perms import PermGroup, Permutation, from_cycles
 
 MATHIEU_DEGREES = (11, 12, 22, 23, 24)
+
+# Conway et al., ATLAS of Finite Groups (1985): |M11|, |M12|, |M22|, |M23|, |M24|
+MATHIEU_ORDERS = {11: 7920, 12: 95040, 22: 443520, 23: 10200960, 24: 244823040}
 
 # Classical generator cycles, 1-indexed as published.
 _MATHIEU_CYCLES = {
@@ -120,44 +127,50 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
 
 
 def symmetric(n: int) -> PermGroup:
+    """S_n, of order n!, generated by (0 1) and the n-cycle."""
     if n < 2:
         raise GroupSpecError("symmetric group needs n >= 2")
     gens = [from_cycles(n, [(0, 1)])]
     if n > 2:
         gens.append(from_cycles(n, [tuple(range(n))]))
-    return PermGroup(gens)
+    return PermGroup(gens, order=factorial(n))
 
 
 def alternating(n: int) -> PermGroup:
+    """A_n, of order n!/2 (the even permutations, index 2 in S_n), generated
+    by (0 1 2) and an (n or n-1)-cycle of odd length."""
     if n < 3:
         raise GroupSpecError("alternating group needs n >= 3")
     gens = [from_cycles(n, [(0, 1, 2)])]
     if n > 3:
         long = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
         gens.append(from_cycles(n, [long]))
-    return PermGroup(gens)
+    return PermGroup(gens, order=factorial(n) // 2)
 
 
 def cyclic(n: int) -> PermGroup:
+    """C_n, of order n, generated by the n-cycle."""
     if n < 2:
         raise GroupSpecError("cyclic group needs n >= 2")
-    return PermGroup([from_cycles(n, [tuple(range(n))])])
+    return PermGroup([from_cycles(n, [tuple(range(n))])], order=n)
 
 
 def dihedral(n: int) -> PermGroup:
-    """Dihedral group of order 2n acting on the n vertices of a cycle."""
+    """Dihedral group of order 2n acting on the n vertices of a cycle: the n
+    rotations and the n reflections."""
     if n < 3:
         raise GroupSpecError("dihedral group needs n >= 3")
     rotation = from_cycles(n, [tuple(range(n))])
     reflection = Permutation([(-i) % n for i in range(n)])
-    return PermGroup([rotation, reflection])
+    return PermGroup([rotation, reflection], order=2 * n)
 
 
 def mathieu(n: int) -> PermGroup:
+    """M_n with the order of ``MATHIEU_ORDERS`` (ATLAS of Finite Groups)."""
     if n not in MATHIEU_DEGREES:
         raise GroupSpecError(f"no Mathieu group of degree {n}")
     gens = [from_cycles(n, cycles, shift=-1) for cycles in _MATHIEU_CYCLES[n]]
-    return PermGroup(gens)
+    return PermGroup(gens, order=MATHIEU_ORDERS[n])
 
 
 # -- projective linear groups -------------------------------------------------
@@ -245,22 +258,29 @@ def _projective_group(m: int, q: int, include_pgl: bool) -> PermGroup:
     index_of = {pt.key(): i for i, pt in enumerate(points)}
     mats = _linear_generators(m, field, include_pgl)
     gens = [_projective_permutation(mat, points, index_of, field) for mat in mats]
-    group = PermGroup(gens)
+    order = pgl_order(m, q) if include_pgl else psl_order(m, q)
+    group = PermGroup(gens, order=order)
     group.point_labels = points
     return group
 
 
 def psl(m: int, q: int) -> PermGroup:
-    """PSL_m(F_q) acting on the (q^m-1)/(q-1) projective points."""
+    """PSL_m(F_q) acting on the (q^m-1)/(q-1) projective points, of order
+    ``psl_order(m, q)``."""
     return _projective_group(m, q, include_pgl=False)
 
 
 def pgl(m: int, q: int) -> PermGroup:
-    """PGL_m(F_q) on the same points; equals psl(m, q) iff gcd(m, q-1) == 1."""
+    """PGL_m(F_q) on the same points, of order ``pgl_order(m, q)``; equals
+    psl(m, q) iff gcd(m, q-1) == 1."""
     return _projective_group(m, q, include_pgl=True)
 
 
 def psl_order(m: int, q: int) -> int:
+    """|PSL_m(q)| = q^(m(m-1)/2) (q^2-1)(q^3-1)...(q^m-1) / gcd(m, q-1)
+    (Dickson, Linear Groups, 1901; Artin, Geometric Algebra, 1957, ch. IV):
+    |SL_m(q)| is that product without the divisor, and the centre of SL_m(q)
+    is the gcd(m, q-1) scalar matrices of determinant 1."""
     order = q ** (m * (m - 1) // 2)
     for i in range(2, m + 1):
         order *= q**i - 1
@@ -268,6 +288,8 @@ def psl_order(m: int, q: int) -> int:
 
 
 def pgl_order(m: int, q: int) -> int:
+    """|PGL_m(q)| = |GL_m(q)|/(q-1) = |SL_m(q)| = gcd(m, q-1) |PSL_m(q)|
+    (Artin, Geometric Algebra, 1957, ch. IV)."""
     return gcd(m, q - 1) * psl_order(m, q)
 
 

@@ -9,6 +9,7 @@ import time
 
 from heartlab.audit import CITATIONS, audit, cyclotomic_obstruction, genus_of
 from heartlab.fppoly import normalize as fp_normalize
+from heartlab.perms import PermGroup
 from heartlab.probe import parse_poly, primes_coprime_to, probe
 from heartlab.reps import (
     endomorphism_algebra,
@@ -187,17 +188,22 @@ def test_criterion_4_group_constructions():
     start = time.monotonic()
     ok = True
     instances = desk_projective_instances()
+    # the constructors carry these orders, so each is proved on the same
+    # generators without it, by the deterministic chain
     for m, q, _degree in instances:
         group = build_group(GroupId("psl", (m, q)))
-        if group.order() != psl_order(m, q) or group.transitivity_degree() < 2:
+        if PermGroup(group.generators).order() != psl_order(m, q):
             ok = False
-        if build_group(GroupId("pgl", (m, q))).order() != pgl_order(m, q):
+        if group.transitivity_degree() < 2:
+            ok = False
+        pgl_group = build_group(GroupId("pgl", (m, q)))
+        if PermGroup(pgl_group.generators).order() != pgl_order(m, q):
             ok = False
     m11 = build_group(GroupId("mathieu", (11,)))
     m12 = build_group(GroupId("mathieu", (12,)))
-    if len(m11.enumerate_elements()) != 7920 or m11.order() != 7920:
+    if len(m11.enumerate_elements()) != 7920 or PermGroup(m11.generators).order() != 7920:
         ok = False
-    if len(m12.enumerate_elements()) != 95040 or m12.order() != 95040:
+    if len(m12.enumerate_elements()) != 95040 or PermGroup(m12.generators).order() != 95040:
         ok = False
     expected_transitivity = {11: 4, 12: 5, 22: 3, 23: 4, 24: 5}
     for n, t in expected_transitivity.items():

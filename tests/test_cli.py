@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from heartlab import cli
+from heartlab import cli, zoo
 from heartlab.perms import ClosureLimitError, PermGroup
 from heartlab.reps import MeatAxeInconclusive
 
@@ -94,6 +94,22 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert err == "error: internal check failed: closure exceeds limit 1000000\n"
+
+    def test_wrong_zoo_order_exit_four(self, capsys, monkeypatch):
+        # a formula order above the true order: the known-order chain runs
+        # out of draws and must not hand back an incomplete chain
+        monkeypatch.setitem(zoo.MATHIEU_ORDERS, 11, 2 * 7920)
+        zoo.build_group.cache_clear()
+        try:
+            code, out, err = run_cli(capsys, "audit", "M11")
+        finally:
+            zoo.build_group.cache_clear()
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "error: internal check failed: chain order 7920 is still below the given "
+            "order 15840 after 1000 sampled elements\n"
+        )
 
 
 class TestAuditCommand:
@@ -195,6 +211,17 @@ class TestProbeCommand:
         assert calls == ["A7", "S7"]
         # recorded when every polynomial of a batch still recomputed the sets
         assert digest == "ebaece3b77aa328728de7f7fd64c30ecf2693d0e67d297b505b4d41696ff6ed1"
+
+    def test_projective_candidate(self, capsys):
+        # candidates split only at commas outside parentheses
+        code, doc, err = run_json(
+            capsys, "probe", "x^7-x-1", "--primes", "30", "--candidates", "PSL(3,2),A7"
+        )
+        assert code == 0
+        assert [(c["group"], c["status"]) for c in doc["payload"]["candidates"]] == [
+            ("PSL(3,2)", "inconsistent"), ("A7", "inconsistent"),
+        ]
+        assert err == "probe over 30 primes: PSL(3,2)=inconsistent, A7=inconsistent\n"
 
     def test_m23_probe_runs(self, capsys):
         code, doc, _ = run_json(

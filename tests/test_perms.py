@@ -8,12 +8,14 @@ chain must equal level by level.
 """
 
 import random
+from functools import lru_cache
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from heartlab.perms import (
+    ChainOrderError,
     DegreeMismatchError,
     PermGroup,
     Permutation,
@@ -22,7 +24,7 @@ from heartlab.perms import (
     from_cycles,
     identity,
 )
-from heartlab.zoo import build_group, parse_group_spec
+from heartlab.zoo import alternating, build_group, parse_group_spec, symmetric
 
 
 def perms(degree):
@@ -290,6 +292,21 @@ def random_subgroup(seed: int) -> PermGroup:
     return PermGroup(gens)
 
 
+def membership_probes(group: PermGroup, seed: int):
+    """Members (generator products, ten sampled elements) and candidates (a
+    transposition, twenty random permutations) for a membership comparison."""
+    members = [compose(a, b) for a in group.generators for b in group.generators]
+    sampler = group.sampler(seed)
+    members += [sampler.sample() for _ in range(10)]
+    rng = random.Random(seed)
+    candidates = [from_cycles(group.degree, [(0, 1)])]
+    for _ in range(20):
+        images = list(range(group.degree))
+        rng.shuffle(images)
+        candidates.append(Permutation(images))
+    return members, candidates
+
+
 def assert_chain_matches_reference(group: PermGroup, seed: int) -> None:
     chain = PermGroup(group.generators).chain()
     ref = reference_chain(group)
@@ -306,17 +323,9 @@ def assert_chain_matches_reference(group: PermGroup, seed: int) -> None:
     assert chain.order() == ref.order()
     assert chain.transitivity_degree() == ref.transitivity_degree()
 
-    rng = random.Random(seed)
-    members = [compose(a, b) for a in group.generators for b in group.generators]
-    sampler = group.sampler(seed)
-    members += [sampler.sample() for _ in range(10)]
+    members, candidates = membership_probes(group, seed)
     for p in members:
         assert chain.contains(p) and ref.contains(p)
-    candidates = [from_cycles(group.degree, [(0, 1)])]
-    for _ in range(20):
-        images = list(range(group.degree))
-        rng.shuffle(images)
-        candidates.append(Permutation(images))
     rejected = 0
     for p in candidates:
         assert chain.contains(p) == ref.contains(p)
@@ -335,8 +344,15 @@ class TestChainMatchesReference:
         assert_chain_matches_reference(random_subgroup(seed), seed)
 
 
-# Work counters of the chain, recorded before the chain moved to inverse
-# transversals: (sum of every level's sifted watermarks, strong generators).
+@lru_cache(maxsize=None)
+def deterministic_chain(name: str):
+    """The deterministic chain of a zoo group: its generators without the order."""
+    return PermGroup(build_group(parse_group_spec(name)).generators).chain()
+
+
+# Work counters of the deterministic chain, recorded before the chain moved to
+# inverse transversals: (sum of every level's sifted watermarks, strong
+# generators).
 CHAIN_WORK_PINS = {
     "M24": (1218, 15),
     "A30": (15359, 50),
@@ -345,15 +361,85 @@ CHAIN_WORK_PINS = {
     "PSL(2,256)": (7185, 18),
 }
 
+# Work counters of the known-order chain the zoo constructors select:
+# (sampled elements sifted, strong generators).
+KNOWN_ORDER_WORK_PINS = {
+    "M24": (10, 13),
+    "A30": (35, 35),
+    "PSL(3,16)": (6, 11),
+    "PSL(5,3)": (18, 17),
+    "PSL(2,256)": (5, 13),
+}
+
 
 class TestChainWorkCounters:
     @pytest.mark.parametrize("name", list(CHAIN_WORK_PINS))
     def test_sifted_and_strong_generators(self, name):
-        levels = build_group(parse_group_spec(name)).chain().levels
+        levels = deterministic_chain(name).levels
         sifted = sum(sum(level.sifted) for level in levels)
         assert (sifted, len(levels[0].gens)) == CHAIN_WORK_PINS[name]
 
+    @pytest.mark.parametrize("name", list(KNOWN_ORDER_WORK_PINS))
+    def test_known_order_draws_and_strong_generators(self, name):
+        chain = build_group(parse_group_spec(name)).chain()
+        assert (chain.draws, len(chain.levels[0].gens)) == KNOWN_ORDER_WORK_PINS[name]
 
+
+# Every zoo group the suite and the benchmark build, plus A60 and PSL(4,7).
+# PSL(6,3) is left out: its deterministic chain alone takes about 7 s.
+KNOWN_ORDER_CROSS_CHECK_GROUPS = (
+    "M11", "M12", "M22", "M23", "M24",
+    "S5", "A5", "A7", "S7", "A8", "S8", "A9", "S9", "A10", "S10", "A30", "A40", "A60",
+    "PSL(2,5)", "PSL(2,8)", "PSL(2,11)", "PSL(2,32)", "PSL(2,64)", "PSL(2,128)",
+    "PSL(2,256)", "PSL(3,2)", "PSL(3,3)", "PSL(3,4)", "PSL(3,5)", "PSL(3,7)",
+    "PSL(3,13)", "PSL(3,16)", "PSL(4,2)", "PSL(4,3)", "PSL(4,7)", "PSL(5,2)",
+    "PSL(5,3)", "PGL(3,3)",
+    "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12", "D5", "D7", "D10",
+)
+
+
+def chain_snapshot(chain) -> list:
+    return [(level.point, tuple(level.orbit_list), [g.images for g in level.gens])
+            for level in chain.levels]
+
+
+class TestKnownOrderChain:
+    """The known-order chain against the deterministic chain as oracle."""
+
+    @pytest.mark.parametrize("name", KNOWN_ORDER_CROSS_CHECK_GROUPS)
+    def test_matches_deterministic_chain(self, name):
+        group = build_group(parse_group_spec(name))
+        assert group.known_order is not None
+        chain = group.chain()
+        oracle = deterministic_chain(name)
+        assert chain.order() == oracle.order() == group.known_order
+        assert chain.orbit_sizes() == oracle.orbit_sizes()
+        assert chain.base_points() == oracle.base_points()
+        assert chain.transitivity_degree() == oracle.transitivity_degree()
+
+        members, candidates = membership_probes(group, 0)
+        for p in members:
+            assert chain.contains(p) and oracle.contains(p)
+        for p in candidates:
+            assert chain.contains(p) == oracle.contains(p)
+
+        # a fresh build draws the same fixed-seed stream: the same chain
+        again = PermGroup(group.generators, order=group.known_order).chain()
+        assert chain_snapshot(again) == chain_snapshot(chain)
+        assert again.draws == chain.draws
+
+    def test_order_above_true_order_exhausts_the_draw_budget(self):
+        with pytest.raises(ChainOrderError, match="still below the given order 240"):
+            PermGroup(symmetric(5).generators, order=240).chain()
+
+    def test_order_the_product_overshoots(self):
+        # the orbit-length product of A5's chain goes 3 -> 15 -> 60, past 30
+        with pytest.raises(ChainOrderError, match="60 exceeds the given order 30"):
+            PermGroup(alternating(5).generators, order=30).chain()
+
+    def test_trivial_group(self):
+        chain = PermGroup([identity(4)], order=1).chain()
+        assert (chain.order(), chain.draws, chain.levels) == (1, 0, [])
 class TestTransitivity:
     def test_symmetric_is_sharply_n_transitive(self, s5):
         assert s5.transitivity_degree() == 5
@@ -366,8 +452,6 @@ class TestTransitivity:
         assert m11.transitivity_degree() == 4
 
     def test_a9_is_7_transitive(self):
-        from heartlab.zoo import alternating
-
         assert alternating(9).transitivity_degree() == 7
 
     def test_intransitive_group(self):
