@@ -125,6 +125,9 @@ def _split_candidates(text: str) -> list[str]:
 
 
 def _cmd_probe(args) -> int:
+    for option, value in (("--primes", args.primes), ("--budget", args.budget)):
+        if value < 1:
+            raise ValueError(f"{option} must be positive, got {value}")
     texts = []
     if args.poly is not None:
         texts.append(args.poly)

@@ -9,8 +9,13 @@ Over F_2 (the MeatAxe's characteristic polynomials) ``factor`` works on
 Python ints instead, bit i the coefficient of x^i: carry-less multiply,
 divmod by shifts, squaring by spreading bits, and the trace map for
 equal-degree splitting.  It draws the same stream and returns the same tuples
-as the coefficient-tuple algorithm would.  The probe's odd-p factoring and
-``distinct_degree_split``/``factor_degrees`` stay on tuples.
+as the coefficient-tuple algorithm would.
+
+For every other p (and for ``factor_degrees`` at p = 2, which the probe
+calls), ``distinct_degree_split`` computes x^p mod f once on unreduced int
+lists and gets each further Frobenius power as a product with the matrix of
+x^(ip) mod f; it takes and returns tuples, and the gcds, the divisions and
+the equal-degree splitting stay on tuples.
 """
 
 from __future__ import annotations
@@ -112,20 +117,69 @@ def pow_mod(base: Poly, exponent: int, modulus: Poly, p: int) -> Poly:
 _X: Poly = (0, 1)
 
 
+def _combine(acc: list[int], coeffs, rows) -> list[int]:
+    """acc plus the sum of c * row over zip(coeffs, rows), unreduced."""
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, b in enumerate(row):
+                acc[i] += c * b
+    return acc
+
+
+def _mulmod(a: list[int], b: list[int], table: list[list[int]], p: int) -> list[int]:
+    """a * b mod f for coefficient lists of length n = deg f, where table[j]
+    is x^(n + j) mod f: the product's high coefficients fold onto the table
+    rows, with one % p per coefficient at the end."""
+    n = len(a)
+    prod = [0] * (2 * n - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                prod[i + j] += c * d
+    return [c % p for c in _combine(prod[:n], prod[n:], table)]
+
+
 def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
-    """[(k, product of degree-k irreducible factors)] for squarefree monic f."""
+    """[(k, product of degree-k irreducible factors)] for squarefree monic f.
+
+    x^p mod f costs one square-and-multiply; after that h -> h^p is F_p-linear
+    modulo f, so each further Frobenius power is one product with the rows
+    x^(ip) mod f (Berlekamp's Q-matrix; von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 14).  h stays reduced modulo the original f and is
+    reduced modulo the shrinking remainder only before each gcd, which is
+    valid because the remainder divides f.
+    """
     f = monic(f, p)
     out = []
-    h = poly_mod(_X, f, p)
-    k = 0
-    while degree(f) > 0 and 2 * (k + 1) <= degree(f):
-        k += 1
-        h = pow_mod(h, p, f, p)
-        g = gcd(sub(h, _X, p), f, p)
-        if degree(g) > 0:
-            out.append((k, g))
-            f = poly_divmod(f, g, p)[0]
-            h = poly_mod(h, f, p)
+    n = degree(f)
+    if n >= 2:
+        top = [-c % p for c in f[:n]]  # x^n mod f
+
+        def times_x(h: list[int]) -> list[int]:
+            return [(a + h[-1] * b) % p for a, b in zip([0] + h[:-1], top)]
+
+        table = [top]
+        for _ in range(n - 2):
+            table.append(times_x(table[-1]))
+        # x^p mod f, left to right: square, then multiply by x for a 1 bit
+        h = [0, 1] + [0] * (n - 2)
+        for bit in bin(p)[3:]:
+            h = _mulmod(h, h, table, p)
+            if bit == "1":
+                h = times_x(h)
+        rows = [[1] + [0] * (n - 1), h]
+        for _ in range(n - 2):
+            rows.append(_mulmod(rows[-1], h, table, p))
+
+        k = 1
+        while 2 * k <= degree(f):
+            g = gcd(sub(poly_mod(normalize(h, p), f, p), _X, p), f, p)
+            if degree(g) > 0:
+                out.append((k, g))
+                f = poly_divmod(f, g, p)[0]
+            k += 1
+            if 2 * k <= degree(f):
+                h = [c % p for c in _combine([0] * n, h, rows)]
     if degree(f) > 0:
         out.append((degree(f), f))
     return out

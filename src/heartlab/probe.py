@@ -9,7 +9,8 @@ agreement is evidence, never proof, and the auditor never consumes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import factorial, gcd
 
 from . import fppoly
 from .fields import is_prime
@@ -207,15 +208,64 @@ def cycle_type_mod_p(poly: IntPolynomial, p: int) -> CycleType | None:
 EXACT_ENUMERATION_LIMIT = 10**6
 
 
-def group_cycle_types(group_id: GroupId, budget: int = 2000, seed: int = 0) -> tuple[set[CycleType], bool]:
-    """Cycle types of a group: exhaustive when the order is small enough.
+def _partitions(n: int, largest: int | None = None):
+    """Partitions of n as non-increasing tuples with parts <= largest."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
-    Returns (types, exact).  Exact sets come from full breadth-first
-    enumeration (order <= 1e6); larger groups are sampled with the
-    product-replacement stream, giving a subset.
+
+_CLOSED_FORM_ORDERS = {
+    "symmetric": factorial,
+    "alternating": lambda n: factorial(n) // 2,
+    "cyclic": lambda n: n,
+    "dihedral": lambda n: 2 * n,
+}
+
+
+def _closed_form_cycle_types(group_id: GroupId) -> set[CycleType] | None:
+    """The exact cycle-type set of S_n, A_n, C_n or D_n from its closed form,
+    or None for other families and for orders above the exact limit.
+
+    A permutation is even iff it has an even number of even-length cycles;
+    the rotation r^k of C_n and D_n has gcd(n, k) cycles of length
+    n / gcd(n, k); the reflections i -> k - i of ``zoo.dihedral`` fix one
+    point each for odd n, and two or none for even n.
+    """
+    family, n = group_id.family, group_id.parameters[0]
+    order = _CLOSED_FORM_ORDERS.get(family)
+    if order is None or order(n) > EXACT_ENUMERATION_LIMIT:
+        return None
+    if family == "symmetric":
+        return {CycleType(t) for t in _partitions(n)}
+    if family == "alternating":
+        return {CycleType(t) for t in _partitions(n)
+                if sum(1 for c in t if c % 2 == 0) % 2 == 0}
+    types = {CycleType((n // d,) * d) for d in (gcd(n, k) for k in range(n))}
+    if family == "dihedral":
+        if n % 2:
+            types.add(CycleType((2,) * (n // 2) + (1,)))
+        else:
+            types.update({CycleType((2,) * (n // 2)), CycleType((2,) * (n // 2 - 1) + (1, 1))})
+    return types
+
+
+def group_cycle_types(group_id: GroupId, budget: int = 2000, seed: int = 0) -> tuple[set[CycleType], bool]:
+    """Cycle types of a group: exact when the order is small enough.
+
+    Returns (types, exact).  For order <= 1e6, symmetric, alternating, cyclic
+    and dihedral sets come from their closed forms with no group built, and
+    the other families from full breadth-first enumeration; larger groups are
+    sampled with the product-replacement stream, giving a subset.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
+    types = _closed_form_cycle_types(group_id)
+    if types is not None:
+        return types, True
     group = build_group(group_id)
     if group.order() <= EXACT_ENUMERATION_LIMIT:
         types = {cycle_type(p) for p in group.enumerate_elements()}

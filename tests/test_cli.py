@@ -67,6 +67,15 @@ class TestExitCodes:
         assert code == 1
         assert "deg f" in err
 
+    @pytest.mark.parametrize("option,value", [("--primes", "0"), ("--primes", "-3"),
+                                              ("--budget", "0"), ("--budget", "-1")])
+    def test_probe_non_positive_count_exit_one(self, capsys, option, value):
+        # rejected whatever the candidates: none are given here
+        code, out, err = run_cli(capsys, "probe", "x^5-x-1", option, value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {option} must be positive, got {value}\n"
+
     def test_missing_subcommand_exit_one(self, capsys):
         assert run_cli(capsys, )[0] == 1
 
@@ -89,8 +98,9 @@ class TestExitCodes:
         def failing(self, limit=10**6):
             raise ClosureLimitError(f"closure exceeds limit {limit}")
 
+        # PSL(2,4) acts on 5 points and still enumerates; A5 has a closed form
         monkeypatch.setattr(PermGroup, "enumerate_elements", failing)
-        code, out, err = run_cli(capsys, "probe", "x^5-x-1", "--candidates", "A5")
+        code, out, err = run_cli(capsys, "probe", "x^5-x-1", "--candidates", "PSL(2,4)")
         assert code == 4
         assert out == ""
         assert err == "error: internal check failed: closure exceeds limit 1000000\n"
@@ -434,6 +444,27 @@ AUDIT_DEEP_PINS = {
 }
 
 
+# probe payloads recorded while every exact cycle-type set still came from
+# breadth-first enumeration and odd-p distinct-degree splitting still raised
+# h to the p-th power modulo f once per degree.
+PROBE_PINS = {
+    ("x^5-x-1", "--primes", "100", "--candidates", "A5,S5,C5,D5"):
+        "60b8683238ff25c465cf13d764c1c0a528f1661f037dd45ead297e1037436c72",
+    ("x^5+20*x+16", "--primes", "100", "--candidates", "A5,S5"):
+        "89175929e9336952b5955cfceea4c80cf5a493a86bb8b1d01b2984f58c0e85b3",
+    ("x^7-x-1", "--primes", "150", "--candidates", "A7,S7,D7,C7"):
+        "fea9a57710c8fa4e10f1fb3be48ed095e348ebd401ccf85440d92a3029d08a7a",
+    ("x^9-x-1", "--primes", "60", "--candidates", "A9"):
+        "53a0b734a3cf7fb4ffba990396e580dfa611406021ab6e0f6337fcc736980803",
+    ("x^8+x+3", "--primes", "150", "--candidates", "A8,S8"):
+        "b0f0ee53fa67149ca3e9570ee4fa7326cabdd5b41248998027337b8888191eaa",
+    ("x^10-x-1", "--primes", "50", "--candidates", "A10,S10", "--seed", "3"):
+        "377463aef5f5939a714b1d726db6435c143cd80c3c8fc0472b811c0c63fdd094",
+}
+PROBE_BATCH = "x^6-x-1\nx^6+3*x^2+2\nx^6-6*x^4+9*x^2-3\n"
+PROBE_BATCH_PIN = "89a1cf0c3882e388e0c30d6f41d4d6cec7bcdcc82f3526135a1320acc68ec86f"
+
+
 def payload_digest(capsys, *argv, exit_code=0):
     code, out, _ = run_cli(capsys, *argv)
     assert code == exit_code
@@ -459,3 +490,16 @@ class TestPayloadPins:
             capsys, "audit", group, "--deep", "--seed", str(seed), exit_code=exit_code
         )
         assert digest == AUDIT_DEEP_PINS[group, seed]
+
+    @pytest.mark.parametrize("argv", list(PROBE_PINS))
+    def test_probe_payload(self, capsys, argv):
+        assert payload_digest(capsys, "probe", *argv) == PROBE_PINS[argv]
+
+    def test_probe_batch_payload(self, capsys, tmp_path):
+        source = tmp_path / "polys.txt"
+        source.write_text(PROBE_BATCH)
+        digest = payload_digest(
+            capsys, "probe", "--file", str(source), "--primes", "80", "--candidates",
+            "A6,S6,C6,D6",
+        )
+        assert digest == PROBE_BATCH_PIN

@@ -23,6 +23,26 @@ def brute_force_irreducible(f, p):
     return True
 
 
+def tuple_distinct_degree_split(f, p):
+    """distinct_degree_split as one pow_mod per degree on tuples (test oracle)."""
+    x = (0, 1)
+    f = monic(f, p)
+    out = []
+    h = poly_mod(x, f, p)
+    k = 0
+    while degree(f) > 0 and 2 * (k + 1) <= degree(f):
+        k += 1
+        h = fppoly.pow_mod(h, p, f, p)
+        g = gcd(fppoly.sub(h, x, p), f, p)
+        if degree(g) > 0:
+            out.append((k, g))
+            f = poly_divmod(f, g, p)[0]
+            h = poly_mod(h, f, p)
+    if degree(f) > 0:
+        out.append((degree(f), f))
+    return out
+
+
 def tuple_equal_degree_split2(f, k, rng):
     if degree(f) == k:
         return [monic(f, 2)]
@@ -56,7 +76,7 @@ def tuple_factor2(f, rng):
             break
         radical = poly_divmod(f, gcd(f, deriv, 2), 2)[0]
         factors = []
-        for k, product in fppoly.distinct_degree_split(radical, 2):
+        for k, product in tuple_distinct_degree_split(radical, 2):
             factors.extend(tuple_equal_degree_split2(product, k, rng))
         for g in sorted(factors):
             m = 0
@@ -105,6 +125,88 @@ def f2_test_poly(rng, same_degree):
     if rng.random() < 0.5:
         f = mul(f, f, 2)  # degree at most 60
     return f
+
+
+def is_squarefree(f, p):
+    deriv = derivative(f, p)
+    return bool(deriv) and degree(gcd(f, deriv, p)) == 0
+
+
+def random_monic(rng, d, p):
+    return normalize([rng.randrange(p) for _ in range(d)] + [1], p)
+
+
+def irreducible_count(d, p):
+    """Number of monic irreducibles of degree d over F_p (Gauss): p^d is the
+    sum of e times the count for every divisor e of d."""
+    return (p**d - sum(e * irreducible_count(e, p) for e in range(1, d) if d % e == 0)) // d
+
+
+def squarefree_test_poly(rng, p):
+    """Squarefree monic of degree 1-16: random, a product of distinct linear
+    factors, or a product of at least two distinct irreducibles of one degree."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        while True:
+            f = random_monic(rng, rng.randrange(1, 17), p)
+            if is_squarefree(f, p):
+                return f
+    if kind == 1:
+        roots = rng.sample(range(p), min(p, rng.randrange(1, 17)))
+        f = (1,)
+        for a in roots:
+            f = mul(f, normalize([-a, 1], p), p)
+        return f
+    d = rng.randrange(1, 5) if p > 2 else rng.randrange(2, 5)
+    count = min(rng.randrange(2, 16 // d + 1), irreducible_count(d, p))
+    found = set()
+    while len(found) < count:
+        g = random_monic(rng, d, p)
+        if tuple_distinct_degree_split(g, p) == [(d, g)] and is_squarefree(g, p):
+            found.add(g)
+    f = (1,)
+    for g in sorted(found):
+        f = mul(f, g, p)
+    return f
+
+
+PRIMES = (2, 3, 5, 7, 101, 7919, 65537)
+
+
+class TestDistinctDegreeSplit:
+    def test_matches_tuple_oracle(self):
+        rng = random.Random(31)
+        degrees = set()
+        for p in PRIMES:
+            for _ in range(120):
+                f = squarefree_test_poly(rng, p)
+                degrees.add(degree(f))
+                assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+        assert degrees == set(range(1, 17))
+
+    def test_same_degree_and_linear_products(self):
+        # x^p - x is the product of every linear factor over F_p
+        for p in (2, 3, 5, 7, 11, 13):
+            f = normalize([0, -1] + [0] * (p - 2) + [1], p)
+            assert fppoly.distinct_degree_split(f, p) == [(1, f)]
+        # the three irreducible quadratics over F_3 and x: one product each
+        quadratics = mul(mul((1, 0, 1), (2, 1, 1), 3), (2, 2, 1), 3)
+        f = mul(quadratics, (0, 1), 3)
+        assert fppoly.distinct_degree_split(f, 3) == [(1, (0, 1)), (2, quadratics)]
+
+    def test_odd_p_factor_leaves_the_same_stream(self, monkeypatch):
+        rng = random.Random(8)
+        cases = [(p, squarefree_test_poly(rng, p)) for p in PRIMES[1:] for _ in range(25)]
+        cases += [(p, mul(f, f, p)) for p, f in cases[::10]]  # repeated factors too
+        for seed, (p, f) in enumerate(cases):
+            actual_rng = SplitMix64(seed)
+            actual = fppoly.factor(f, p, actual_rng)
+            with monkeypatch.context() as patch:
+                patch.setattr(fppoly, "distinct_degree_split", tuple_distinct_degree_split)
+                expected_rng = SplitMix64(seed)
+                expected = fppoly.factor(f, p, expected_rng)
+            assert actual == expected
+            assert actual_rng.next_u64() == expected_rng.next_u64()
 
 
 class TestArithmetic:

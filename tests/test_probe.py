@@ -1,5 +1,6 @@
 """Polynomial parsing, Frobenius cycle types, and probe soundness."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from heartlab.probe import (
     primes_coprime_to,
     probe,
 )
-from heartlab.zoo import GroupId, parse_group_spec
+from heartlab.perms import cycle_type
+from heartlab.zoo import GroupId, build_group, parse_group_spec
 
 
 def sylvester_resultant(f: tuple, g: tuple) -> int:
@@ -171,6 +173,47 @@ class TestGroupCycleTypes:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             group_cycle_types(GroupId("cyclic", (5,)), budget=0)
+
+    @pytest.mark.parametrize(
+        "name", ["S5", "A5", "D5", "C50", "S10", "A10", "M11", "M23", "PSL(2,4)", "PGL(2,5)"]
+    )
+    def test_budget_validation_every_family(self, name):
+        # checked before any closed form or group build (C5 is the case above)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            group_cycle_types(parse_group_spec(name), budget=0)
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"S{n}" for n in range(2, 10)] + [f"A{n}" for n in range(3, 10)]
+        + [f"C{n}" for n in range(2, 41)] + [f"D{n}" for n in range(3, 41)],
+    )
+    def test_closed_form_matches_enumeration(self, name):
+        group_id = parse_group_spec(name)
+        types, exact = group_cycle_types(group_id)
+        assert exact
+        assert types == {cycle_type(g) for g in build_group(group_id).enumerate_elements()}
+
+    # (family, seed, budget): number of sampled types and the sha256 of their
+    # sorted lengths, recorded while exact sets still came from enumeration
+    SAMPLED_PINS = {
+        ("symmetric", 3, 200):
+            (34, "26e82851138aa861f42bec1f0a62f85d20b0c3917b004e9d54a9f30421b72f35"),
+        ("symmetric", 0, 2000):
+            (39, "dfc38b1e5e4bd18ace11ad054571d4ea43feda046af02ef7945c1a99fd4caee2"),
+        ("alternating", 3, 200):
+            (18, "97795b9095067058e47557be88dc7c052dde226a38cbcbeca4e90bee160bfe1c"),
+        ("alternating", 0, 2000):
+            (20, "2b01f20eb1ddb732b738df65364343a265b4cc9b1bc6b9760050d23a3c299387"),
+    }
+
+    @pytest.mark.parametrize("family,seed,budget", list(SAMPLED_PINS))
+    def test_degree_10_stays_sampled(self, family, seed, budget):
+        # S10 and A10 are above the exact limit: the sampled subset, unchanged
+        types, exact = group_cycle_types(GroupId(family, (10,)), budget=budget, seed=seed)
+        assert not exact
+        lengths = sorted(t.lengths for t in types)
+        digest = hashlib.sha256(repr(lengths).encode()).hexdigest()
+        assert (len(lengths), digest) == self.SAMPLED_PINS[family, seed, budget]
 
 
 class TestProbe:
