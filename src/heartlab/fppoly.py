@@ -12,13 +12,17 @@ equal-degree splitting.  It draws the same stream and returns the same tuples
 as the coefficient-tuple algorithm would.
 
 For every other p (and for ``factor_degrees`` at p = 2, which the probe
-calls), ``distinct_degree_split`` computes x^p mod f once on unreduced int
-lists and gets each further Frobenius power as a product with the matrix of
-x^(ip) mod f; it takes and returns tuples, and the gcds, the divisions and
-the equal-degree splitting stay on tuples.
+calls), ``distinct_degree_split`` packs each residue modulo f into one int
+(Kronecker substitution), so a product modulo f is one int multiply and a
+fold of the high slots; it computes x^p mod f once and gets each further
+Frobenius power from the rows x^(ip) mod f.  Its gcds and exact divisions,
+and ``is_squarefree``, run Euclid on int lists.  It takes and returns
+tuples; the equal-degree splitting of odd-p ``factor`` stays on tuples.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .rng import SplitMix64
 
@@ -114,72 +118,123 @@ def pow_mod(base: Poly, exponent: int, modulus: Poly, p: int) -> Poly:
     return result
 
 
-_X: Poly = (0, 1)
+def _euclid(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of two coefficient lists (entries in [0, p), no trailing
+    zeros) by Euclid; both lists are consumed.  Each division step takes one
+    inverse of the divisor's leading coefficient, cancels single top terms in
+    place, and the last two quotient terms q1 x + q0 in one pass: after the
+    first step the dividend is only one degree above the divisor."""
+    while b:
+        db = len(b) - 1
+        if not db:
+            return [1]
+        inv = pow(b[-1], -1, p)
+        while len(a) > db + 2:
+            c = a.pop() * inv % p
+            if c:
+                shift = len(a) - db
+                a[shift:] = [(x - c * y) % p for x, y in zip(a[shift:], b)]
+        if len(a) > db:
+            q1 = a.pop() * inv % p if len(a) > db + 1 else 0
+            q0 = (a.pop() - q1 * b[-2]) * inv % p
+            a = [(x - q0 * y - q1 * z) % p for x, y, z in zip(a, b, [0] + b)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _combine(acc: list[int], coeffs, rows) -> list[int]:
-    """acc plus the sum of c * row over zip(coeffs, rows), unreduced."""
-    for c, row in zip(coeffs, rows):
+def _divide_exact(f: list[int], g: list[int], p: int) -> list[int]:
+    """f / g for monic g dividing f."""
+    rem = list(f)
+    dg = len(g) - 1
+    quot = [0] * (len(f) - dg)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = quot[shift] = rem.pop()
         if c:
-            for i, b in enumerate(row):
-                acc[i] += c * b
-    return acc
+            rem[shift:] = [(x - c * y) % p for x, y in zip(rem[shift:], g)]
+    return quot
 
 
-def _mulmod(a: list[int], b: list[int], table: list[list[int]], p: int) -> list[int]:
-    """a * b mod f for coefficient lists of length n = deg f, where table[j]
-    is x^(n + j) mod f: the product's high coefficients fold onto the table
-    rows, with one % p per coefficient at the end."""
-    n = len(a)
-    prod = [0] * (2 * n - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                prod[i + j] += c * d
-    return [c % p for c in _combine(prod[:n], prod[n:], table)]
+def is_squarefree(f: Poly, p: int) -> bool:
+    """gcd(f, f') = 1 for f of degree >= 1."""
+    deriv = [i * c % p for i, c in enumerate(f)][1:]
+    while deriv and not deriv[-1]:
+        deriv.pop()
+    return bool(deriv) and len(_euclid(list(f), deriv, p)) == 1
 
 
 def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
     """[(k, product of degree-k irreducible factors)] for squarefree monic f.
 
-    x^p mod f costs one square-and-multiply; after that h -> h^p is F_p-linear
-    modulo f, so each further Frobenius power is one product with the rows
-    x^(ip) mod f (Berlekamp's Q-matrix; von zur Gathen and Gerhard, Modern
-    Computer Algebra, ch. 14).  h stays reduced modulo the original f and is
-    reduced modulo the shrinking remainder only before each gcd, which is
-    valid because the remainder divides f.
+    A residue modulo f (degree n) is one int with n slots of w bits, slot i
+    the coefficient of x^i (Kronecker substitution; von zur Gathen and
+    Gerhard, Modern Computer Algebra, sec. 8.4), so a product is one int
+    multiply.  w bounds every unreduced slot: a product coefficient is at
+    most n (p - 1)^2, and folding the high slots onto the rows x^(n + j) mod
+    f at most doubles that.  x^p mod f costs one square-and-multiply, with
+    multiplying by x a shift; after that h -> h^p is F_p-linear modulo f, so
+    each further Frobenius power is the sum of h_i times the row x^(ip) mod f
+    (Berlekamp's Q-matrix; ibid., ch. 14).  h stays reduced modulo the
+    original f; the gcds and divisions run modulo the shrinking remainder,
+    which divides f.
     """
     f = monic(f, p)
     out = []
     n = degree(f)
     if n >= 2:
-        top = [-c % p for c in f[:n]]  # x^n mod f
+        w = 2 * (p - 1).bit_length() + n.bit_length() + 2
+        slot = (1 << w) - 1
+        low = (1 << (w * n)) - 1
+        offsets = range(0, w * n, w)
 
-        def times_x(h: list[int]) -> list[int]:
-            return [(a + h[-1] * b) % p for a, b in zip([0] + h[:-1], top)]
+        def pack(coeffs) -> int:
+            return sum(map(operator.lshift, coeffs, offsets))
 
-        table = [top]
-        for _ in range(n - 2):
-            table.append(times_x(table[-1]))
+        def fold(h: int) -> list[int]:
+            """The coefficients of h mod f, for h of at most 2n slots."""
+            acc = h & low
+            h >>= w * n
+            for t in table:
+                if not h:
+                    break
+                acc += (h & slot) % p * t
+                h >>= w
+            return [(acc >> s & slot) % p for s in offsets]
+
+        # table[j] = x^(n + j) mod f for j < n: a square times x has 2n slots
+        table = [pack([-c % p for c in f[:n]])]
+        for _ in range(n - 1):
+            table.append(pack(fold(table[-1] << w)))
+
         # x^p mod f, left to right: square, then multiply by x for a 1 bit
-        h = [0, 1] + [0] * (n - 2)
+        h = 1 << w
         for bit in bin(p)[3:]:
-            h = _mulmod(h, h, table, p)
+            h *= h
             if bit == "1":
-                h = times_x(h)
-        rows = [[1] + [0] * (n - 1), h]
+                h <<= w
+            h = pack(fold(h))
+        rows = [1, h]
         for _ in range(n - 2):
-            rows.append(_mulmod(rows[-1], h, table, p))
+            rows.append(pack(fold(rows[-1] * h)))
+        power = fold(h)  # x^(p^k) mod f
 
+        rem = list(f)
         k = 1
-        while 2 * k <= degree(f):
-            g = gcd(sub(poly_mod(normalize(h, p), f, p), _X, p), f, p)
-            if degree(g) > 0:
-                out.append((k, g))
-                f = poly_divmod(f, g, p)[0]
+        while 2 * k <= len(rem) - 1:
+            diff = list(power)
+            diff[1] = (diff[1] - 1) % p
+            while diff and not diff[-1]:
+                diff.pop()
+            g = _euclid(list(rem), diff, p)
+            if len(g) > 1:
+                out.append((k, tuple(g)))
+                rem = _divide_exact(rem, g, p)
             k += 1
-            if 2 * k <= degree(f):
-                h = [c % p for c in _combine([0] * n, h, rows)]
+            if 2 * k <= len(rem) - 1:
+                power = fold(sum(map(operator.mul, power, rows)))
+        f = tuple(rem)
     if degree(f) > 0:
         out.append((degree(f), f))
     return out

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import factorial, gcd
 
 from . import fppoly
-from .fields import is_prime
 from .perms import CycleType, cycle_type
 from .zoo import GroupId, build_group
 
@@ -180,13 +179,26 @@ def format_poly(poly: IntPolynomial) -> str:
 
 
 def primes_coprime_to(count: int, leading: int) -> list[int]:
-    """The first ``count`` primes not dividing the leading coefficient."""
+    """The first ``count`` primes not dividing the leading coefficient.
+
+    Each candidate is trial-divided by the primes found so far up to its
+    square root, those that divide the leading coefficient included.
+    """
     out = []
-    candidate = 2
+    primes: list[int] = []
+    small = 0  # primes[:small] are the primes q with q * q <= candidate
+    candidate = 1
     while len(out) < count:
-        if is_prime(candidate) and leading % candidate != 0:
-            out.append(candidate)
         candidate += 1
+        while small < len(primes) and primes[small] ** 2 <= candidate:
+            small += 1
+        for q in primes[:small]:
+            if not candidate % q:
+                break
+        else:
+            primes.append(candidate)
+            if leading % candidate:
+                out.append(candidate)
     return out
 
 
@@ -198,9 +210,8 @@ def cycle_type_mod_p(poly: IntPolynomial, p: int) -> CycleType | None:
     """
     if poly.leading % p == 0:
         raise ValueError(f"prime {p} divides the leading coefficient")
-    fbar = fppoly.normalize(poly.coeffs, p)
-    deriv = fppoly.derivative(fbar, p)
-    if not deriv or fppoly.degree(fppoly.gcd(fbar, deriv, p)) > 0:
+    fbar = fppoly.monic(fppoly.normalize(poly.coeffs, p), p)
+    if not fppoly.is_squarefree(fbar, p):
         return None
     return CycleType(tuple(fppoly.factor_degrees(fbar, p)))
 
@@ -332,6 +343,8 @@ def probe(poly: IntPolynomial, prime_count: int, candidates: list[GroupId],
     A prime giving a single irreducible factor certifies irreducibility over
     the rationals (sufficient, not necessary).
     """
+    if prime_count < 1:
+        raise ValueError(f"prime_count must be positive, got {prime_count}")
     for candidate in candidates:
         if candidate.natural_degree != poly.degree:
             raise ValueError(

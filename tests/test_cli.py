@@ -460,6 +460,9 @@ PROBE_PINS = {
         "b0f0ee53fa67149ca3e9570ee4fa7326cabdd5b41248998027337b8888191eaa",
     ("x^10-x-1", "--primes", "50", "--candidates", "A10,S10", "--seed", "3"):
         "377463aef5f5939a714b1d726db6435c143cd80c3c8fc0472b811c0c63fdd094",
+    # non-monic: the reduction is made monic before the squarefree test
+    ("3*x^7-5*x+2", "--primes", "400", "--candidates", "A7,S7"):
+        "bb8962fc37069924d6c0a0a3300b8397ce4b087370842ffa7fe1d5918e8d0c86",
 }
 PROBE_BATCH = "x^6-x-1\nx^6+3*x^2+2\nx^6-6*x^4+9*x^2-3\n"
 PROBE_BATCH_PIN = "89a1cf0c3882e388e0c30d6f41d4d6cec7bcdcc82f3526135a1320acc68ec86f"

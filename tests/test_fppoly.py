@@ -170,7 +170,20 @@ def squarefree_test_poly(rng, p):
     return f
 
 
+def squarefree_product(rng, d, p):
+    """Squarefree monic of degree d: a product of random monic pieces of
+    random degrees, so the split has parts of several degrees."""
+    while True:
+        f = (1,)
+        while degree(f) < d:
+            f = mul(f, random_monic(rng, rng.randrange(1, d - degree(f) + 1), p), p)
+        if is_squarefree(f, p):
+            return f
+
+
 PRIMES = (2, 3, 5, 7, 101, 7919, 65537)
+# a residue slot holds 2 * 61 + 6 + 2 bits at degree 40 and p = 2^61 - 1
+WIDE_PRIMES = (2**31 - 1, 2**61 - 1)
 
 
 class TestDistinctDegreeSplit:
@@ -183,6 +196,16 @@ class TestDistinctDegreeSplit:
                 degrees.add(degree(f))
                 assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
         assert degrees == set(range(1, 17))
+        # the slot-width limits: every degree up to 40 and p up to 2^61 - 1
+        cases = [(d, PRIMES[d % len(PRIMES)]) for d in range(17, 41)]
+        cases += [(d, p) for p in WIDE_PRIMES for d in (24, 33, 40)]
+        for d, p in cases:
+            f = squarefree_product(rng, d, p)
+            assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+        for p in WIDE_PRIMES:
+            for _ in range(8):
+                f = squarefree_test_poly(rng, p)
+                assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
 
     def test_same_degree_and_linear_products(self):
         # x^p - x is the product of every linear factor over F_p

@@ -7,6 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from heartlab import fppoly
+from heartlab.fields import is_prime
+from heartlab.perms import CycleType
 from heartlab.probe import (
     IntPolynomial,
     PolyParseError,
@@ -19,6 +22,7 @@ from heartlab.probe import (
 )
 from heartlab.perms import cycle_type
 from heartlab.zoo import GroupId, build_group, parse_group_spec
+from test_fppoly import tuple_distinct_degree_split
 
 
 def sylvester_resultant(f: tuple, g: tuple) -> int:
@@ -55,6 +59,38 @@ def sylvester_resultant(f: tuple, g: tuple) -> int:
 
 def int_derivative(coeffs: tuple) -> tuple:
     return tuple(i * c for i, c in enumerate(coeffs))[1:]
+
+
+def tuple_cycle_type_mod_p(poly: IntPolynomial, p: int):
+    """cycle_type_mod_p on coefficient tuples: normalize, derivative, tuple
+    gcd, then the one-pow_mod-per-degree split (test oracle)."""
+    fbar = fppoly.normalize(poly.coeffs, p)
+    deriv = fppoly.derivative(fbar, p)
+    if not deriv or fppoly.degree(fppoly.gcd(fbar, deriv, p)) > 0:
+        return None
+    degrees = []
+    for k, product in tuple_distinct_degree_split(fbar, p):
+        degrees += [k] * (fppoly.degree(product) // k)
+    return CycleType(tuple(degrees))
+
+
+def trial_division_primes_coprime_to(count: int, leading: int) -> list[int]:
+    """primes_coprime_to by is_prime on every integer (test oracle)."""
+    out = []
+    candidate = 2
+    while len(out) < count:
+        if is_prime(candidate) and leading % candidate != 0:
+            out.append(candidate)
+        candidate += 1
+    return out
+
+
+def random_non_monic(rng: random.Random) -> IntPolynomial:
+    """Degree 2-20, coefficients up to 10^6 in absolute value, |leading| >= 2."""
+    degree = rng.randrange(2, 21)
+    coeffs = [rng.randrange(-10**6, 10**6 + 1) for _ in range(degree)]
+    coeffs.append(rng.choice((-1, 1)) * rng.randrange(2, 10**6 + 1))
+    return IntPolynomial(tuple(coeffs))
 
 
 class TestParse:
@@ -143,6 +179,62 @@ class TestCycleTypeModP:
             for p in primes_coprime_to(50, f.leading):
                 if cycle_type_mod_p(f, p) is None:
                     assert resultant % p == 0
+
+
+    # the tuple oracle costs up to 10 ms per prime at degree 20, so the full
+    # comparison runs on a prefix and a stride of each prime list; the
+    # squarefree (ramification) test runs on all of it
+    X_N_MINUS_X_MINUS_1 = [IntPolynomial((-1, -1) + (0,) * (n - 2) + (1,)) for n in range(5, 31)]
+    NON_MONIC = [random_non_monic(random.Random(seed)) for seed in range(40)]
+
+    def test_x_n_minus_x_minus_1_matches_tuple_oracle(self):
+        for f in self.X_N_MINUS_X_MINUS_1:
+            for p in primes_coprime_to(12, f.leading):
+                assert cycle_type_mod_p(f, p) == tuple_cycle_type_mod_p(f, p)
+
+    def test_non_monic_matches_tuple_oracle(self):
+        assert {f.degree for f in self.NON_MONIC} >= {2, 20}
+        ramified = 0
+        for f in self.NON_MONIC:
+            primes = primes_coprime_to(500, f.leading)
+            for p in primes[:10] + primes[10::70]:
+                assert cycle_type_mod_p(f, p) == tuple_cycle_type_mod_p(f, p)
+            for p in primes:
+                fbar = fppoly.normalize(f.coeffs, p)
+                deriv = fppoly.derivative(fbar, p)
+                expected = bool(deriv) and fppoly.degree(fppoly.gcd(fbar, deriv, p)) == 0
+                assert fppoly.is_squarefree(fppoly.monic(fbar, p), p) == expected
+                ramified += not expected
+        assert ramified > 40  # every p dividing a discriminant, not one per polynomial
+
+    @pytest.mark.parametrize("p", [65537, 2**31 - 1])
+    def test_large_primes_match_tuple_oracle(self, p):
+        for f in self.X_N_MINUS_X_MINUS_1[::3] + self.NON_MONIC[::4]:
+            assert cycle_type_mod_p(f, p) == tuple_cycle_type_mod_p(f, p)
+
+    def test_ramified_non_monic(self):
+        # discriminant 2^2 - 4*3*3 = -32: 3x^2 + 2x + 3 = (x + 1)^2 mod 2, and
+        # it is squarefree mod every odd prime
+        f = parse_poly("3x^2+2x+3")
+        assert cycle_type_mod_p(f, 2) is None and tuple_cycle_type_mod_p(f, 2) is None
+        for p in (5, 7, 11, 13):
+            assert cycle_type_mod_p(f, p) == tuple_cycle_type_mod_p(f, p) is not None
+
+
+class TestPrimesCoprimeTo:
+    @pytest.mark.parametrize("leading", [1, -6, 30030, 7919])
+    def test_matches_trial_division(self, leading):
+        expected = trial_division_primes_coprime_to(2000, leading)
+        # each count's answer is the prefix of the next one's
+        for count in list(range(1, 101)) + list(range(101, 2001, 97)) + [2000]:
+            assert primes_coprime_to(count, leading) == expected[:count]
+
+    def test_primes_dividing_the_leading_coefficient_still_sieve(self):
+        # 30030 = 2*3*5*7*11*13: 169 and 121 must still be ruled out
+        primes = primes_coprime_to(10, 30030)
+        assert primes == [17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+        assert 121 not in primes_coprime_to(30, 30030)
+        assert 169 not in primes_coprime_to(30, 30030)
 
 
 class TestGroupCycleTypes:
@@ -243,6 +335,11 @@ class TestProbe:
         report = probe(parse_poly("x^5-x-1"), 100, [GroupId("symmetric", (5,))])
         assert report.verdicts[0].status == "consistent"
         assert report.irreducibility_evidence is True
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_non_positive_prime_count_rejected(self, count):
+        with pytest.raises(ValueError, match=f"prime_count must be positive, got {count}"):
+            probe(parse_poly("x^5-x-1"), count, [GroupId("alternating", (5,))])
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
