@@ -19,7 +19,7 @@ from .audit import (
     min_projective_degree_bound,
 )
 from .fields import FieldElement, FieldSpec, ProjPoint, canonicalize, make_field, projective_points
-from .linalg import ModMatrix, Subspace, charpoly, kernel, rank, solve, spin
+from .linalg import ModMatrix, Subspace, charpoly, kernel, spin
 from .perms import CycleType, PermGroup, Permutation, compose, cycle_type, from_cycles, identity
 from .probe import IntPolynomial, ProbeReport, cycle_type_mod_p, group_cycle_types, parse_poly, probe
 from .reps import (
@@ -27,10 +27,8 @@ from .reps import (
     GModuleRep,
     endomorphism_algebra,
     heart,
-    is_absolutely_irreducible,
     is_indecomposable,
     is_irreducible,
-    permutation_module,
 )
 from .zoo import (
     GroupId,
@@ -49,11 +47,11 @@ __all__ = [
     "AuditReport", "audit", "check_unbounded", "cyclotomic_obstruction", "genus_of",
     "min_projective_degree_bound",
     "FieldElement", "FieldSpec", "ProjPoint", "canonicalize", "make_field", "projective_points",
-    "ModMatrix", "Subspace", "charpoly", "kernel", "rank", "solve", "spin",
+    "ModMatrix", "Subspace", "charpoly", "kernel", "spin",
     "CycleType", "PermGroup", "Permutation", "compose", "cycle_type", "from_cycles", "identity",
     "IntPolynomial", "ProbeReport", "cycle_type_mod_p", "group_cycle_types", "parse_poly", "probe",
-    "EndoAlgebra", "GModuleRep", "endomorphism_algebra", "heart", "is_absolutely_irreducible",
-    "is_indecomposable", "is_irreducible", "permutation_module",
+    "EndoAlgebra", "GModuleRep", "endomorphism_algebra", "heart", "is_indecomposable",
+    "is_irreducible",
     "GroupId", "alternating", "build_group", "cyclic", "dihedral", "mathieu",
     "parse_group_spec", "pgl", "psl", "symmetric",
 ]

@@ -438,7 +438,7 @@ def check_unbounded(group_id: GroupId, g: int) -> UnboundedCertificate | Inconcl
             return UnboundedCertificate(name, g, steps)
 
     if g == 3:
-        order = build_group(group_id).order()
+        order = group_id.order
         if order % 7 == 0 and cyclotomic_obstruction(7, 3):
             steps.append(
                 CertificateStep(

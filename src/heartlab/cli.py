@@ -8,10 +8,10 @@ the default output stays reproducible.
 
 Exit codes: audit 0 = certified, 2 = excluded, 3 = inconclusive; probe and
 heart 0 on a successful run; 1 for usage, parse or degree errors everywhere;
-4 when an internal check fails (a witness or End verification, a MeatAxe
-without a verdict, an element closure past its limit, or a known-order
-stabilizer chain that contradicts its group's order), reported as one line
-on stderr.
+4 when an internal check fails (a witness or End verification, an element
+closure past its limit, or a known-order stabilizer chain that contradicts
+its group's order), reported as one line on stderr.  A MeatAxe that reaches
+no verdict is not a failure: its status reads "inconclusive".
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from . import __version__
 from .audit import CITATIONS, audit, _load_facts
 from .perms import ClosureLimitError
 from .probe import PolyParseError, group_cycle_types, parse_poly, probe
-from .reps import (
-    MeatAxeInconclusive,
-    endomorphism_algebra,
-    heart,
-    is_indecomposable,
-    is_irreducible,
-)
+from .reps import endomorphism_algebra, heart, is_indecomposable, is_irreducible
 from .zoo import GroupSpecError, MATHIEU_DEGREES, build_group, parse_group_spec
 
 EXIT_OK = 0
@@ -247,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GroupSpecError, PolyParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (AssertionError, MeatAxeInconclusive, ClosureLimitError) as exc:
+    except (AssertionError, ClosureLimitError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

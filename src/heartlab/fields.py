@@ -12,6 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+from . import fppoly
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -21,42 +23,6 @@ def is_prime(n: int) -> bool:
         if n % d == 0:
             return False
         d += 1
-    return True
-
-
-def _poly_mod(coeffs: tuple[int, ...], p: int) -> tuple[int, ...]:
-    coeffs = tuple(c % p for c in coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    return coeffs
-
-
-def _poly_divmod(a: tuple[int, ...], b: tuple[int, ...], p: int):
-    # b monic is not assumed; leading coefficient inverted mod p
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    quot = [0] * max(0, da - db + 1)
-    while da >= db:
-        c = (a[da] * inv_lead) % p
-        quot[da - db] = c
-        for i, bc in enumerate(b):
-            a[da - db + i] = (a[da - db + i] - c * bc) % p
-        while a and a[-1] % p == 0:
-            a.pop()
-        da = len(a) - 1
-    return _poly_mod(tuple(quot), p), _poly_mod(tuple(a), p)
-
-
-def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Trial division by monic polynomials of degree up to r//2."""
-    r = len(modulus) - 1
-    for d in range(1, r // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisor = tuple(tail) + (1,)
-            _, rem = _poly_divmod(modulus, divisor, p)
-            if not rem:
-                return False
     return True
 
 
@@ -90,12 +56,6 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return FieldElement(self, (1,) + (0,) * (self.r - 1))
 
-    def element(self, coeffs) -> "FieldElement":
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.r:
-            raise ValueError(f"need exactly {self.r} coefficients")
-        return FieldElement(self, coeffs)
-
     def from_int(self, value: int) -> "FieldElement":
         """Element with index ``value`` in base-p digit order (constant digit first)."""
         if not 0 <= value < self.q:
@@ -105,9 +65,6 @@ class FieldSpec:
             coeffs.append(value % self.p)
             value //= self.p
         return FieldElement(self, tuple(coeffs))
-
-    def elements(self) -> list["FieldElement"]:
-        return [self.from_int(i) for i in range(self.q)]
 
     # -- arithmetic on coefficient tuples -------------------------------------
 
@@ -169,10 +126,6 @@ class FieldElement:
         self._check(other)
         return FieldElement(self.field, self.field._add(self.coeffs, other.coeffs))
 
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field._add(self.coeffs, self.field._neg(other.coeffs)))
-
     def __neg__(self):
         return FieldElement(self.field, self.field._neg(self.coeffs))
 
@@ -182,18 +135,6 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.field, self.field._inv(self.coeffs))
-
-    def __pow__(self, k: int) -> "FieldElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -224,7 +165,9 @@ def make_field(p: int, r: int) -> FieldSpec:
     """GF(p^r) with the lexicographically smallest monic irreducible modulus.
 
     Candidate moduli x^r + c_{r-1} x^{r-1} + ... + c_0 are compared by the
-    tuple (c_0, ..., c_{r-1}), low-degree coefficient first.
+    tuple (c_0, ..., c_{r-1}), low-degree coefficient first.  A candidate is
+    irreducible iff it is squarefree with one factor of degree r; c_0 = 0
+    means x divides it, which rules it out before any factoring.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -233,8 +176,8 @@ def make_field(p: int, r: int) -> FieldSpec:
     if r == 1:
         return FieldSpec(p, 1, (0, 1))  # modulus x, i.e. the prime field
     for tail in product(range(p), repeat=r):
-        modulus = tuple(tail) + (1,)
-        if _is_irreducible(modulus, p):
+        modulus = tail + (1,)
+        if tail[0] and fppoly.is_squarefree(modulus, p) and fppoly.factor_degrees(modulus, p) == [r]:
             return FieldSpec(p, r, modulus)
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 

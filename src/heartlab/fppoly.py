@@ -1,23 +1,21 @@
-"""Polynomial arithmetic and factorization over prime fields F_p.
+"""Polynomials over prime fields F_p: distinct-degree splitting for any p,
+full factorization over F_2 only.
 
 Polynomials are tuples of coefficients in [0, p), constant term first, with
-no trailing zeros (the zero polynomial is the empty tuple).  Factorization
-runs distinct-degree splitting first and then Cantor-Zassenhaus equal-degree
-splitting, whose randomness comes from an explicit SplitMix64 stream.
+no trailing zeros (the zero polynomial is the empty tuple).
 
-Over F_2 (the MeatAxe's characteristic polynomials) ``factor`` works on
-Python ints instead, bit i the coefficient of x^i: carry-less multiply,
-divmod by shifts, squaring by spreading bits, and the trace map for
-equal-degree splitting.  It draws the same stream and returns the same tuples
-as the coefficient-tuple algorithm would.
-
-For every other p (and for ``factor_degrees`` at p = 2, which the probe
-calls), ``distinct_degree_split`` packs each residue modulo f into one int
+The probe reads only factor degrees of f mod p (Dedekind), for any p:
+``distinct_degree_split`` packs each residue modulo f into one int
 (Kronecker substitution), so a product modulo f is one int multiply and a
 fold of the high slots; it computes x^p mod f once and gets each further
 Frobenius power from the rows x^(ip) mod f.  Its gcds and exact divisions,
-and ``is_squarefree``, run Euclid on int lists.  It takes and returns
-tuples; the equal-degree splitting of odd-p ``factor`` stays on tuples.
+and ``is_squarefree``, run Euclid on int lists.
+
+The MeatAxe factors characteristic polynomials over F_2, where ``factor``
+works on Python ints, bit i the coefficient of x^i: carry-less multiply,
+divmod by shifts, squaring by spreading bits, distinct-degree splitting, and
+Cantor-Zassenhaus equal-degree splitting with the trace map, whose randomness
+comes from an explicit SplitMix64 stream.
 """
 
 from __future__ import annotations
@@ -41,81 +39,11 @@ def degree(f: Poly) -> int:
     return len(f) - 1
 
 
-def add(f: Poly, g: Poly, p: int) -> Poly:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return normalize(out, p)
-
-
-def sub(f: Poly, g: Poly, p: int) -> Poly:
-    out = list(f) + [0] * max(0, len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return normalize(out, p)
-
-
-def mul(f: Poly, g: Poly, p: int) -> Poly:
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return normalize(out, p)
-
-
-def poly_divmod(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    dg = degree(g)
-    inv_lead = pow(g[-1], p - 2, p)
-    quot = [0] * max(0, len(f) - dg)
-    while len(rem) - 1 >= dg and rem:
-        c = (rem[-1] * inv_lead) % p
-        shift = len(rem) - 1 - dg
-        quot[shift] = c
-        for i, b in enumerate(g):
-            rem[shift + i] = (rem[shift + i] - c * b) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return normalize(quot, p), normalize(rem, p)
-
-
-def poly_mod(f: Poly, g: Poly, p: int) -> Poly:
-    return poly_divmod(f, g, p)[1]
-
-
 def monic(f: Poly, p: int) -> Poly:
     if not f or f[-1] == 1:
         return f
     inv = pow(f[-1], p - 2, p)
     return normalize([c * inv for c in f], p)
-
-
-def gcd(f: Poly, g: Poly, p: int) -> Poly:
-    while g:
-        f, g = g, poly_mod(f, g, p)
-    return monic(f, p)
-
-
-def derivative(f: Poly, p: int) -> Poly:
-    return normalize([(i * c) % p for i, c in enumerate(f)][1:], p)
-
-
-def pow_mod(base: Poly, exponent: int, modulus: Poly, p: int) -> Poly:
-    result: Poly = (1,)
-    base = poly_mod(base, modulus, p)
-    while exponent:
-        if exponent & 1:
-            result = poly_mod(mul(result, base, p), modulus, p)
-        base = poly_mod(mul(base, base, p), modulus, p)
-        exponent >>= 1
-    return result
 
 
 def _euclid(a: list[int], b: list[int], p: int) -> list[int]:
@@ -248,66 +176,17 @@ def factor_degrees(f: Poly, p: int) -> list[int]:
     return sorted(out)
 
 
-def _random_poly(max_degree: int, p: int, rng: SplitMix64) -> Poly:
-    while True:
-        coeffs = [rng.below(p) for _ in range(max_degree + 1)]
-        f = normalize(coeffs, p)
-        if degree(f) >= 1:
-            return f
-
-
-def _equal_degree_split(f: Poly, k: int, p: int, rng: SplitMix64) -> list[Poly]:
-    """Cantor-Zassenhaus for odd p: split a product of distinct degree-k irreducibles."""
-    if degree(f) == k:
-        return [monic(f, p)]
-    while True:
-        r = _random_poly(degree(f) - 1, p, rng)
-        s = pow_mod(r, (p**k - 1) // 2, f, p)
-        candidate = gcd(sub(s, (1,), p), f, p)
-        if 0 < degree(candidate) < degree(f):
-            cofactor = poly_divmod(f, candidate, p)[0]
-            return _equal_degree_split(candidate, k, p, rng) + _equal_degree_split(
-                cofactor, k, p, rng
-            )
-
-
-def _pth_root(f: Poly, p: int) -> Poly:
-    # f has zero derivative, so f = g(x^p); coefficients are fixed by Frobenius
-    return normalize([f[i] for i in range(0, len(f), p)], p)
-
-
 def factor(f: Poly, p: int, rng: SplitMix64) -> list[tuple[Poly, int]]:
-    """Full monic factorization [(irreducible, multiplicity)], sorted.
+    """Full monic factorization [(irreducible, multiplicity)] over F_2, sorted.
 
     Squarefree part f / gcd(f, f'), then distinct-degree and equal-degree
-    splitting, and the p-th root when f' = 0.  p = 2 runs on ints (_factor2)
-    with the same steps and the same draws from ``rng``.
+    splitting, and the square root when f' = 0, all on ints (_factor2), with
+    draws from ``rng``.  Only p = 2 is supported.
     """
-    if p == 2:
-        found2 = _factor2(sum((c & 1) << i for i, c in enumerate(f)), rng)
-        return sorted((_poly_of_int(g), m) for g, m in found2.items())
-    f = monic(f, p)
-    if degree(f) < 1:
-        return []
-    found: dict[Poly, int] = {}
-    while degree(f) > 0:
-        deriv = derivative(f, p)
-        if not deriv:
-            for g, m in factor(_pth_root(f, p), p, rng):
-                found[g] = found.get(g, 0) + m * p
-            break
-        radical = poly_divmod(f, gcd(f, deriv, p), p)[0]
-        for k, product in distinct_degree_split(radical, p):
-            for g in _equal_degree_split(product, k, p, rng):
-                m = 0
-                while True:
-                    quot, rem = poly_divmod(f, g, p)
-                    if rem:
-                        break
-                    f = quot
-                    m += 1
-                found[g] = found.get(g, 0) + m
-    return sorted(found.items())
+    if p != 2:
+        raise ValueError(f"factor supports p = 2 only, got p = {p}")
+    found = _factor2(sum((c & 1) << i for i, c in enumerate(f)), rng)
+    return sorted((_poly_of_int(g), m) for g, m in found.items())
 
 
 # -- F_2[x] on ints: bit i is the coefficient of x^i ------------------------------
@@ -387,8 +266,8 @@ def _distinct_degree_split2(f: int) -> list[tuple[int, int]]:
 def _equal_degree_split2(f: int, k: int, rng: SplitMix64) -> list[int]:
     """Cantor-Zassenhaus over F_2 with the trace map r + r^2 + ... + r^(2^(k-1)).
 
-    Draws the same stream as _random_poly(deg f - 1, 2, rng): the i-th draw is
-    the coefficient of x^i, redrawn whole while the degree is below 1.
+    r has degree below deg f: one draw per coefficient, the i-th draw the
+    coefficient of x^i, redrawn whole while the degree is below 1.
     """
     n = f.bit_length() - 1
     if n == k:
@@ -411,7 +290,7 @@ def _equal_degree_split2(f: int, k: int, rng: SplitMix64) -> list[int]:
 
 
 def _factor2(f: int, rng: SplitMix64) -> dict[int, int]:
-    """factor() for p = 2 on ints: {irreducible: multiplicity}."""
+    """factor() on ints: {irreducible: multiplicity}."""
     found: dict[int, int] = {}
     while f.bit_length() > 1:
         # f' keeps the odd-degree terms, each moved down one degree

@@ -115,25 +115,12 @@ class ModMatrix:
         self.rows = rows
 
     @classmethod
-    def from_entries(cls, entries) -> "ModMatrix":
-        entries = [list(r) for r in entries]
-        nrows = len(entries)
-        ncols = len(entries[0]) if entries else 0
-        if any(len(r) != ncols for r in entries):
-            raise ValueError("ragged rows")
-        rows = [sum((e & 1) << j for j, e in enumerate(r)) for r in entries]
-        return cls(nrows, ncols, rows)
-
-    @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "ModMatrix":
         return cls(nrows, ncols, [0] * nrows)
 
     @classmethod
     def identity(cls, n: int) -> "ModMatrix":
         return cls(n, n, [1 << i for i in range(n)])
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -198,13 +185,6 @@ class ModMatrix:
         return f"ModMatrix({self.nrows}x{self.ncols})"
 
 
-def rank(matrix: ModMatrix) -> int:
-    ech = _Echelon()
-    for r in matrix.rows:
-        ech.insert(r)
-    return ech.dimension
-
-
 def kernel(matrix: ModMatrix) -> Subspace:
     """Right kernel {x : M x = 0} as row vectors of length ncols."""
     ech = _Echelon()
@@ -220,26 +200,6 @@ def kernel(matrix: ModMatrix) -> Subspace:
                 v |= 1 << p
         vectors.append(v)
     return Subspace.from_vectors(matrix.ncols, vectors)
-
-
-def solve(matrix: ModMatrix, rhs) -> int | None:
-    """Any x with M x = rhs, or None if inconsistent.
-
-    rhs is a bitset of length nrows, or a sequence of nrows bits.
-    """
-    n, c = matrix.nrows, matrix.ncols
-    if isinstance(rhs, (list, tuple)):
-        rhs = sum((int(b) & 1) << i for i, b in enumerate(rhs))
-    ech = _Echelon()
-    for i in range(n):
-        ech.insert(matrix.rows[i] | (((rhs >> i) & 1) << c))
-    if c in ech.rows:
-        return None
-    x = 0
-    for p, row in ech.rows.items():
-        if (row >> c) & 1:
-            x |= 1 << p
-    return x
 
 
 def spin(seed_vectors, actions: list[ModMatrix], ambient: int) -> Subspace:

@@ -3,9 +3,9 @@
 Points are the integers 0..n-1.  The composition convention, fixed once for
 the whole package, is ``compose(p, q)(x) == p(q(x))`` (apply q first).
 
-Groups carry a stabilizer chain with the forced base 0, 1, 2, ... (points
-fixed by the respective stabilizer contribute nothing and are filtered from
-the public base).  The chain has two build loops.  A group built without an
+Groups carry a stabilizer chain with the forced base 0, 1, 2, ... (a point
+fixed by the respective stabilizer has an orbit of length 1 and contributes
+nothing).  The chain has two build loops.  A group built without an
 order gets the deterministic Schreier-Sims closure.  A group built with its
 known order (every ``zoo`` constructor passes one) gets random Schreier-Sims:
 product-replacement elements are sifted until the product of the basic orbit
@@ -176,9 +176,6 @@ class CycleType:
     def degree(self) -> int:
         return sum(self.lengths)
 
-    def __str__(self) -> str:
-        return "+".join(map(str, self.lengths))
-
 
 def cycle_type(p: Permutation) -> CycleType:
     seen = [False] * p.degree
@@ -252,8 +249,8 @@ class _StabilizerChain:
     """Schreier-Sims chain with base forced to 0, 1, 2, ...
 
     Level i always has base point i; levels whose subgroup fixes their point
-    sit in the chain with a singleton orbit and are skipped by the public
-    accessors.  A strong generator is listed at every level it stabilizes
+    sit in the chain with a singleton orbit, which adds nothing to the order
+    or the transitivity degree.  A strong generator is listed at every level it stabilizes
     through, so each level's generator list generates the corresponding
     pointwise stabilizer once construction finishes.
 
@@ -395,12 +392,6 @@ class _StabilizerChain:
         residue, _ = self._strip(p.images, 0)
         return residue == self._id
 
-    def base_points(self) -> list[int]:
-        return [lvl.point for lvl in self.levels if len(lvl.orbit_list) > 1]
-
-    def orbit_sizes(self) -> list[tuple[int, int]]:
-        return [(lvl.point, len(lvl.orbit_list)) for lvl in self.levels if len(lvl.orbit_list) > 1]
-
     def transitivity_degree(self) -> int:
         """Largest t with orbit sizes n, n-1, ..., n-t+1 along base 0, 1, ..."""
         n = self.degree
@@ -457,17 +448,8 @@ class PermGroup:
             raise DegreeMismatchError(f"degree {p.degree} != {self.degree}")
         return self.chain().contains(p)
 
-    def base_points(self) -> list[int]:
-        return self.chain().base_points()
-
-    def orbit_sizes(self) -> list[tuple[int, int]]:
-        return self.chain().orbit_sizes()
-
     def transitivity_degree(self) -> int:
         return self.chain().transitivity_degree()
-
-    def is_transitive(self) -> bool:
-        return self.transitivity_degree() >= 1
 
     def enumerate_elements(self, limit: int = 10**6) -> list[Permutation]:
         """All elements by breadth-first closure; independent of the chain.
@@ -493,9 +475,6 @@ class PermGroup:
     def sampler(self, seed: int) -> "ElementSampler":
         return ElementSampler(self, seed)
 
-    def random_element(self, seed: int) -> Permutation:
-        return ElementSampler(self, seed).sample()
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
@@ -519,9 +498,9 @@ class ElementSampler:
         self._acc = identity(group.degree)
         self._rng = SplitMix64(seed)
         for _ in range(self._MIXING_ROUNDS):
-            self._stir()
+            self.sample()
 
-    def _stir(self) -> Permutation:
+    def sample(self) -> Permutation:
         rng = self._rng
         slots = self._slots
         i = rng.below(len(slots))
@@ -535,6 +514,3 @@ class ElementSampler:
         else:
             self._acc = compose(slots[i], self._acc)
         return self._acc
-
-    def sample(self) -> Permutation:
-        return self._stir()

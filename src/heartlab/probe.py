@@ -10,7 +10,7 @@ agreement is evidence, never proof, and the auditor never consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import gcd
 
 from . import fppoly
 from .perms import CycleType, cycle_type
@@ -44,9 +44,6 @@ class IntPolynomial:
     @property
     def leading(self) -> int:
         return self.coeffs[-1]
-
-    def __str__(self) -> str:
-        return format_poly(self)
 
 
 _TOKEN_CHARS = set("0123456789xX+-*^() \t")
@@ -229,14 +226,6 @@ def _partitions(n: int, largest: int | None = None):
             yield (part,) + rest
 
 
-_CLOSED_FORM_ORDERS = {
-    "symmetric": factorial,
-    "alternating": lambda n: factorial(n) // 2,
-    "cyclic": lambda n: n,
-    "dihedral": lambda n: 2 * n,
-}
-
-
 def _closed_form_cycle_types(group_id: GroupId) -> set[CycleType] | None:
     """The exact cycle-type set of S_n, A_n, C_n or D_n from its closed form,
     or None for other families and for orders above the exact limit.
@@ -247,8 +236,8 @@ def _closed_form_cycle_types(group_id: GroupId) -> set[CycleType] | None:
     point each for odd n, and two or none for even n.
     """
     family, n = group_id.family, group_id.parameters[0]
-    order = _CLOSED_FORM_ORDERS.get(family)
-    if order is None or order(n) > EXACT_ENUMERATION_LIMIT:
+    families = ("symmetric", "alternating", "cyclic", "dihedral")
+    if family not in families or group_id.order > EXACT_ENUMERATION_LIMIT:
         return None
     if family == "symmetric":
         return {CycleType(t) for t in _partitions(n)}
@@ -278,7 +267,7 @@ def group_cycle_types(group_id: GroupId, budget: int = 2000, seed: int = 0) -> t
     if types is not None:
         return types, True
     group = build_group(group_id)
-    if group.order() <= EXACT_ENUMERATION_LIMIT:
+    if group_id.order <= EXACT_ENUMERATION_LIMIT:
         types = {cycle_type(p) for p in group.enumerate_elements()}
         return types, True
     sampler = group.sampler(seed)

@@ -1,5 +1,5 @@
-"""G-modules over F_2: permutation module, heart, endomorphism algebra,
-MeatAxe irreducibility, absolute irreducibility, indecomposability.
+"""G-modules over F_2: heart, endomorphism algebra, MeatAxe irreducibility,
+indecomposability.
 
 Modules are spaces of row vectors with generators acting on the right
 (v -> v.A), so the matrix of a permutation g has row i equal to e_{g(i)}.
@@ -20,31 +20,15 @@ from .perms import PermGroup, Permutation
 from .rng import SplitMix64
 
 
-class MeatAxeInconclusive(RuntimeError):
-    """The randomized irreducibility test hit its attempt cap."""
-
-
-def permutation_matrix(p: Permutation) -> ModMatrix:
-    n = p.degree
-    return ModMatrix(n, n, [1 << p.images[i] for i in range(n)])
-
-
 @dataclass
 class GModuleRep:
     """A representation given by generator images (parallel to group generators)."""
 
     dimension: int
     images: list[ModMatrix]
-    provenance: str
-    group: PermGroup | None = None
 
     def transposed_images(self) -> list[ModMatrix]:
         return [a.transpose() for a in self.images]
-
-
-def permutation_module(group: PermGroup) -> GModuleRep:
-    images = [permutation_matrix(g) for g in group.generators]
-    return GModuleRep(group.degree, images, "permutation", group)
 
 
 def _sum_zero_image(g: Permutation) -> ModMatrix:
@@ -61,7 +45,7 @@ def _sum_zero_image(g: Permutation) -> ModMatrix:
 def sum_zero_module(group: PermGroup) -> GModuleRep:
     """The stable hyperplane of coordinate-sum-zero vectors in F_2^n."""
     images = [_sum_zero_image(g) for g in group.generators]
-    return GModuleRep(group.degree - 1, images, "sum-zero", group)
+    return GModuleRep(group.degree - 1, images)
 
 
 def heart(group: PermGroup) -> GModuleRep:
@@ -70,8 +54,7 @@ def heart(group: PermGroup) -> GModuleRep:
     if n < 3:
         raise ValueError("heart needs degree >= 3")
     if n % 2 == 1:
-        rep = sum_zero_module(group)
-        return GModuleRep(n - 1, rep.images, "heart", group)
+        return sum_zero_module(group)
     ones = (1 << (n - 1)) - 1
     images = []
     for g in group.generators:
@@ -83,7 +66,7 @@ def heart(group: PermGroup) -> GModuleRep:
                 u ^= ones
             rows.append(u >> 1)
         images.append(ModMatrix(n - 2, n - 2, rows))
-    return GModuleRep(n - 2, images, "heart", group)
+    return GModuleRep(n - 2, images)
 
 
 # -- endomorphism algebra ------------------------------------------------------
@@ -95,11 +78,6 @@ class EndoAlgebra:
 
     dimension: int
     basis: list[ModMatrix] = field(repr=False)
-
-    def contains_identity(self) -> bool:
-        n = self.basis[0].nrows if self.basis else 0
-        span = Subspace.from_vectors(n * n, [_vec_of_matrix(b) for b in self.basis])
-        return span.contains(_vec_of_matrix(ModMatrix.identity(n)))
 
 
 def _vec_of_matrix(m: ModMatrix) -> int:
@@ -226,10 +204,6 @@ class IrreducibilityVerdict:
     witness: Subspace | None = None
     attempts: int = 0
 
-    @property
-    def is_irreducible(self) -> bool:
-        return self.status == "irreducible"
-
 
 MEATAXE_ATTEMPT_CAP = 200
 
@@ -328,16 +302,6 @@ def is_irreducible(rep: GModuleRep, seed: int = 0) -> IrreducibilityVerdict:
                 return IrreducibilityVerdict("reducible", complement, attempt)
             return IrreducibilityVerdict("irreducible", attempts=attempt)
     return IrreducibilityVerdict("inconclusive", attempts=MEATAXE_ATTEMPT_CAP)
-
-
-def is_absolutely_irreducible(rep: GModuleRep, seed: int = 0) -> bool:
-    """Irreducible with scalar-only endomorphisms; raises on inconclusive."""
-    verdict = is_irreducible(rep, seed)
-    if verdict.status == "inconclusive":
-        raise MeatAxeInconclusive(f"no verdict after {verdict.attempts} attempts")
-    if verdict.status == "reducible":
-        return False
-    return endomorphism_algebra(rep).dimension == 1
 
 
 # -- indecomposability ---------------------------------------------------------

@@ -84,12 +84,30 @@ class GroupId:
             if len(params) != 2:
                 raise GroupSpecError(f"{fam} needs (m, q)")
             m, q = params
-            if m < 2 or prime_power_decomposition(q) is None:
+            if m < 2 or q < 2:
                 raise GroupSpecError(f"bad {fam} parameters (m={m}, q={q})")
-            if q**m > 10**5:
+            # before the prime-power test, which trial-divides up to sqrt(q);
+            # q >= 2 and m > 16 give q^m > 1e5 without forming q^m
+            if m > 16 or q**m > 10**5:
                 raise GroupSpecError(f"(m={m}, q={q}) exceeds the supported scale q^m <= 1e5")
+            if prime_power_decomposition(q) is None:
+                raise GroupSpecError(f"bad {fam} parameters (m={m}, q={q})")
         else:
             raise GroupSpecError(f"unknown family {fam!r}")
+
+    @property
+    def order(self) -> int:
+        """The group's order from its family's closed form, with no group
+        built: the order each zoo constructor passes to its ``PermGroup``."""
+        fam, params = self.family, self.parameters
+        if fam in ("psl", "pgl"):
+            return (psl_order if fam == "psl" else pgl_order)(*params)
+        n = params[0]
+        if fam in ("symmetric", "alternating"):
+            return factorial(n) // (1 if fam == "symmetric" else 2)
+        if fam == "mathieu":
+            return MATHIEU_ORDERS[n]
+        return n if fam == "cyclic" else 2 * n
 
     @property
     def natural_degree(self) -> int:
@@ -104,9 +122,6 @@ class GroupId:
         letter = {"symmetric": "S", "alternating": "A", "mathieu": "M",
                   "cyclic": "C", "dihedral": "D"}[self.family]
         return f"{letter}{self.parameters[0]}"
-
-    def build(self) -> PermGroup:
-        return build_group(self)
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
@@ -245,21 +260,14 @@ def _linear_generators(m: int, field: FieldSpec, include_pgl: bool):
 
 
 def _projective_group(m: int, q: int, include_pgl: bool) -> PermGroup:
-    decomposition = prime_power_decomposition(q)
-    if decomposition is None:
-        raise GroupSpecError(f"{q} is not a prime power")
-    if m < 2:
-        raise GroupSpecError("projective groups need m >= 2")
-    if q**m > 10**5:
-        raise GroupSpecError(f"(m={m}, q={q}) exceeds the supported scale q^m <= 1e5")
-    p, r = decomposition
+    group_id = GroupId("pgl" if include_pgl else "psl", (m, q))  # validates (m, q)
+    p, r = prime_power_decomposition(q)
     field = make_field(p, r)
     points = projective_points(field, m)
     index_of = {pt.key(): i for i, pt in enumerate(points)}
     mats = _linear_generators(m, field, include_pgl)
     gens = [_projective_permutation(mat, points, index_of, field) for mat in mats]
-    order = pgl_order(m, q) if include_pgl else psl_order(m, q)
-    group = PermGroup(gens, order=order)
+    group = PermGroup(gens, order=group_id.order)
     group.point_labels = points
     return group
 

@@ -1,0 +1,165 @@
+"""Code the tests build on that the package itself does not need.
+
+- Coefficient-tuple F_p[x] arithmetic: the straightforward algorithms that
+  the int paths of ``fppoly`` and ``probe`` are checked against.
+- F_2 matrices from entry lists, their entries and rank.
+- Permutation matrices and the permutation module, a test input for the
+  End solver and the MeatAxe next to the heart.
+- The base points and basic orbit sizes of a stabilizer chain, skipping the
+  levels whose point the stabilizer fixes.
+"""
+
+import itertools
+
+from heartlab.fppoly import degree, monic, normalize
+from heartlab.linalg import ModMatrix, _Echelon
+from heartlab.reps import GModuleRep
+
+# -- F_p[x] on coefficient tuples ----------------------------------------------
+
+
+def add(f, g, p):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] = (out[i] + c) % p
+    return normalize(out, p)
+
+
+def sub(f, g, p):
+    out = list(f) + [0] * max(0, len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] = (out[i] - c) % p
+    return normalize(out, p)
+
+
+def mul(f, g, p):
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    return normalize(out, p)
+
+
+def poly_divmod(f, g, p):
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f)
+    dg = degree(g)
+    inv_lead = pow(g[-1], p - 2, p)
+    quot = [0] * max(0, len(f) - dg)
+    while len(rem) - 1 >= dg and rem:
+        c = (rem[-1] * inv_lead) % p
+        shift = len(rem) - 1 - dg
+        quot[shift] = c
+        for i, b in enumerate(g):
+            rem[shift + i] = (rem[shift + i] - c * b) % p
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return normalize(quot, p), normalize(rem, p)
+
+
+def poly_mod(f, g, p):
+    return poly_divmod(f, g, p)[1]
+
+
+def gcd(f, g, p):
+    while g:
+        f, g = g, poly_mod(f, g, p)
+    return monic(f, p)
+
+
+def derivative(f, p):
+    return normalize([(i * c) % p for i, c in enumerate(f)][1:], p)
+
+
+def pow_mod(base, exponent, modulus, p):
+    result = (1,)
+    base = poly_mod(base, modulus, p)
+    while exponent:
+        if exponent & 1:
+            result = poly_mod(mul(result, base, p), modulus, p)
+        base = poly_mod(mul(base, base, p), modulus, p)
+        exponent >>= 1
+    return result
+
+
+def random_poly(max_degree, p, rng):
+    """Coefficients drawn from a SplitMix64 stream, constant term first,
+    redrawn whole until the degree is at least 1."""
+    while True:
+        f = normalize([rng.below(p) for _ in range(max_degree + 1)], p)
+        if degree(f) >= 1:
+            return f
+
+
+def brute_force_irreducible(f, p):
+    d = degree(f)
+    for dd in range(1, d // 2 + 1):
+        for tail in itertools.product(range(p), repeat=dd):
+            if not poly_divmod(f, tail + (1,), p)[1]:
+                return False
+    return True
+
+
+def tuple_distinct_degree_split(f, p):
+    """distinct_degree_split as one pow_mod per degree on tuples."""
+    x = (0, 1)
+    f = monic(f, p)
+    out = []
+    h = poly_mod(x, f, p)
+    k = 0
+    while degree(f) > 0 and 2 * (k + 1) <= degree(f):
+        k += 1
+        h = pow_mod(h, p, f, p)
+        g = gcd(sub(h, x, p), f, p)
+        if degree(g) > 0:
+            out.append((k, g))
+            f = poly_divmod(f, g, p)[0]
+            h = poly_mod(h, f, p)
+    if degree(f) > 0:
+        out.append((degree(f), f))
+    return out
+
+
+# -- F_2 matrices and permutation modules ----------------------------------------
+
+
+def matrix_from_entries(entries):
+    rows = [sum((e & 1) << j for j, e in enumerate(r)) for r in entries]
+    return ModMatrix(len(entries), len(entries[0]) if entries else 0, rows)
+
+
+def entry(matrix, i, j):
+    return (matrix.rows[i] >> j) & 1
+
+
+def rank(matrix):
+    ech = _Echelon()
+    for r in matrix.rows:
+        ech.insert(r)
+    return ech.dimension
+
+
+def permutation_matrix(p):
+    n = p.degree
+    return ModMatrix(n, n, [1 << p.images[i] for i in range(n)])
+
+
+def permutation_module(group):
+    return GModuleRep(group.degree, [permutation_matrix(g) for g in group.generators])
+
+
+# -- stabilizer chains ------------------------------------------------------------
+
+
+def orbit_sizes(chain):
+    return [(lvl.point, len(lvl.orbit_list)) for lvl in chain.levels if len(lvl.orbit_list) > 1]
+
+
+def base_points(chain):
+    return [point for point, _ in orbit_sizes(chain)]

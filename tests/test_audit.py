@@ -24,7 +24,13 @@ from heartlab.audit import (
     group_fact,
     min_projective_degree_bound,
 )
-from heartlab.zoo import MATHIEU_DEGREES, GroupId, GroupSpecError, prime_power_decomposition
+from heartlab.zoo import (
+    MATHIEU_DEGREES,
+    GroupId,
+    GroupSpecError,
+    parse_group_spec,
+    prime_power_decomposition,
+)
 
 
 class TestGenus:
@@ -177,6 +183,24 @@ class TestCheckUnbounded:
             cert = check_unbounded(gid, 3)
             assert isinstance(cert, UnboundedCertificate)
             assert {s.rule for s in cert.steps} == {"R4"}
+
+    def test_rule_r4_reads_the_closed_form_order(self, monkeypatch):
+        # R4 needs only |G|: no group is built inside check_unbounded
+        audit_module = importlib.import_module("heartlab.audit")
+
+        def no_build(group_id):
+            raise AssertionError(f"build_group({group_id.name()}) inside check_unbounded")
+
+        def guarded(group_id, g):
+            with monkeypatch.context() as patch:
+                patch.setattr(audit_module, "build_group", no_build)
+                return check_unbounded(group_id, g)
+
+        monkeypatch.setattr(audit_module, "check_unbounded", guarded)
+        for name in ("A7", "S7", "S8", "PSL(3,2)"):
+            report = audit(parse_group_spec(name))
+            assert report.verdict == "certified"
+            assert {s.rule for s in report.certificate.steps} == {"R4"}
 
     def test_inconclusive_cases(self):
         out = check_unbounded(GroupId("cyclic", (11,)), 5)

@@ -3,14 +3,14 @@
 import hashlib
 import importlib
 import json
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from heartlab import cli, zoo
-from heartlab.perms import ClosureLimitError, PermGroup
-from heartlab.reps import MeatAxeInconclusive
+from heartlab.perms import ChainOrderError, ClosureLimitError, PermGroup
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -76,12 +76,22 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {option} must be positive, got {value}\n"
 
+    @pytest.mark.parametrize("name", ["PSL(2,10000000000000061)", "PSL(2,1000000000000000003)",
+                                      "PSL(100000000,2)"])
+    def test_huge_projective_parameters_fail_fast(self, capsys, name):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "audit", name)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "exceeds the supported scale q^m <= 1e5" in err
+
     def test_missing_subcommand_exit_one(self, capsys):
         assert run_cli(capsys, )[0] == 1
 
     @pytest.mark.parametrize(
         "error",
-        [AssertionError("witness subspace is not invariant"), MeatAxeInconclusive("no verdict")],
+        [AssertionError("witness subspace is not invariant"),
+         ChainOrderError("chain order 60 exceeds the given order 30")],
     )
     def test_internal_check_failure_exit_four(self, capsys, monkeypatch, error):
         def failing(*args, **kwargs):

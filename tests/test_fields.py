@@ -13,6 +13,45 @@ from heartlab.fields import (
 )
 
 
+def elements(field):
+    return [field.from_int(i) for i in range(field.q)]
+
+
+def power(a, k):
+    result = a.field.one()
+    for _ in range(k):
+        result = result * a
+    return result
+
+
+def trial_division_divmod(a, b, p):
+    """(quotient, remainder) of a by b over F_p, coefficient tuples."""
+    a = list(a)
+    db, da = len(b) - 1, len(a) - 1
+    inv_lead = pow(b[-1], p - 2, p)
+    quot = [0] * max(0, da - db + 1)
+    while da >= db:
+        c = (a[da] * inv_lead) % p
+        quot[da - db] = c
+        for i, bc in enumerate(b):
+            a[da - db + i] = (a[da - db + i] - c * bc) % p
+        while a and a[-1] % p == 0:
+            a.pop()
+        da = len(a) - 1
+    return quot, a
+
+
+def trial_division_irreducible(modulus, p):
+    """Irreducible iff no monic polynomial of degree 1..r//2 divides it (the
+    test make_field made before it used fppoly; test oracle)."""
+    r = len(modulus) - 1
+    for d in range(1, r // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            if not trial_division_divmod(modulus, tail + (1,), p)[1]:
+                return False
+    return True
+
+
 class TestMakeField:
     def test_prime_field_modulus(self):
         assert make_field(2, 1).modulus == (0, 1)
@@ -38,6 +77,25 @@ class TestMakeField:
         with pytest.raises(ValueError):
             make_field(2, 9)
 
+    def test_modulus_matches_trial_division(self):
+        # every field with p^r <= 1e5 and r <= 8: the lexicographically first
+        # monic irreducible, found by trial division
+        count = 0
+        for r in range(1, 9):
+            p = 2
+            while p**r <= 10**5:
+                if is_prime(p):
+                    # monic candidates, (c_0, ..., c_{r-1}) in lexicographic order
+                    candidates = (
+                        tuple(i // p ** (r - 1 - k) % p for k in range(r)) + (1,)
+                        for i in range(p**r)
+                    )
+                    expected = next(m for m in candidates if trial_division_irreducible(m, p))
+                    assert make_field(p, r).modulus == expected, (p, r)
+                    count += 1
+                p += 1
+        assert count == 9690
+
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -45,12 +103,12 @@ class TestMakeField:
 class TestArithmetic:
     def test_f4_generator_square(self):
         f4 = make_field(2, 2)
-        x = f4.element((0, 1))
+        x = f4.from_int(2)  # the coefficients (0, 1)
         assert (x * x).coeffs == (1, 1)  # x^2 = x + 1 under x^2+x+1
 
     def test_f8_inverses_exhaustive(self):
         f8 = make_field(2, 3)
-        for a in f8.elements():
+        for a in elements(f8):
             if a.is_zero():
                 with pytest.raises(ZeroDivisionError):
                     a.inverse()
@@ -60,7 +118,7 @@ class TestArithmetic:
     def test_f9_multiplicative_group_cyclic(self):
         f9 = make_field(3, 2)
         orders = set()
-        for a in f9.elements():
+        for a in elements(f9):
             if a.is_zero():
                 continue
             power, k = a, 1
@@ -85,15 +143,19 @@ class TestArithmetic:
         for p, r in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)]:
             field = make_field(p, r)
             assert field.q <= 64 or (p, r) == (7, 2)
-            for a in field.elements():
-                for b in field.elements():
-                    assert (a + b) ** p == a**p + b**p
+            for a in elements(field):
+                for b in elements(field):
+                    assert power(a + b, p) == power(a, p) + power(b, p)
 
     def test_subtraction_and_negation(self):
+        # subtraction is adding the negation: 3 - 5 = 5 in F_7
         f7 = make_field(7, 1)
-        a, b = f7.element((3,)), f7.element((5,))
-        assert a - b == a + (-b)
-        assert (a - a).is_zero()
+        a, b = f7.from_int(3), f7.from_int(5)
+        assert a + (-b) == f7.from_int(5)
+        assert (a + (-a)).is_zero()
+        f9 = make_field(3, 2)
+        for x in elements(f9):
+            assert (x + (-x)).is_zero()
 
 
 class TestProjectivePoints:
@@ -122,10 +184,10 @@ class TestProjectivePoints:
 
     def test_canonicalize_scaling_invariance(self):
         field = make_field(2, 2)
-        vector = (field.element((0, 1)), field.one(), field.zero())
+        vector = (field.from_int(2), field.one(), field.zero())
         images = {
             canonicalize(tuple(s * c for c in vector))
-            for s in field.elements()
+            for s in elements(field)
             if not s.is_zero()
         }
         assert len(images) == 1
@@ -137,7 +199,7 @@ class TestProjectivePoints:
 
     def test_canonicalize_definition_case(self):
         field = make_field(5, 1)
-        a, b = field.element((2,)), field.element((3,))
+        a, b = field.from_int(2), field.from_int(3)
         point = canonicalize((field.zero(), a, b))
         assert point.coords[0].is_zero()
         assert point.coords[1] == field.one()

@@ -1,53 +1,38 @@
 """Prime-field polynomial arithmetic and factorization.
 
-The int-encoded F_2 path of ``factor`` is cross-checked against
-``tuple_factor2``, the coefficient-tuple Cantor-Zassenhaus with the trace map
-it replaced, kept here as a test oracle.
+The int-encoded F_2 ``factor`` is cross-checked against ``tuple_factor2``,
+the coefficient-tuple Cantor-Zassenhaus with the trace map it replaced, and
+the packed ``distinct_degree_split`` against the tuple one-``pow_mod``-per-
+degree loop of ``support``; both are kept as test oracles.
 """
 
 import itertools
 import random
 
+import pytest
+
 from heartlab import fppoly
-from heartlab.fppoly import add, degree, derivative, gcd, monic, mul, normalize, poly_divmod, poly_mod
+from heartlab.fppoly import degree, monic, normalize
 from heartlab.rng import SplitMix64
-
-
-def brute_force_irreducible(f, p):
-    d = fppoly.degree(f)
-    for dd in range(1, d // 2 + 1):
-        for tail in itertools.product(range(p), repeat=dd):
-            divisor = tail + (1,)
-            if not fppoly.poly_divmod(f, divisor, p)[1]:
-                return False
-    return True
-
-
-def tuple_distinct_degree_split(f, p):
-    """distinct_degree_split as one pow_mod per degree on tuples (test oracle)."""
-    x = (0, 1)
-    f = monic(f, p)
-    out = []
-    h = poly_mod(x, f, p)
-    k = 0
-    while degree(f) > 0 and 2 * (k + 1) <= degree(f):
-        k += 1
-        h = fppoly.pow_mod(h, p, f, p)
-        g = gcd(fppoly.sub(h, x, p), f, p)
-        if degree(g) > 0:
-            out.append((k, g))
-            f = poly_divmod(f, g, p)[0]
-            h = poly_mod(h, f, p)
-    if degree(f) > 0:
-        out.append((degree(f), f))
-    return out
+from support import (
+    add,
+    brute_force_irreducible,
+    derivative,
+    gcd,
+    mul,
+    poly_divmod,
+    poly_mod,
+    pow_mod,
+    random_poly,
+    tuple_distinct_degree_split,
+)
 
 
 def tuple_equal_degree_split2(f, k, rng):
     if degree(f) == k:
         return [monic(f, 2)]
     while True:
-        r = fppoly._random_poly(degree(f) - 1, 2, rng)
+        r = random_poly(degree(f) - 1, 2, rng)
         # trace map r + r^2 + ... + r^(2^(k-1)) modulo f
         t = ()
         term = poly_mod(r, f, 2)
@@ -217,22 +202,9 @@ class TestDistinctDegreeSplit:
         f = mul(quadratics, (0, 1), 3)
         assert fppoly.distinct_degree_split(f, 3) == [(1, (0, 1)), (2, quadratics)]
 
-    def test_odd_p_factor_leaves_the_same_stream(self, monkeypatch):
-        rng = random.Random(8)
-        cases = [(p, squarefree_test_poly(rng, p)) for p in PRIMES[1:] for _ in range(25)]
-        cases += [(p, mul(f, f, p)) for p, f in cases[::10]]  # repeated factors too
-        for seed, (p, f) in enumerate(cases):
-            actual_rng = SplitMix64(seed)
-            actual = fppoly.factor(f, p, actual_rng)
-            with monkeypatch.context() as patch:
-                patch.setattr(fppoly, "distinct_degree_split", tuple_distinct_degree_split)
-                expected_rng = SplitMix64(seed)
-                expected = fppoly.factor(f, p, expected_rng)
-            assert actual == expected
-            assert actual_rng.next_u64() == expected_rng.next_u64()
-
-
 class TestArithmetic:
+    """The tuple arithmetic the oracles are built from."""
+
     def test_divmod_reconstruction(self):
         rng = random.Random(19)
         for _ in range(50):
@@ -241,8 +213,8 @@ class TestArithmetic:
             g = fppoly.normalize([rng.randrange(p) for _ in range(rng.randrange(1, 6))], p)
             if not g:
                 continue
-            quotient, remainder = fppoly.poly_divmod(f, g, p)
-            back = fppoly.add(fppoly.mul(quotient, g, p), remainder, p)
+            quotient, remainder = poly_divmod(f, g, p)
+            back = add(mul(quotient, g, p), remainder, p)
             assert back == f
             assert fppoly.degree(remainder) < fppoly.degree(g)
 
@@ -254,15 +226,15 @@ class TestArithmetic:
             b = fppoly.normalize([rng.randrange(p) for _ in range(5)], p)
             if not a or not b:
                 continue
-            g = fppoly.gcd(a, b, p)
-            assert not fppoly.poly_divmod(a, g, p)[1]
-            assert not fppoly.poly_divmod(b, g, p)[1]
+            g = gcd(a, b, p)
+            assert not poly_divmod(a, g, p)[1]
+            assert not poly_divmod(b, g, p)[1]
 
     def test_pow_mod_frobenius_fixed_field(self):
         # x^(p^2) == x modulo an irreducible quadratic: Frobenius has order 2
         for p, modulus in [(2, (1, 1, 1)), (3, (1, 0, 1)), (5, (2, 0, 1))]:
             assert brute_force_irreducible(modulus, p)
-            x_to_p_squared = fppoly.pow_mod((0, 1), p**2, modulus, p)
+            x_to_p_squared = pow_mod((0, 1), p**2, modulus, p)
             assert x_to_p_squared == (0, 1)
 
 
@@ -271,23 +243,23 @@ class TestFactorization:
         rng_elt = SplitMix64(0)
         rng = random.Random(7)
         for _ in range(60):
-            p = rng.choice([2, 2, 3, 5, 7])
             degree = rng.randrange(1, 9)
-            coeffs = [rng.randrange(p) for _ in range(degree)] + [1]
-            f = fppoly.normalize(coeffs, p)
-            factors = fppoly.factor(f, p, rng_elt)
+            f = fppoly.normalize([rng.randrange(2) for _ in range(degree)] + [1], 2)
+            factors = fppoly.factor(f, 2, rng_elt)
             product = (1,)
             for g, mult in factors:
-                assert brute_force_irreducible(g, p)
+                assert brute_force_irreducible(g, 2)
                 for _ in range(mult):
-                    product = fppoly.mul(product, g, p)
-            assert product == fppoly.monic(f, p)
+                    product = mul(product, g, 2)
+            assert product == f
 
     def test_repeated_factor_multiplicity(self):
         f = (1,)
         for _ in range(6):
-            f = fppoly.mul(f, (1, 1), 3)  # (x + 1)^6
-        assert fppoly.factor(f, 3, SplitMix64(1)) == [((1, 1), 6)]
+            f = mul(f, (1, 1), 2)  # (x + 1)^6
+        g = mul((1, 1, 1), (1, 1, 0, 1), 2)  # (x^2 + x + 1)(x^3 + x + 1)
+        f = mul(f, mul(g, g, 2), 2)
+        assert fppoly.factor(f, 2, SplitMix64(1)) == [((1, 1), 6), ((1, 1, 0, 1), 2), ((1, 1, 1), 2)]
 
     def test_char_p_power_detection(self):
         # x^4 + 1 = (x + 1)^4 over F_2: derivative vanishes
@@ -303,8 +275,14 @@ class TestFactorization:
             assert max(degrees) <= 2
 
     def test_determinism_with_fixed_seed(self):
-        f = fppoly.normalize([3, 1, 4, 1, 5, 9, 2, 6, 1], 7)
-        assert fppoly.factor(f, 7, SplitMix64(0)) == fppoly.factor(f, 7, SplitMix64(0))
+        f = fppoly.normalize([1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1], 2)
+        assert fppoly.factor(f, 2, SplitMix64(0)) == fppoly.factor(f, 2, SplitMix64(0))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 65537])
+    def test_factor_rejects_odd_p(self, p):
+        # only the MeatAxe factors, and only over F_2; the probe reads degrees
+        with pytest.raises(ValueError, match=f"p = 2 only, got p = {p}"):
+            fppoly.factor((1, 0, 1), p, SplitMix64(0))
 
 
 class TestF2Factorization:

@@ -22,7 +22,7 @@ from heartlab.probe import (
 )
 from heartlab.perms import cycle_type
 from heartlab.zoo import GroupId, build_group, parse_group_spec
-from test_fppoly import tuple_distinct_degree_split
+from support import derivative, gcd, tuple_distinct_degree_split
 
 
 def sylvester_resultant(f: tuple, g: tuple) -> int:
@@ -65,8 +65,8 @@ def tuple_cycle_type_mod_p(poly: IntPolynomial, p: int):
     """cycle_type_mod_p on coefficient tuples: normalize, derivative, tuple
     gcd, then the one-pow_mod-per-degree split (test oracle)."""
     fbar = fppoly.normalize(poly.coeffs, p)
-    deriv = fppoly.derivative(fbar, p)
-    if not deriv or fppoly.degree(fppoly.gcd(fbar, deriv, p)) > 0:
+    deriv = derivative(fbar, p)
+    if not deriv or fppoly.degree(gcd(fbar, deriv, p)) > 0:
         return None
     degrees = []
     for k, product in tuple_distinct_degree_split(fbar, p):
@@ -201,8 +201,8 @@ class TestCycleTypeModP:
                 assert cycle_type_mod_p(f, p) == tuple_cycle_type_mod_p(f, p)
             for p in primes:
                 fbar = fppoly.normalize(f.coeffs, p)
-                deriv = fppoly.derivative(fbar, p)
-                expected = bool(deriv) and fppoly.degree(fppoly.gcd(fbar, deriv, p)) == 0
+                deriv = derivative(fbar, p)
+                expected = bool(deriv) and fppoly.degree(gcd(fbar, deriv, p)) == 0
                 assert fppoly.is_squarefree(fppoly.monic(fbar, p), p) == expected
                 ramified += not expected
         assert ramified > 40  # every p dividing a discriminant, not one per polynomial

@@ -4,16 +4,14 @@ import random
 
 import pytest
 
-from heartlab.linalg import ModMatrix, kernel, rank
+from heartlab.linalg import ModMatrix, Subspace, kernel
 from heartlab.perms import PermGroup, compose, identity
 from heartlab.reps import (
+    _vec_of_matrix,
     endomorphism_algebra,
     heart,
-    is_absolutely_irreducible,
     is_indecomposable,
     is_irreducible,
-    permutation_matrix,
-    permutation_module,
     sum_zero_module,
 )
 from heartlab.zoo import (
@@ -25,6 +23,15 @@ from heartlab.zoo import (
     parse_group_spec,
     symmetric,
 )
+from support import permutation_matrix, permutation_module, rank
+
+
+def is_absolutely_irreducible(rep, seed=0):
+    """Irreducible with scalar-only endomorphisms: a MeatAxe verdict, then
+    the End dimension."""
+    verdict = is_irreducible(rep, seed)
+    assert verdict.status != "inconclusive"
+    return verdict.status == "irreducible" and endomorphism_algebra(rep).dimension == 1
 
 
 class TestPermutationModule:
@@ -44,8 +51,6 @@ class TestPermutationModule:
     def test_sum_zero_subspace_invariant(self):
         group = build_group(GroupId("mathieu", (11,)))
         rep = permutation_module(group)
-        from heartlab.linalg import Subspace
-
         sum_zero = Subspace.from_vectors(
             11, [(1 << i) | (1 << 10) for i in range(10)]
         )
@@ -220,7 +225,9 @@ class TestEndomorphismAlgebra:
         for basis_element in endo.basis:
             for image in rep.images:
                 assert basis_element * image == image * basis_element
-        assert endo.contains_identity()
+        d = rep.dimension
+        span = Subspace.from_vectors(d * d, [_vec_of_matrix(b) for b in endo.basis])
+        assert span.contains(_vec_of_matrix(ModMatrix.identity(d)))
 
     def test_cyclic_negative_controls_up_to_12(self):
         for n in range(3, 13):

@@ -95,7 +95,7 @@ class TestMathieu:
     def test_normal_closure_sanity(self, n):
         # simple groups: the normal closure of any non-identity element is everything
         g = build_group(GroupId("mathieu", (n,)))
-        x = g.random_element(3)
+        x = g.sampler(3).sample()
         assert not x.is_identity()
         sampler = g.sampler(4)
         conjugates = [x]
@@ -180,6 +180,30 @@ class TestProjectiveGroups:
         }
 
 
+# every family at its smallest parameters and beyond, PSL = PGL (gcd(m, q-1)
+# = 1) and PSL < PGL
+ORDER_GROUPS = (
+    "S2", "S3", "S7", "A3", "A4", "A7", "A9", "M11", "M12", "M22", "C2", "C7", "D3", "D8",
+    "PSL(2,2)", "PSL(2,4)", "PSL(2,5)", "PGL(2,5)", "PSL(2,8)", "PSL(3,2)", "PSL(3,3)",
+    "PGL(3,3)", "PSL(3,4)", "PGL(3,4)", "PSL(4,2)",
+)
+
+
+class TestGroupIdOrder:
+    @pytest.mark.parametrize("name", ORDER_GROUPS)
+    def test_matches_the_chains(self, name):
+        gid = parse_group_spec(name)
+        group = build_group(gid)
+        assert gid.order == group.order() == deterministic(group).order()
+
+    def test_mathieu_and_large_groups(self):
+        for n, order in MATHIEU_ORDERS.items():
+            assert GroupId("mathieu", (n,)).order == order
+        assert GroupId("symmetric", (30,)).order == 2 * GroupId("alternating", (30,)).order
+        assert GroupId("pgl", (6, 3)).order == 2 * GroupId("psl", (6, 3)).order
+        assert GroupId("psl", (16, 2)).order == psl_order(16, 2)
+
+
 class TestGroupSpecParsing:
     @pytest.mark.parametrize(
         "text,family,params",
@@ -212,6 +236,19 @@ class TestGroupSpecParsing:
         for text in ["M11", "S7", "A9", "PSL(3,4)", "PGL(3,3)", "C5", "D6"]:
             gid = parse_group_spec(text)
             assert parse_group_spec(gid.name()) == gid
+
+    @pytest.mark.parametrize("params", [(2, 10000000000000061), (2, 1000000000000000003),
+                                        (100000000, 2), (17, 2), (2, 317)])
+    def test_scale_checked_before_prime_power(self, params):
+        # q^m > 1e5 fails at once: no trial division of q, no q^m for huge m
+        with pytest.raises(GroupSpecError, match="exceeds the supported scale"):
+            GroupId("psl", params)
+
+    def test_bad_parameters_inside_the_scale(self):
+        for params in [(1, 5), (3, 6), (2, 316), (2, 1), (2, 0), (0, 10**18)]:
+            with pytest.raises(GroupSpecError, match="bad pgl parameters"):
+                GroupId("pgl", params)
+        assert GroupId("psl", (16, 2)).natural_degree == 65535
 
     def test_prime_power_decomposition(self):
         assert prime_power_decomposition(8) == (2, 3)
