@@ -148,7 +148,7 @@ class GroupFact:
 _ALLOWED_FLAGS = {
     "no_linear_at_min_degree",
     "no_real_rep_at_degree_g",
-    "lie_type_char2",
+    "lie_type_char2",  # printed by `zoo`; dispatch reads the cover rule
     "wagner_char2_bound",
 }
 _ALLOWED_COVER_RULES = {"feit_tits_transfer", "kleidman_liebeck_m4"}
@@ -271,12 +271,17 @@ def _fact_context(group_id: GroupId) -> dict[str, int]:
     return context
 
 
-def group_fact(group_id: GroupId) -> GroupFact:
+def _fact_and_context(group_id: GroupId) -> tuple[GroupFact, dict[str, int]]:
+    """The first matching fact-table record and the context it matched in."""
     context = _fact_context(group_id)
     for fact in _load_facts():
         if fact.family == group_id.family and _selector_matches(fact.selector, context):
-            return fact
+            return fact, context
     raise NoFactError(f"no fact-table record for {group_id.name()}")
+
+
+def group_fact(group_id: GroupId) -> GroupFact:
+    return _fact_and_context(group_id)[0]
 
 
 def min_projective_degree_bound(group_id: GroupId) -> tuple[int, str]:
@@ -355,13 +360,15 @@ def check_unbounded(group_id: GroupId, g: int) -> UnboundedCertificate | Inconcl
 
     steps: list[CertificateStep] = []
     try:
-        bound, citation = min_projective_degree_bound(group_id)
-        fact = group_fact(group_id)
+        fact, context = _fact_and_context(group_id)
     except NoFactError:
-        bound, citation, fact = None, None, None
+        fact, bound = None, None
 
-    if fact is not None and bound is not None:
-        if "lie_type_char2" in fact.flags:
+    if fact is not None:
+        bound, citation = _eval_bound(fact.bound_expr, context), fact.citation
+        # the cover rule picks R2 (Kleidman-Liebeck); every other record
+        # transfers its bound by Feit-Tits (R1, R3)
+        if fact.cover_rule == "kleidman_liebeck_m4":
             if bound > g:
                 m, q = group_id.parameters
                 steps.append(

@@ -206,7 +206,7 @@ def spin(seed_vectors, actions: list[ModMatrix], ambient: int) -> Subspace:
     """Smallest subspace containing the seeds and closed under every action.
 
     Worklist closure: each newly independent residue is queued and hit with
-    every action; candidates are sifted against the current echelon basis
+    every action; candidates are reduced against the current echelon basis
     before insertion.
     """
     for a in actions:

@@ -5,17 +5,17 @@ the whole package, is ``compose(p, q)(x) == p(q(x))`` (apply q first).
 
 Groups carry a stabilizer chain with the forced base 0, 1, 2, ... (a point
 fixed by the respective stabilizer has an orbit of length 1 and contributes
-nothing).  The chain has two build loops.  A group built without an
-order gets the deterministic Schreier-Sims closure.  A group built with its
-known order (every ``zoo`` constructor passes one) gets random Schreier-Sims:
-product-replacement elements are sifted until the product of the basic orbit
-lengths equals that order, which proves the chain complete.  That loop draws
-from a sampler seeded by a fixed module constant, never a user seed, so both
-loops are reproducible bit-for-bit, and a complete chain's orbit sizes along
-the forced base are invariants of the group: order, membership and
-transitivity do not depend on which loop built it.  The chain keeps inverse
-transversals only (the image tuple of u^-1 per orbit point) and sifts raw
-image tuples, so its inner loops never build a ``Permutation`` or invert one.
+nothing).  Every group is built with its order (every ``zoo`` constructor
+passes its family's), and the chain has one build loop, random
+Schreier-Sims: it sifts product-replacement elements until the product of
+the basic orbit lengths equals that order, which proves the chain complete.
+The loop draws from a sampler seeded by a fixed module constant, never a
+user seed, so the chain is reproducible bit-for-bit, and a complete chain's
+orbit sizes along the forced base are invariants of the group: order,
+membership and transitivity do not depend on how it was built.  The chain
+keeps inverse transversals only (the image tuple of u^-1 per orbit point)
+and sifts raw image tuples, so its inner loops never build a
+``Permutation`` or invert one.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ class ClosureLimitError(RuntimeError):
 
 
 class ChainOrderError(AssertionError):
-    """Raised when a known-order chain overshoots the given order or runs out
-    of draws before reaching it: the order is not that of the generators."""
+    """Raised when a chain overshoots the given order or runs out of draws
+    before reaching it: the order is not that of the generators."""
 
 
-# The known-order loop's sampler seed and draw budget, max(1000, 20 * degree).
+# The chain's sampler seed and draw budget, max(1000, 20 * degree).
 # They are constants, not parameters, so the chain never depends on a user
 # seed.  The budget is far above need: A60 reaches its order in 67 draws and
 # A100 in 106.
@@ -201,11 +201,10 @@ class _Level:
     never stored.  ``gen_inverses[k]`` is the image tuple of ``gens[k]``^-1,
     the same tuple object at every level the generator is listed at.  The
     transversal is only ever extended, never rebuilt, so coset representatives
-    stay stable while the chain grows (this keeps the processed-Schreier
-    watermarks below valid).
+    stay stable while the chain grows.
     """
 
-    __slots__ = ("point", "gens", "gen_inverses", "orbit_list", "inverses", "expanded", "sifted")
+    __slots__ = ("point", "gens", "gen_inverses", "orbit_list", "inverses", "expanded")
 
     def __init__(self, point: int, identity_images: tuple[int, ...]):
         self.point = point
@@ -214,13 +213,11 @@ class _Level:
         self.orbit_list: list[int] = [point]
         self.inverses: dict[int, tuple[int, ...]] = {point: identity_images}
         self.expanded: list[int] = []  # orbit positions already expanded per gen
-        self.sifted: list[int] = []  # orbit positions whose Schreier gen was sifted per gen
 
     def add_generator(self, g: Permutation, g_inverse: tuple[int, ...]) -> None:
         self.gens.append(g)
         self.gen_inverses.append(g_inverse)
         self.expanded.append(0)
-        self.sifted.append(0)
         self._extend_orbit()
 
     def _extend_orbit(self) -> None:
@@ -254,51 +251,36 @@ class _StabilizerChain:
     through, so each level's generator list generates the corresponding
     pointwise stabilizer once construction finishes.
 
-    Two build loops share ``_strip``, ``_place`` and the accessors:
-
-    - Without a known order, the deterministic loop strips each generator and
-      then drains every Schreier generator (``_process``) until the chain is
-      closed.  It is the library path and the test oracle.
-    - With a known order, the known-order loop sifts the generators and then
-      elements drawn from ``ElementSampler(group, KNOWN_ORDER_SEED)``,
-      placing each nontrivial residue at the first base point it moves, and
-      stops when ``order()`` equals the given order (Seress 2003, ch. 4,
-      random Schreier-Sims with known order; Holt-Eick-O'Brien ch. 4).  The
-      orbit-length product never exceeds the order of the group the strong
-      generators generate, so equality proves the chain complete.  A product
-      above the given order, or an exhausted draw budget, raises
-      ``ChainOrderError``.  The seed is a fixed constant, so this loop is
-      deterministic too.
+    The one build loop sifts the generators and then elements drawn from
+    ``ElementSampler(group, KNOWN_ORDER_SEED)``, placing each nontrivial
+    residue at the first base point it moves, and stops when ``order()``
+    equals the group's order (Seress 2003, ch. 4, random Schreier-Sims with
+    known order; Holt-Eick-O'Brien ch. 4).  The orbit-length product never
+    exceeds the order of the group the strong generators generate, so
+    equality proves the chain complete.  A product above the given order, or
+    an exhausted draw budget, raises ``ChainOrderError``.  The seed is a
+    fixed constant, so the loop is deterministic.
 
     Sifting runs on raw image tuples: each level applies its stored inverse
     coset representative as one tuple gather (``itemgetter(*p)(u)`` is the
-    image tuple of u∘p), the identity test compares with one cached identity
-    tuple, and Schreier generators are assembled from two stored inverses
-    without inverting anything (Seress 2003, ch. 4; Holt-Eick-O'Brien ch. 4).
-    Only a residue that becomes a strong generator is wrapped as a
-    ``Permutation``, and its inverse is computed once, there.  A gather is
-    only ever made with a nontrivial permutation, so the degree is at least 2
-    and ``itemgetter`` returns a tuple.
+    image tuple of u∘p), and the identity test compares with one cached
+    identity tuple, so sifting inverts nothing.  Only a residue that becomes
+    a strong generator is wrapped as a ``Permutation``, and its inverse is
+    computed once, there.  A gather is only ever made with a nontrivial
+    permutation, so the degree is at least 2 and ``itemgetter`` returns a
+    tuple.
     """
 
     def __init__(self, group: "PermGroup"):
         self.degree = group.degree
         self.levels: list[_Level] = []
         self._id = tuple(range(self.degree))
-        self.draws = 0  # sampled elements sifted by the known-order loop
-        if group.known_order is None:
-            for g in group.generators:
-                if g.images != self._id:
-                    residue, j = self._strip(g.images, 0)
-                    if residue != self._id:
-                        self._place(j, residue)
-                        self._process()
-        else:
-            self._sift_to_order(group, group.known_order)
+        self.draws = 0  # sampled elements drawn
+        self._sift_to_order(group, group.known_order)
 
-    def _strip(self, p: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
+    def _strip(self, p: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         levels = self.levels
-        for i in range(start, len(levels)):
+        for i in range(len(levels)):
             level = levels[i]
             beta = p[level.point]
             if beta == level.point:
@@ -318,7 +300,7 @@ class _StabilizerChain:
             self.levels[i].add_generator(g, g_inverse)
 
     def _sift_to_order(self, group: "PermGroup", order: int) -> None:
-        """The known-order loop: generators first, then sampled elements."""
+        """The build loop: generators first, then sampled elements."""
         if any(self._sift_reaches(g.images, order) for g in group.generators):
             return
         sampler = ElementSampler(group, KNOWN_ORDER_SEED)
@@ -335,7 +317,7 @@ class _StabilizerChain:
     def _sift_reaches(self, p: tuple[int, ...], order: int) -> bool:
         """Sift p, place a nontrivial residue, and report whether the chain
         order has reached ``order``."""
-        residue, j = self._strip(p, 0)
+        residue, j = self._strip(p)
         if residue != self._id:
             # the residue fixes the points of levels 0..j-1; singleton levels
             # are inserted for the points it also fixes beyond them
@@ -347,41 +329,6 @@ class _StabilizerChain:
             raise ChainOrderError(f"chain order {reached} exceeds the given order {order}")
         return reached == order
 
-    def _process(self) -> None:
-        """Drain unprocessed Schreier generators until the chain is closed."""
-        identity_images = self._id
-        degree = self.degree
-        progress = True
-        while progress:
-            progress = False
-            i = 0
-            while i < len(self.levels):
-                level = self.levels[i]
-                inverses = level.inverses
-                orbit = level.orbit_list
-                sifted = level.sifted
-                k = 0
-                while k < len(level.gens):
-                    s = level.gens[k].images
-                    while sifted[k] < len(orbit):
-                        beta = orbit[sifted[k]]
-                        sifted[k] += 1
-                        # the Schreier generator v^-1 s u (u = u_beta, v = u_s(beta))
-                        # sends u^-1(y) to v^-1(s(y))
-                        v_inverse = inverses[s[beta]]
-                        schreier = [0] * degree
-                        for x, y in zip(inverses[beta], s):
-                            schreier[x] = v_inverse[y]
-                        schreier = tuple(schreier)
-                        if schreier == identity_images:
-                            continue
-                        residue, j = self._strip(schreier, i + 1)
-                        if residue != identity_images:
-                            self._place(j, residue)
-                            progress = True
-                    k += 1
-                i += 1
-
     def order(self) -> int:
         result = 1
         for level in self.levels:
@@ -389,7 +336,7 @@ class _StabilizerChain:
         return result
 
     def contains(self, p: Permutation) -> bool:
-        residue, _ = self._strip(p.images, 0)
+        residue, _ = self._strip(p.images)
         return residue == self._id
 
     def transitivity_degree(self) -> int:
@@ -411,15 +358,15 @@ class _StabilizerChain:
 
 
 class PermGroup:
-    """A permutation group given by generators, with a lazy stabilizer chain.
+    """A permutation group given by generators and its order, with a lazy
+    stabilizer chain.
 
-    ``order``, when given, must be the order of the group the generators
-    generate; the chain is then built by the known-order loop, which raises
-    ``ChainOrderError`` when its orbit-length product overshoots that order
-    or never reaches it.
+    ``order`` must be the order of the group the generators generate; the
+    chain raises ``ChainOrderError`` when its orbit-length product overshoots
+    that order or never reaches it.
     """
 
-    def __init__(self, generators, degree: int | None = None, order: int | None = None):
+    def __init__(self, generators, degree: int | None = None, *, order: int):
         gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
         if not gens:
             if degree is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import fppoly
-from .perms import CycleType, cycle_type
+from .perms import CycleType, cycle_type, identity
 from .zoo import GroupId, build_group
 
 
@@ -271,7 +271,7 @@ def group_cycle_types(group_id: GroupId, budget: int = 2000, seed: int = 0) -> t
         types = {cycle_type(p) for p in group.enumerate_elements()}
         return types, True
     sampler = group.sampler(seed)
-    types = {cycle_type(group.generators[0] ** 0)}  # identity is always present
+    types = {cycle_type(identity(group.degree))}
     for _ in range(budget):
         types.add(cycle_type(sampler.sample()))
     return types, False

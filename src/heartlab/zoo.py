@@ -1,13 +1,14 @@
 """Constructors for the group families under study.
 
-Every constructor returns a plain PermGroup on 0-indexed points, built with
-the family's closed-form order so that its stabilizer chain comes from the
-known-order loop of ``perms`` (each formula's source is cited in its
-constructor's docstring; the test suite checks every formula against the
-deterministic chain).  Mathieu groups ship with classical hard-coded
-generator permutations (transcribed 1-indexed from the literature); the test
-suite certifies their orders,
-degrees and transitivity rather than taking the transcription on faith.
+Every constructor validates its parameters through ``GroupId`` and returns a
+plain PermGroup on 0-indexed points, built with ``GroupId.order``, the
+family's closed-form order, which the stabilizer chain of ``perms`` needs.
+Each formula's source is cited at ``GroupId.order``, ``psl_order`` and
+``pgl_order``; the test suite checks every formula against the deterministic
+Schreier-Sims oracle in ``tests/support.py``.  Mathieu groups ship with
+classical hard-coded generator permutations (transcribed 1-indexed from the
+literature); the test suite certifies their orders, degrees and transitivity
+rather than taking the transcription on faith.
 PSL/PGL act on the canonical projective points of ``fields.projective_points``
 via images of standard SL/GL generator matrices; the point labeling table is
 attached to the returned group as ``point_labels``.
@@ -23,10 +24,9 @@ import re
 from .fields import FieldElement, FieldSpec, make_field, projective_points, canonicalize
 from .perms import PermGroup, Permutation, from_cycles
 
-MATHIEU_DEGREES = (11, 12, 22, 23, 24)
-
 # Conway et al., ATLAS of Finite Groups (1985): |M11|, |M12|, |M22|, |M23|, |M24|
 MATHIEU_ORDERS = {11: 7920, 12: 95040, 22: 443520, 23: 10200960, 24: 244823040}
+MATHIEU_DEGREES = tuple(MATHIEU_ORDERS)
 
 # Classical generator cycles, 1-indexed as published.
 _MATHIEU_CYCLES = {
@@ -98,7 +98,9 @@ class GroupId:
     @property
     def order(self) -> int:
         """The group's order from its family's closed form, with no group
-        built: the order each zoo constructor passes to its ``PermGroup``."""
+        built: the order each zoo constructor passes to its ``PermGroup``.
+        S_n has order n!, A_n (index 2 in S_n) n!/2, C_n n and D_n 2n; the
+        Mathieu orders are ``MATHIEU_ORDERS``."""
         fam, params = self.family, self.parameters
         if fam in ("psl", "pgl"):
             return (psl_order if fam == "psl" else pgl_order)(*params)
@@ -142,50 +144,44 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
 
 
 def symmetric(n: int) -> PermGroup:
-    """S_n, of order n!, generated by (0 1) and the n-cycle."""
-    if n < 2:
-        raise GroupSpecError("symmetric group needs n >= 2")
+    """S_n, generated by (0 1) and the n-cycle."""
+    group_id = GroupId("symmetric", (n,))  # validates n
     gens = [from_cycles(n, [(0, 1)])]
     if n > 2:
         gens.append(from_cycles(n, [tuple(range(n))]))
-    return PermGroup(gens, order=factorial(n))
+    return PermGroup(gens, order=group_id.order)
 
 
 def alternating(n: int) -> PermGroup:
-    """A_n, of order n!/2 (the even permutations, index 2 in S_n), generated
-    by (0 1 2) and an (n or n-1)-cycle of odd length."""
-    if n < 3:
-        raise GroupSpecError("alternating group needs n >= 3")
+    """A_n, generated by (0 1 2) and an (n or n-1)-cycle of odd length."""
+    group_id = GroupId("alternating", (n,))  # validates n
     gens = [from_cycles(n, [(0, 1, 2)])]
     if n > 3:
         long = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
         gens.append(from_cycles(n, [long]))
-    return PermGroup(gens, order=factorial(n) // 2)
+    return PermGroup(gens, order=group_id.order)
 
 
 def cyclic(n: int) -> PermGroup:
-    """C_n, of order n, generated by the n-cycle."""
-    if n < 2:
-        raise GroupSpecError("cyclic group needs n >= 2")
-    return PermGroup([from_cycles(n, [tuple(range(n))])], order=n)
+    """C_n, generated by the n-cycle."""
+    group_id = GroupId("cyclic", (n,))  # validates n
+    return PermGroup([from_cycles(n, [tuple(range(n))])], order=group_id.order)
 
 
 def dihedral(n: int) -> PermGroup:
-    """Dihedral group of order 2n acting on the n vertices of a cycle: the n
-    rotations and the n reflections."""
-    if n < 3:
-        raise GroupSpecError("dihedral group needs n >= 3")
+    """Dihedral group acting on the n vertices of a cycle: the n rotations
+    and the n reflections."""
+    group_id = GroupId("dihedral", (n,))  # validates n
     rotation = from_cycles(n, [tuple(range(n))])
     reflection = Permutation([(-i) % n for i in range(n)])
-    return PermGroup([rotation, reflection], order=2 * n)
+    return PermGroup([rotation, reflection], order=group_id.order)
 
 
 def mathieu(n: int) -> PermGroup:
-    """M_n with the order of ``MATHIEU_ORDERS`` (ATLAS of Finite Groups)."""
-    if n not in MATHIEU_DEGREES:
-        raise GroupSpecError(f"no Mathieu group of degree {n}")
+    """M_n on n points, from classical generator cycles."""
+    group_id = GroupId("mathieu", (n,))  # validates n
     gens = [from_cycles(n, cycles, shift=-1) for cycles in _MATHIEU_CYCLES[n]]
-    return PermGroup(gens, order=MATHIEU_ORDERS[n])
+    return PermGroup(gens, order=group_id.order)
 
 
 # -- projective linear groups -------------------------------------------------

@@ -5,7 +5,9 @@
 - F_2 matrices from entry lists, their entries and rank.
 - Permutation matrices and the permutation module, a test input for the
   End solver and the MeatAxe next to the heart.
-- The base points and basic orbit sizes of a stabilizer chain, skipping the
+- The deterministic Schreier-Sims chain, the oracle that the known-order
+  chain of ``perms`` and the zoo's order formulas are checked against, and
+  the base points and basic orbit sizes of a stabilizer chain, skipping the
   levels whose point the stabilizer fixes.
 """
 
@@ -13,6 +15,7 @@ import itertools
 
 from heartlab.fppoly import degree, monic, normalize
 from heartlab.linalg import ModMatrix, _Echelon
+from heartlab.perms import _StabilizerChain
 from heartlab.reps import GModuleRep
 
 # -- F_p[x] on coefficient tuples ----------------------------------------------
@@ -163,3 +166,73 @@ def orbit_sizes(chain):
 
 def base_points(chain):
     return [point for point, _ in orbit_sizes(chain)]
+
+
+def chain_snapshot(chain):
+    return [(level.point, tuple(level.orbit_list), [g.images for g in level.gens])
+            for level in chain.levels]
+
+
+class DeterministicChain(_StabilizerChain):
+    """The chain of ``perms`` closed by deterministic Schreier-Sims, with no
+    order given: each generator is stripped, then every Schreier generator is
+    drained (``_process``) until the chain is closed.  It reuses the
+    production ``_strip`` and ``_place`` and keeps its own watermarks:
+    ``sifted[i][k]`` counts the orbit positions of level i whose Schreier
+    generator for ``levels[i].gens[k]`` has been sifted.
+    """
+
+    def __init__(self, degree, generators):
+        self.degree = degree
+        self.levels = []
+        self._id = tuple(range(degree))
+        self.sifted = []
+        for g in generators:
+            if g.images != self._id:
+                residue, j = self._strip(g.images)
+                if residue != self._id:
+                    self._place(j, residue)
+                    self._process()
+
+    def _place(self, j, residue):
+        super()._place(j, residue)
+        while len(self.sifted) < len(self.levels):
+            self.sifted.append([])
+        for i in range(j + 1):
+            self.sifted[i].append(0)
+
+    def _process(self):
+        """Drain unprocessed Schreier generators until the chain is closed."""
+        identity_images = self._id
+        degree = self.degree
+        progress = True
+        while progress:
+            progress = False
+            i = 0
+            while i < len(self.levels):
+                level = self.levels[i]
+                inverses = level.inverses
+                orbit = level.orbit_list
+                sifted = self.sifted[i]
+                k = 0
+                while k < len(level.gens):
+                    s = level.gens[k].images
+                    while sifted[k] < len(orbit):
+                        beta = orbit[sifted[k]]
+                        sifted[k] += 1
+                        # the Schreier generator v^-1 s u (u = u_beta, v = u_s(beta))
+                        # sends u^-1(y) to v^-1(s(y)); it fixes the points of
+                        # levels 0..i, so stripping passes over those levels
+                        v_inverse = inverses[s[beta]]
+                        schreier = [0] * degree
+                        for x, y in zip(inverses[beta], s):
+                            schreier[x] = v_inverse[y]
+                        schreier = tuple(schreier)
+                        if schreier == identity_images:
+                            continue
+                        residue, j = self._strip(schreier)
+                        if residue != identity_images:
+                            self._place(j, residue)
+                            progress = True
+                    k += 1
+                i += 1

@@ -9,7 +9,6 @@ import time
 
 from heartlab.audit import CITATIONS, audit, cyclotomic_obstruction, genus_of
 from heartlab.fppoly import normalize as fp_normalize
-from heartlab.perms import PermGroup
 from heartlab.probe import parse_poly, primes_coprime_to, probe
 from heartlab.reps import (
     endomorphism_algebra,
@@ -24,6 +23,7 @@ from heartlab.zoo import (
     prime_power_decomposition,
     psl_order,
 )
+from support import DeterministicChain
 
 HEART_SUITE = [
     ("mathieu", (11,)), ("mathieu", (12,)), ("mathieu", (22,)), ("mathieu", (23,)),
@@ -192,19 +192,19 @@ def test_criterion_4_group_constructions():
     # generators without it, by the deterministic chain
     for m, q, _degree in instances:
         group = build_group(GroupId("psl", (m, q)))
-        if PermGroup(group.generators).order() != psl_order(m, q):
+        if DeterministicChain(group.degree, group.generators).order() != psl_order(m, q):
             ok = False
         if group.transitivity_degree() < 2:
             ok = False
         pgl_group = build_group(GroupId("pgl", (m, q)))
-        if PermGroup(pgl_group.generators).order() != pgl_order(m, q):
+        if DeterministicChain(pgl_group.degree, pgl_group.generators).order() != pgl_order(m, q):
             ok = False
     m11 = build_group(GroupId("mathieu", (11,)))
     m12 = build_group(GroupId("mathieu", (12,)))
-    if len(m11.enumerate_elements()) != 7920 or PermGroup(m11.generators).order() != 7920:
-        ok = False
-    if len(m12.enumerate_elements()) != 95040 or PermGroup(m12.generators).order() != 95040:
-        ok = False
+    for group, order in ((m11, 7920), (m12, 95040)):
+        chain = DeterministicChain(group.degree, group.generators)
+        if len(group.enumerate_elements()) != order or chain.order() != order:
+            ok = False
     expected_transitivity = {11: 4, 12: 5, 22: 3, 23: 4, 24: 5}
     for n, t in expected_transitivity.items():
         group = build_group(GroupId("mathieu", (n,)))

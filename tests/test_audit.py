@@ -75,6 +75,12 @@ class TestFactTable:
     def test_every_allowed_cover_rule_is_used(self):
         assert _ALLOWED_COVER_RULES == {fact.cover_rule for fact in _load_facts()}
 
+    def test_char2_flag_agrees_with_the_cover_rule(self):
+        # check_unbounded dispatches on cover_rule; zoo still prints the flag
+        for fact in _load_facts():
+            flags = fact.flags
+            assert ("lie_type_char2" in flags) == (fact.cover_rule == "kleidman_liebeck_m4")
+
     @pytest.mark.parametrize(
         "gid,bound",
         [

@@ -3,8 +3,10 @@
 ``ReferenceChain`` is the Schreier-Sims chain as it was before the chain
 moved to inverse transversals and tuple stripping: forward coset
 representatives as ``Permutation`` objects, an inversion per strip step and
-per Schreier generator.  It is kept here as the oracle that the production
-chain must equal level by level.
+per Schreier generator.  It is kept here as the oracle that
+``support.DeterministicChain`` must equal level by level; that chain is in
+turn the oracle for the known-order chain of every zoo group, and
+``ReferenceChain`` the oracle for the known-order chain of random groups.
 """
 
 import random
@@ -25,7 +27,7 @@ from heartlab.perms import (
     identity,
 )
 from heartlab.zoo import alternating, build_group, parse_group_spec, symmetric
-from support import base_points, orbit_sizes
+from support import DeterministicChain, base_points, chain_snapshot, orbit_sizes
 
 
 def perms(degree):
@@ -151,6 +153,9 @@ def reference_chain(group: PermGroup) -> ReferenceChain:
     return ReferenceChain(group.degree, list(group.generators))
 
 
+S5_GENERATORS = [from_cycles(5, [(0, 1)]), from_cycles(5, [(0, 1, 2, 3, 4)])]
+
+
 class TestPermutation:
     def test_identity_compose(self):
         p = from_cycles(5, [(0, 1, 2)])
@@ -215,8 +220,12 @@ class TestCycleType:
 
 class TestStabilizerChain:
     def test_s5_order(self):
-        g = PermGroup([from_cycles(5, [(0, 1)]), from_cycles(5, [(0, 1, 2, 3, 4)])])
-        assert g.order() == 120
+        assert DeterministicChain(5, S5_GENERATORS).order() == 120
+        assert PermGroup(S5_GENERATORS, order=120).order() == 120
+
+    def test_order_is_required(self):
+        with pytest.raises(TypeError):
+            PermGroup(S5_GENERATORS)
 
     def test_a5_order_and_membership(self, a5):
         assert a5.order() == 60
@@ -240,13 +249,14 @@ class TestStabilizerChain:
 
     def test_closure_matches_chain_on_small_groups(self):
         cases = [
-            PermGroup([from_cycles(5, [(0, 1)]), from_cycles(5, [(0, 1, 2, 3, 4)])]),
-            PermGroup([from_cycles(7, [(0, 1, 2, 3, 4, 5, 6)])]),
-            PermGroup([from_cycles(6, [(0, 1), (2, 5)])]),
-            PermGroup([from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])]),
+            PermGroup(S5_GENERATORS, order=120),
+            PermGroup([from_cycles(7, [(0, 1, 2, 3, 4, 5, 6)])], order=7),
+            PermGroup([from_cycles(6, [(0, 1), (2, 5)])], order=2),
+            PermGroup([from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])], order=4),
         ]
         for g in cases:
             assert g.order() == len(g.enumerate_elements())
+            assert orbit_sizes(g.chain()) == orbit_sizes(DeterministicChain(g.degree, g.generators))
 
     def test_generator_products_are_members(self, m11, psl32):
         for g in (m11, psl32):
@@ -261,8 +271,10 @@ class TestStabilizerChain:
 
     def test_sneaky_generator_order(self):
         # generators whose first element fixes the final base points
-        g = PermGroup([from_cycles(3, [(1, 2)]), from_cycles(3, [(0, 1)])])
-        assert g.order() == 6
+        gens = [from_cycles(3, [(1, 2)]), from_cycles(3, [(0, 1)])]
+        oracle = DeterministicChain(3, gens)
+        assert oracle.order() == 6
+        assert orbit_sizes(PermGroup(gens, order=6).chain()) == orbit_sizes(oracle)
 
 
 # the PSL/PGL groups of the benchmark's audit ladder of degree at most 130
@@ -275,9 +287,12 @@ ORACLE_ZOO_GROUPS = (
 )
 
 
-def random_subgroup(seed: int) -> PermGroup:
-    """Two or three random generators of S_n, 8 <= n <= 12.  Even seeds draw
-    permutations of small random support, so some groups are intransitive."""
+@lru_cache(maxsize=None)
+def random_subgroup(seed: int) -> tuple[PermGroup, ReferenceChain]:
+    """Two or three random generators of S_n, 8 <= n <= 12, and their
+    ``ReferenceChain``; the group carries the order read off that chain.
+    Even seeds draw permutations of small random support, so some groups are
+    intransitive."""
     rng = random.Random(seed)
     n = 8 + seed % 5
     gens = []
@@ -290,7 +305,8 @@ def random_subgroup(seed: int) -> PermGroup:
             for a, b in zip(support, support[1:] + support[:1]):
                 images[a] = b
         gens.append(Permutation(images))
-    return PermGroup(gens)
+    ref = ReferenceChain(n, gens)
+    return PermGroup(gens, order=ref.order()), ref
 
 
 def membership_probes(group: PermGroup, seed: int):
@@ -308,15 +324,15 @@ def membership_probes(group: PermGroup, seed: int):
     return members, candidates
 
 
-def assert_chain_matches_reference(group: PermGroup, seed: int) -> None:
-    chain = PermGroup(group.generators).chain()
-    ref = reference_chain(group)
+def assert_chain_matches_reference(group: PermGroup, ref: ReferenceChain, seed: int) -> None:
+    """The deterministic chain against ``ReferenceChain``, level by level."""
+    chain = DeterministicChain(group.degree, group.generators)
     assert len(chain.levels) == len(ref.levels)
-    for level, ref_level in zip(chain.levels, ref.levels):
+    for level, sifted, ref_level in zip(chain.levels, chain.sifted, ref.levels):
         assert level.point == ref_level.point
         assert level.orbit_list == ref_level.orbit_list
         assert [g.images for g in level.gens] == [g.images for g in ref_level.gens]
-        assert level.sifted == ref_level.sifted
+        assert sifted == ref_level.sifted
         assert level.expanded == ref_level.expanded
         assert level.inverses.keys() == ref_level.transversal.keys()
         for beta, u in ref_level.transversal.items():
@@ -338,17 +354,19 @@ def assert_chain_matches_reference(group: PermGroup, seed: int) -> None:
 class TestChainMatchesReference:
     @pytest.mark.parametrize("name", ORACLE_ZOO_GROUPS)
     def test_zoo_group(self, name):
-        assert_chain_matches_reference(build_group(parse_group_spec(name)), 0)
+        group = build_group(parse_group_spec(name))
+        assert_chain_matches_reference(group, reference_chain(group), 0)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_random_subgroup(self, seed):
-        assert_chain_matches_reference(random_subgroup(seed), seed)
+        assert_chain_matches_reference(*random_subgroup(seed), seed)
 
 
 @lru_cache(maxsize=None)
-def deterministic_chain(name: str):
-    """The deterministic chain of a zoo group: its generators without the order."""
-    return PermGroup(build_group(parse_group_spec(name)).generators).chain()
+def deterministic_chain(name: str) -> DeterministicChain:
+    """The deterministic chain of a zoo group's generators, its order not used."""
+    group = build_group(parse_group_spec(name))
+    return DeterministicChain(group.degree, group.generators)
 
 
 # Work counters of the deterministic chain, recorded before the chain moved to
@@ -376,9 +394,9 @@ KNOWN_ORDER_WORK_PINS = {
 class TestChainWorkCounters:
     @pytest.mark.parametrize("name", list(CHAIN_WORK_PINS))
     def test_sifted_and_strong_generators(self, name):
-        levels = deterministic_chain(name).levels
-        sifted = sum(sum(level.sifted) for level in levels)
-        assert (sifted, len(levels[0].gens)) == CHAIN_WORK_PINS[name]
+        chain = deterministic_chain(name)
+        sifted = sum(sum(watermarks) for watermarks in chain.sifted)
+        assert (sifted, len(chain.levels[0].gens)) == CHAIN_WORK_PINS[name]
 
     @pytest.mark.parametrize("name", list(KNOWN_ORDER_WORK_PINS))
     def test_known_order_draws_and_strong_generators(self, name):
@@ -399,35 +417,42 @@ KNOWN_ORDER_CROSS_CHECK_GROUPS = (
 )
 
 
-def chain_snapshot(chain) -> list:
-    return [(level.point, tuple(level.orbit_list), [g.images for g in level.gens])
-            for level in chain.levels]
+def assert_known_order_chain_matches(group: PermGroup, oracle, seed: int) -> None:
+    """Order, base, basic orbit sizes, transitivity and membership agree."""
+    chain = group.chain()
+    assert chain.order() == oracle.order() == group.known_order
+    assert orbit_sizes(chain) == orbit_sizes(oracle)
+    assert base_points(chain) == base_points(oracle)
+    assert chain.transitivity_degree() == oracle.transitivity_degree()
+
+    members, candidates = membership_probes(group, seed)
+    for p in members:
+        assert chain.contains(p) and oracle.contains(p)
+    for p in candidates:
+        assert chain.contains(p) == oracle.contains(p)
 
 
 class TestKnownOrderChain:
-    """The known-order chain against the deterministic chain as oracle."""
+    """The known-order chain against the deterministic chain and
+    ``ReferenceChain`` as oracles."""
 
     @pytest.mark.parametrize("name", KNOWN_ORDER_CROSS_CHECK_GROUPS)
     def test_matches_deterministic_chain(self, name):
         group = build_group(parse_group_spec(name))
-        assert group.known_order is not None
-        chain = group.chain()
-        oracle = deterministic_chain(name)
-        assert chain.order() == oracle.order() == group.known_order
-        assert orbit_sizes(chain) == orbit_sizes(oracle)
-        assert base_points(chain) == base_points(oracle)
-        assert chain.transitivity_degree() == oracle.transitivity_degree()
-
-        members, candidates = membership_probes(group, 0)
-        for p in members:
-            assert chain.contains(p) and oracle.contains(p)
-        for p in candidates:
-            assert chain.contains(p) == oracle.contains(p)
+        assert_known_order_chain_matches(group, deterministic_chain(name), 0)
 
         # a fresh build draws the same fixed-seed stream: the same chain
+        chain = group.chain()
         again = PermGroup(group.generators, order=group.known_order).chain()
         assert chain_snapshot(again) == chain_snapshot(chain)
         assert again.draws == chain.draws
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_subgroup_matches_reference_chain(self, seed):
+        # generating sets the zoo does not build, with the order of their
+        # ReferenceChain
+        group, ref = random_subgroup(seed)
+        assert_known_order_chain_matches(group, ref, seed)
 
     def test_order_above_true_order_exhausts_the_draw_budget(self):
         with pytest.raises(ChainOrderError, match="still below the given order 240"):
@@ -441,12 +466,14 @@ class TestKnownOrderChain:
     def test_trivial_group(self):
         chain = PermGroup([identity(4)], order=1).chain()
         assert (chain.order(), chain.draws, chain.levels) == (1, 0, [])
+
+
 class TestTransitivity:
     def test_symmetric_is_sharply_n_transitive(self, s5):
         assert s5.transitivity_degree() == 5
 
     def test_cyclic_is_simply_transitive(self):
-        c5 = PermGroup([from_cycles(5, [(0, 1, 2, 3, 4)])])
+        c5 = PermGroup([from_cycles(5, [(0, 1, 2, 3, 4)])], order=5)
         assert c5.transitivity_degree() == 1
 
     def test_m11_is_4_transitive(self, m11):
@@ -456,7 +483,7 @@ class TestTransitivity:
         assert alternating(9).transitivity_degree() == 7
 
     def test_intransitive_group(self):
-        g = PermGroup([from_cycles(5, [(3, 4)])])
+        g = PermGroup([from_cycles(5, [(3, 4)])], order=2)
         assert g.transitivity_degree() == 0
 
     def test_order_divisible_by_falling_factorial(self, m11, m12, s5):
@@ -470,11 +497,11 @@ class TestTransitivity:
 
 class TestRandomElements:
     def test_trivial_group_samples_identity(self):
-        g = PermGroup([identity(4)])
+        g = PermGroup([identity(4)], order=1)
         assert g.sampler(7).sample() == identity(4)
 
     def test_membership_and_determinism(self, m11):
-        s3 = PermGroup([from_cycles(3, [(0, 1)]), from_cycles(3, [(0, 1, 2)])])
+        s3 = PermGroup([from_cycles(3, [(0, 1)]), from_cycles(3, [(0, 1, 2)])], order=6)
         for seed in range(10):
             assert s3.contains(s3.sampler(seed).sample())
         assert m11.sampler(42).sample() == m11.sampler(42).sample()

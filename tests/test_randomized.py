@@ -1,16 +1,19 @@
 """Randomized cross-validation of the stabilizer chain against brute force.
 
 Seeded fuzzing: random generator sets on few points, with full element
-enumeration as the oracle for order, membership, and transitivity.
+enumeration as the oracle for order, membership, and transitivity.  Each
+group is built with the order its enumeration counts, so the known-order
+chain must reach exactly that order from generating sets the zoo does not
+build.
 """
 
 import random
 
 from heartlab.linalg import ModMatrix
-from heartlab.perms import PermGroup, Permutation
+from heartlab.perms import PermGroup, Permutation, compose, identity
 from heartlab.reps import GModuleRep, heart, is_irreducible, sum_zero_module
 from heartlab.zoo import GroupId, build_group
-from support import base_points, orbit_sizes
+from support import chain_snapshot
 
 
 def random_permutation(rng, degree):
@@ -19,10 +22,25 @@ def random_permutation(rng, degree):
     return Permutation(images)
 
 
+def closure(generators, degree):
+    """Every element of the generated group, by breadth-first closure."""
+    elements = [identity(degree)]
+    seen = {elements[0].images}
+    for current in elements:
+        for g in generators:
+            nxt = compose(g, current)
+            if nxt.images not in seen:
+                seen.add(nxt.images)
+                elements.append(nxt)
+    return elements
+
+
 def random_group(rng):
+    """A random group on 2-7 points and its elements."""
     degree = rng.randrange(2, 8)
     gens = [random_permutation(rng, degree) for _ in range(rng.randrange(1, 4))]
-    return PermGroup(gens)
+    elements = closure(gens, degree)
+    return PermGroup(gens, order=len(elements)), elements
 
 
 def brute_transitivity(elements, degree):
@@ -55,8 +73,7 @@ class TestChainAgainstClosure:
     def test_order_and_membership_fuzz(self):
         rng = random.Random(2024)
         for _ in range(40):
-            group = random_group(rng)
-            elements = group.enumerate_elements(limit=10**6)
+            group, elements = random_group(rng)
             assert group.order() == len(elements)
             element_set = {p.images for p in elements}
             for p in elements[:25]:
@@ -69,8 +86,7 @@ class TestChainAgainstClosure:
         rng = random.Random(515)
         checked = 0
         for _ in range(30):
-            group = random_group(rng)
-            elements = group.enumerate_elements(limit=10**6)
+            group, elements = random_group(rng)
             if len(elements) > 1500:
                 continue
             checked += 1
@@ -81,11 +97,11 @@ class TestChainAgainstClosure:
         rng = random.Random(77)
         for _ in range(10):
             gens = [random_permutation(rng, 7) for _ in range(2)]
-            a = PermGroup(gens)
-            b = PermGroup(gens)
-            assert a.order() == b.order()
-            assert base_points(a.chain()) == base_points(b.chain())
-            assert orbit_sizes(a.chain()) == orbit_sizes(b.chain())
+            order = len(closure(gens, 7))
+            a = PermGroup(gens, order=order).chain()
+            b = PermGroup(gens, order=order).chain()
+            assert chain_snapshot(a) == chain_snapshot(b)
+            assert a.draws == b.draws
 
 
 def block_diagonal_double(rep):

@@ -100,7 +100,7 @@ class TestHeart:
         # the heart map is multiplicative in action order, like the module map
         g0, g1 = group.generators[0], group.generators[1]
         product = compose(g1, g0)
-        single = PermGroup([product], degree=group.degree)
+        single = PermGroup([product], degree=group.degree, order=product.order())
         rep_single = heart(single)
         assert rep.images[0] * rep.images[1] == rep_single.images[0]
 
@@ -110,7 +110,7 @@ class TestHeart:
 
     def test_rejects_tiny_degree(self):
         with pytest.raises(ValueError):
-            heart(PermGroup([identity(2)]))
+            heart(PermGroup([identity(2)], order=1))
 
 
 def brute_force_commutant_dimension(rep):
@@ -168,8 +168,8 @@ ORACLE_GROUPS = [
 ]
 ORACLE_MODULES = {"heart": heart, "permutation": permutation_module, "sum-zero": sum_zero_module}
 SMALL_MODULES = {
-    "trivial-group-permutation": lambda: permutation_module(PermGroup([identity(3)])),
-    "trivial-group-heart": lambda: heart(PermGroup([identity(4)])),
+    "trivial-group-permutation": lambda: permutation_module(PermGroup([identity(3)], order=1)),
+    "trivial-group-heart": lambda: heart(PermGroup([identity(4)], order=1)),
 }
 
 
@@ -187,7 +187,7 @@ class TestEndomorphismAlgebra:
         assert [b.rows for b in endomorphism_algebra(rep).basis] == commutation_kernel(rep)
 
     def test_trivial_group_full_matrix_algebra(self):
-        rep = permutation_module(PermGroup([identity(3)]))
+        rep = permutation_module(PermGroup([identity(3)], order=1))
         assert endomorphism_algebra(rep).dimension == 9
 
     @pytest.mark.parametrize(
@@ -285,7 +285,7 @@ class TestMeatAxe:
 
     def test_one_dimensional_module(self):
         rep = heart(cyclic(3))  # degree 3 odd: dimension 2... use a true 1-dim module
-        one_dim = permutation_module(PermGroup([identity(1)]))
+        one_dim = permutation_module(PermGroup([identity(1)], order=1))
         assert is_irreducible(one_dim, seed=0).status == "irreducible"
         assert rep.dimension == 2
 
@@ -311,7 +311,7 @@ class TestIndecomposability:
             assert verdict.endo_dimension == 1
 
     def test_direct_sum_of_trivial_modules_decomposes(self):
-        rep = permutation_module(PermGroup([identity(2)]))
+        rep = permutation_module(PermGroup([identity(2)], order=1))
         verdict = is_indecomposable(rep)
         assert verdict.status == "decomposable"
         witness = verdict.witness

@@ -2,8 +2,8 @@
 
 The constructors pass their closed-form order, which their own chain then
 only confirms.  So every order and containment check here builds
-``deterministic(G)``, the same generators without the order, whose
-deterministic Schreier-Sims chain proves each formula independently.
+``deterministic(G)``, the deterministic Schreier-Sims chain of the same
+generators without the order, which proves each formula independently.
 """
 
 from math import gcd
@@ -28,13 +28,14 @@ from heartlab.zoo import (
     psl_order,
     symmetric,
 )
+from support import DeterministicChain
 
 MATHIEU_ORDERS = {11: 7920, 12: 95040, 22: 443520, 23: 10200960, 24: 244823040}
 MATHIEU_TRANSITIVITY = {11: 4, 12: 5, 22: 3, 23: 4, 24: 5}
 
 
-def deterministic(group: PermGroup) -> PermGroup:
-    return PermGroup(group.generators)
+def deterministic(group: PermGroup) -> DeterministicChain:
+    return DeterministicChain(group.degree, group.generators)
 
 
 class TestElementaryFamilies:
@@ -63,11 +64,12 @@ class TestElementaryFamilies:
             assert deterministic(group).order() == order
 
     def test_parameter_validation(self):
-        with pytest.raises(GroupSpecError):
-            symmetric(1)
-        with pytest.raises(GroupSpecError):
-            alternating(2)
-        with pytest.raises(GroupSpecError):
+        # each constructor validates through GroupId, with its wording
+        for constructor, n in [(symmetric, 1), (alternating, 2), (cyclic, 1), (dihedral, 2)]:
+            family = constructor.__name__
+            with pytest.raises(GroupSpecError, match=rf"^bad parameters \({n},\) for {family}$"):
+                constructor(n)
+        with pytest.raises(GroupSpecError, match=r"^no Mathieu group of degree \(13,\)$"):
             mathieu(13)
 
 
@@ -102,7 +104,7 @@ class TestMathieu:
         for _ in range(6):
             c = sampler.sample()
             conjugates.append(compose(c, compose(x, c.inverse())))
-        assert PermGroup(conjugates).order() == g.order()
+        assert DeterministicChain(g.degree, conjugates).order() == g.order()
 
 
 def desk_projective_instances(max_degree=100):
@@ -152,8 +154,9 @@ class TestProjectiveGroups:
     def test_pgl_equals_psl_iff_gcd_one(self):
         for m, q in [(3, 2), (2, 8), (3, 4), (4, 3)]:
             sub = deterministic(build_group(GroupId("psl", (m, q))))
-            big = deterministic(build_group(GroupId("pgl", (m, q))))
-            same = sub.order() == big.order() and all(sub.contains(g) for g in big.generators)
+            pgl_group = build_group(GroupId("pgl", (m, q)))
+            big = deterministic(pgl_group)
+            same = sub.order() == big.order() and all(sub.contains(g) for g in pgl_group.generators)
             assert same == (gcd(m, q - 1) == 1)
 
     def test_psl_doubly_transitive(self):
