@@ -207,7 +207,10 @@ def spin(seed_vectors, actions: list[ModMatrix], ambient: int) -> Subspace:
 
     Worklist closure: each newly independent residue is queued and hit with
     every action; candidates are reduced against the current echelon basis
-    before insertion.
+    before insertion.  The spin stops as soon as the basis reaches the
+    ambient dimension, even between the actions on one vector: a full
+    reduced echelon basis is the identity whatever order its vectors
+    arrived in, so the result is the one the drained worklist would give.
     """
     for a in actions:
         if a.nrows != a.ncols or a.nrows != ambient:
@@ -215,17 +218,22 @@ def spin(seed_vectors, actions: list[ModMatrix], ambient: int) -> Subspace:
     ech = _Echelon()
     worklist = []
     for v in seed_vectors:
+        # the early stop counts pivots, so every vector must lie in F_2^ambient
+        if v < 0 or v >> ambient:
+            raise ValueError("seed vectors must lie in F_2^ambient")
         pivot = ech.insert(v)
         if pivot is not None:
             worklist.append(ech.rows[pivot])
     head = 0
-    while head < len(worklist):
+    while head < len(worklist) and ech.dimension < ambient:
         v = worklist[head]
         head += 1
         for a in actions:
             pivot = ech.insert(a.act(v))
             if pivot is not None:
                 worklist.append(ech.rows[pivot])
+                if ech.dimension == ambient:
+                    break
     return Subspace(ambient, ech)
 
 

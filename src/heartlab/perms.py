@@ -87,18 +87,6 @@ class Permutation:
             inv[j] = i
         return Permutation(inv, _checked=True)
 
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = identity(self.degree)
-        square = self
-        while k:
-            if k & 1:
-                result = compose(square, result)
-            square = compose(square, square)
-            k >>= 1
-        return result
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point."""
         seen = [False] * self.degree

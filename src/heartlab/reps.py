@@ -252,7 +252,7 @@ def _matrix_poly(coeffs, m: ModMatrix) -> ModMatrix:
     identity = ModMatrix.identity(d)
     acc = ModMatrix.zeros(d, d)
     for c in reversed(coeffs):
-        acc = acc * m
+        acc = m * acc  # = acc * m; each act then walks a sparse row of m, not a dense one of acc
         if c:
             acc = acc + identity
     return acc

@@ -5,6 +5,9 @@
 - F_2 matrices from entry lists, their entries and rank.
 - Permutation matrices and the permutation module, a test input for the
   End solver and the MeatAxe next to the heart.
+- The oracles of two MeatAxe steps: the spin that drains its whole
+  worklist, and the polynomial evaluated at a matrix by right-multiplied
+  Horner.
 - The deterministic Schreier-Sims chain, the oracle that the known-order
   chain of ``perms`` and the zoo's order formulas are checked against, and
   the base points and basic orbit sizes of a stabilizer chain, skipping the
@@ -14,7 +17,7 @@
 import itertools
 
 from heartlab.fppoly import degree, monic, normalize
-from heartlab.linalg import ModMatrix, _Echelon
+from heartlab.linalg import ModMatrix, Subspace, _Echelon
 from heartlab.perms import _StabilizerChain
 from heartlab.reps import GModuleRep
 
@@ -155,6 +158,38 @@ def permutation_matrix(p):
 
 def permutation_module(group):
     return GModuleRep(group.degree, [permutation_matrix(g) for g in group.generators])
+
+
+def drained_spin(seed_vectors, actions, ambient):
+    """``linalg.spin`` without its early stop: every queued vector is hit with
+    every action, also after the basis has filled the space."""
+    ech = _Echelon()
+    worklist = []
+    for v in seed_vectors:
+        pivot = ech.insert(v)
+        if pivot is not None:
+            worklist.append(ech.rows[pivot])
+    head = 0
+    while head < len(worklist):
+        v = worklist[head]
+        head += 1
+        for a in actions:
+            pivot = ech.insert(a.act(v))
+            if pivot is not None:
+                worklist.append(ech.rows[pivot])
+    return Subspace(ambient, ech)
+
+
+def right_horner_matrix_poly(coeffs, m):
+    """``reps._matrix_poly`` with the Horner step acc * m instead of m * acc."""
+    d = m.nrows
+    identity = ModMatrix.identity(d)
+    acc = ModMatrix.zeros(d, d)
+    for c in reversed(coeffs):
+        acc = acc * m
+        if c:
+            acc = acc + identity
+    return acc
 
 
 # -- stabilizer chains ------------------------------------------------------------

@@ -393,6 +393,18 @@ MEATAXE_PINS = {
     ("PSL(4,3)", 7): "b5db2c8146eb9ee5a18e964617d7e010328cb0d35aaf9ec3f7a795c44bd0cc89",
     ("PSL(4,3)", 8): "fb74b51c3304f12ef6b788a22ec34fec19757bce9a8bac3d43e8a3305c58ac94",
     ("PSL(4,3)", 9): "b5db2c8146eb9ee5a18e964617d7e010328cb0d35aaf9ec3f7a795c44bd0cc89",
+    # hearts of dimension 128 (8 generators) and 120, recorded before the spin
+    # stopped once full and p(theta) was evaluated by left multiplication
+    ("PSL(2,128)", 0): "8df1f61140d5c8cb7ba77eef7a5cf8509603be8170f9cd48eb0c85ff87a9c1c2",
+    ("PSL(2,128)", 1): "73c2517dbf4347e71d70be723bc65ba11304d4146f9887e857196101e6b9e63b",
+    ("PSL(2,128)", 2): "8df1f61140d5c8cb7ba77eef7a5cf8509603be8170f9cd48eb0c85ff87a9c1c2",
+    ("PSL(2,128)", 3): "8df1f61140d5c8cb7ba77eef7a5cf8509603be8170f9cd48eb0c85ff87a9c1c2",
+    ("PSL(2,128)", 4): "8df1f61140d5c8cb7ba77eef7a5cf8509603be8170f9cd48eb0c85ff87a9c1c2",
+    ("PSL(5,3)", 0): "46014cbef8c822631b259885834b970c7e33b61d8e74216e614b691182babc20",
+    ("PSL(5,3)", 1): "46014cbef8c822631b259885834b970c7e33b61d8e74216e614b691182babc20",
+    ("PSL(5,3)", 2): "46014cbef8c822631b259885834b970c7e33b61d8e74216e614b691182babc20",
+    ("PSL(5,3)", 3): "6c6c734cc285e6fa54c2208917d9f0be71931cd9cdc87291c5c22e6f0999ed11",
+    ("PSL(5,3)", 4): "46014cbef8c822631b259885834b970c7e33b61d8e74216e614b691182babc20",
 }
 INDECOMPOSABLE_PINS = {
     "M11": "a0a18a79c5b9e19b951269ff7d6cb7f51615c113ddb0089b3e140848df90a470",

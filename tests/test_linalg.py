@@ -215,6 +215,13 @@ class TestSpin:
         again = spin(list(sub.basis), actions, 7)
         assert again == sub
 
+    @pytest.mark.parametrize("seed", [-1, -0b101, 1 << 4, 0b10011, 1 << 70])
+    def test_seed_outside_ambient_rejected(self, seed):
+        # an out-of-range bit would add a pivot and stop the spin one vector early
+        actions = [permutation_matrix(g) for g in symmetric(4).generators]
+        with pytest.raises(ValueError, match="F_2\\^ambient"):
+            spin([0b0011, seed], actions, 4)
+
 
 class TestCharpoly:
     def test_permutation_matrix_charpoly(self):

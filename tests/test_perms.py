@@ -189,12 +189,6 @@ class TestPermutation:
     def test_composition_associative(self, p, q, r):
         assert compose(compose(p, q), r) == compose(p, compose(q, r))
 
-    def test_power(self):
-        c = from_cycles(5, [(0, 1, 2, 3, 4)])
-        assert c**5 == identity(5)
-        assert c**-1 == c.inverse()
-        assert (c**3).images == compose(c, compose(c, c)).images
-
 
 class TestCycleType:
     def test_identity_type(self):

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
-from heartlab.linalg import ModMatrix, Subspace, kernel
+from heartlab import fppoly
+from heartlab.linalg import ModMatrix, Subspace, charpoly, kernel, spin
 from heartlab.perms import PermGroup, compose, identity
 from heartlab.reps import (
+    _matrix_poly,
+    _random_algebra_element,
     _vec_of_matrix,
     endomorphism_algebra,
     heart,
@@ -14,6 +17,7 @@ from heartlab.reps import (
     is_irreducible,
     sum_zero_module,
 )
+from heartlab.rng import SplitMix64
 from heartlab.zoo import (
     GroupId,
     alternating,
@@ -23,7 +27,14 @@ from heartlab.zoo import (
     parse_group_spec,
     symmetric,
 )
-from support import permutation_matrix, permutation_module, rank
+from support import (
+    drained_spin,
+    permutation_matrix,
+    permutation_module,
+    rank,
+    right_horner_matrix_poly,
+)
+from test_cli import MEATAXE_PINS
 
 
 def is_absolutely_irreducible(rep, seed=0):
@@ -301,6 +312,81 @@ class TestMeatAxe:
         rep = heart(build_group(GroupId("mathieu", (24,))))
         assert endomorphism_algebra(rep).dimension == 1
         assert is_irreducible(rep, seed=0).status == "reducible"
+
+
+def heart_of(spec):
+    return heart(build_group(parse_group_spec(spec)))
+
+
+def count_acts(monkeypatch):
+    """Patch ``ModMatrix.act`` to count its calls; returns the one-item counter."""
+    calls = [0]
+    act = ModMatrix.act
+
+    def counted(self, v):
+        calls[0] += 1
+        return act(self, v)
+
+    monkeypatch.setattr(ModMatrix, "act", counted)
+    return calls
+
+
+class TestMeatAxeSteps:
+    """The early-stopping spin and the left-multiplied p(theta) against the
+    drained spin and the right-multiplied Horner they replaced."""
+
+    @pytest.mark.parametrize("group", sorted({group for group, _ in MEATAXE_PINS}))
+    def test_spin_matches_drained_spin(self, monkeypatch, group):
+        rep = heart_of(group)
+        d = rep.dimension
+        rng = random.Random(11)
+        seeds = [1] + [rng.randrange(1, 1 << d) for _ in range(5)]
+        calls = count_acts(monkeypatch)
+        for actions in (rep.images, rep.transposed_images()):
+            for v in seeds:
+                expected = drained_spin([v], actions, d)
+                start = calls[0]
+                got = spin([v], actions, d)
+                acts = calls[0] - start
+                assert (got.basis, got.pivots) == (expected.basis, expected.pivots)
+                # the drained spin acts d * k times on a spin that fills
+                if got.dimension == d:
+                    assert acts < d * len(actions)
+
+    def test_proper_spin_matches_drained_spin(self):
+        rep = heart_of("M24")
+        d = rep.dimension
+        witness = is_irreducible(rep, seed=0).witness
+        assert witness.is_proper_nonzero()
+        for seeds in ([witness.basis[0]], [witness.basis[-1]], witness.basis):
+            got = spin(seeds, rep.images, d)
+            expected = drained_spin(seeds, rep.images, d)
+            assert got.is_proper_nonzero()
+            assert (got.basis, got.pivots) == (expected.basis, expected.pivots)
+
+    def test_spin_from_e0_makes_at_most_half_the_drained_acts(self, monkeypatch):
+        rep = heart_of("PSL(2,128)")
+        d, k = rep.dimension, len(rep.images)
+        calls = count_acts(monkeypatch)
+        assert spin([1], rep.images, d).dimension == d
+        assert calls[0] <= d * k // 2
+
+    @pytest.mark.parametrize("group", ["M24", "PSL(3,4)", "PSL(4,3)"])
+    def test_matrix_poly_matches_right_horner_at_charpoly_factors(self, group):
+        images = heart_of(group).images
+        rng = SplitMix64(3)
+        for attempt in range(1, 7):
+            theta = _random_algebra_element(images, rng, attempt)
+            for factor, _ in fppoly.factor(tuple(charpoly(theta)), 2, rng):
+                assert _matrix_poly(factor, theta) == right_horner_matrix_poly(factor, theta)
+
+    def test_matrix_poly_matches_right_horner_on_dense_matrices(self):
+        rng = random.Random(13)
+        for d in (1, 2, 3, 8, 17, 40):
+            for _ in range(4):
+                m = ModMatrix(d, d, [rng.randrange(1 << d) for _ in range(d)])
+                coeffs = [rng.randrange(2) for _ in range(rng.randrange(13))]
+                assert _matrix_poly(coeffs, m) == right_horner_matrix_poly(coeffs, m)
 
 
 class TestIndecomposability:
