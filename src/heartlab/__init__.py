@@ -18,7 +18,7 @@ from .audit import (
     genus_of,
     min_projective_degree_bound,
 )
-from .fields import FieldElement, FieldSpec, ProjPoint, canonicalize, make_field, projective_points
+from .fields import FieldSpec, make_field, projective_points
 from .linalg import ModMatrix, Subspace, charpoly, kernel, spin
 from .perms import CycleType, PermGroup, Permutation, compose, cycle_type, from_cycles, identity
 from .probe import IntPolynomial, ProbeReport, cycle_type_mod_p, group_cycle_types, parse_poly, probe
@@ -46,7 +46,7 @@ from .zoo import (
 __all__ = [
     "AuditReport", "audit", "check_unbounded", "cyclotomic_obstruction", "genus_of",
     "min_projective_degree_bound",
-    "FieldElement", "FieldSpec", "ProjPoint", "canonicalize", "make_field", "projective_points",
+    "FieldSpec", "make_field", "projective_points",
     "ModMatrix", "Subspace", "charpoly", "kernel", "spin",
     "CycleType", "PermGroup", "Permutation", "compose", "cycle_type", "from_cycles", "identity",
     "IntPolynomial", "ProbeReport", "cycle_type_mod_p", "group_cycle_types", "parse_poly", "probe",

@@ -1,16 +1,25 @@
-"""Arithmetic in GF(p^r) and enumeration of projective space points.
+"""Arithmetic in GF(p^r) on integer-coded elements, and projective points.
 
-Elements are coefficient vectors over F_p modulo a fixed monic irreducible
-polynomial.  The modulus is the lexicographically smallest monic irreducible
-of the requested degree (coefficients compared constant term first), which is
-reproducible without any lookup table; anyone comparing against a system that
-uses Conway polynomials has to re-map elements.
+The element c_0 + c_1 x + ... + c_{r-1} x^(r-1), a coefficient vector over
+F_p modulo a fixed monic irreducible polynomial, is coded as its index
+c_0 + c_1 p + ... + c_{r-1} p^(r-1), an int in [0, q).  The modulus is the
+lexicographically smallest monic irreducible of the requested degree
+(coefficients compared constant term first), which is reproducible without
+any lookup table; anyone comparing against a system that uses Conway
+polynomials has to re-map elements.
+
+Addition is XOR when p = 2, addition mod p when r = 1, and digit by digit
+otherwise.  Multiplication and inversion read log/antilog tables to the base
+of the field's smallest-index primitive element.  A ``FieldSpec`` builds its
+tables on first use, so ``make_field`` stays cheap and every table hangs off
+the ``FieldSpec`` it returns.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
+import operator
 
 from . import fppoly
 
@@ -27,14 +36,20 @@ def is_prime(n: int) -> bool:
 
 
 class FieldSpec:
-    """GF(p^r) with a fixed monic irreducible modulus of degree r."""
+    """GF(p^r) with a fixed monic irreducible modulus of degree r; its
+    elements are the indices 0..q-1 of the module docstring."""
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...]):
         self.p = p
         self.r = r
         self.q = p**r
         self.modulus = modulus  # length r+1, monic
-        self._inv_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+        if p == 2:
+            self.add = operator.xor
+        elif r == 1:
+            self.add = lambda a, b: (a + b) % p
+        else:
+            self.add = self._add_digits
 
     def __repr__(self) -> str:
         return f"FieldSpec(GF({self.p}^{self.r}))"
@@ -48,116 +63,94 @@ class FieldSpec:
     def __hash__(self) -> int:
         return hash((self.p, self.r, self.modulus))
 
-    # -- element construction ------------------------------------------------
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.r)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.r - 1))
-
-    def from_int(self, value: int) -> "FieldElement":
-        """Element with index ``value`` in base-p digit order (constant digit first)."""
-        if not 0 <= value < self.q:
-            raise ValueError("index out of range")
-        coeffs = []
+    def digits(self, a: int) -> tuple[int, ...]:
+        """The coefficient vector (c_0, ..., c_{r-1}) of index ``a``."""
+        out = []
         for _ in range(self.r):
-            coeffs.append(value % self.p)
-            value //= self.p
-        return FieldElement(self, tuple(coeffs))
+            a, c = divmod(a, self.p)
+            out.append(c)
+        return tuple(out)
 
-    # -- arithmetic on coefficient tuples -------------------------------------
+    def _add_digits(self, a: int, b: int) -> int:
+        p, total, place = self.p, 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            total += (x + y) % p * place
+            place *= p
+        return total
 
-    def _add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def _mul(self, a, b):
+    def _poly_mul(self, a: int, b: int) -> int:
+        """a * b as coefficient vectors multiplied modulo the modulus: the
+        product the tables are built from."""
         p, r = self.p, self.r
+        if r == 1:
+            return a * b % p
         prod = [0] * (2 * r - 1)
-        for i, x in enumerate(a):
+        db = self.digits(b)
+        for i, x in enumerate(self.digits(a)):
             if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic modulus
+                for j, y in enumerate(db):
+                    prod[i + j] += x * y
         for k in range(2 * r - 2, r - 1, -1):
-            c = prod[k]
+            c = prod[k] % p
             if c:
-                prod[k] = 0
                 for i in range(r):
-                    prod[k - r + i] = (prod[k - r + i] - c * self.modulus[i]) % p
-        return tuple(prod[:r])
-
-    def _inv(self, a):
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError("inversion of zero field element")
-        cached = self._inv_cache.get(a)
-        if cached is None:
-            # a^(q-2) by square and multiply
-            result = (1,) + (0,) * (self.r - 1)
-            base, k = a, self.q - 2
-            while k:
-                if k & 1:
-                    result = self._mul(result, base)
-                base = self._mul(base, base)
-                k >>= 1
-            self._inv_cache[a] = cached = result
-        return cached
-
-
-class FieldElement:
-    """An element of GF(p^r) as a coefficient vector (constant term first)."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field._add(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field._mul(self.coeffs, other.coeffs))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._inv(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def index(self) -> int:
-        """Base-p digit encoding; inverse of FieldSpec.from_int."""
+                    prod[k - r + i] -= c * self.modulus[i]
         value = 0
-        for c in reversed(self.coeffs):
-            value = value * self.field.p + c
+        for c in reversed(prod[:r]):
+            value = value * p + c % p
         return value
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+    @cached_property
+    def primitive(self) -> int:
+        """The smallest index a >= 2 with a^((q-1)/l) != 1 for every prime
+        l dividing q - 1, a generator of the multiplicative group (1 in F_2)."""
+        n = self.q - 1
+        if n == 1:
+            return 1
+        primes = [ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)]
+        for a in range(2, self.q):
+            if all(self._power(a, n // ell) != 1 for ell in primes):
+                return a
+        raise AssertionError("multiplicative group of a finite field is cyclic")
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+    def _power(self, a: int, k: int) -> int:
+        result = 1
+        while k:
+            if k & 1:
+                result = self._poly_mul(result, a)
+            a = self._poly_mul(a, a)
+            k >>= 1
+        return result
 
-    def __repr__(self) -> str:
-        return f"FieldElement{self.coeffs}"
+    @cached_property
+    def exp(self) -> list[int]:
+        """exp[k] = w^k for the primitive element w and 0 <= k < 2(q - 1),
+        so that a sum of two logs indexes it without reduction."""
+        w, table = self.primitive, [1]
+        for _ in range(self.q - 2):
+            table.append(self._poly_mul(table[-1], w))
+        return table * 2
+
+    @cached_property
+    def log(self) -> list[int | None]:
+        """log[a] = k with w^k = a for a != 0; log[0] is None."""
+        table: list[int | None] = [None] * self.q
+        for k, a in enumerate(self.exp[: self.q - 1]):
+            table[a] = k
+        return table
+
+    def mul(self, a: int, b: int) -> int:
+        if a and b:
+            log = self.log
+            return self.exp[log[a] + log[b]]
+        return 0
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inversion of zero field element")
+        return self.exp[self.q - 1 - self.log[a]]
 
 
 @lru_cache(maxsize=None)
@@ -182,53 +175,26 @@ def make_field(p: int, r: int) -> FieldSpec:
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
-class ProjPoint:
-    """Point of P^(m-1)(F_q): canonical coordinates, first nonzero entry 1."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple[FieldElement, ...]):
-        self.coords = coords
-
-    def key(self) -> tuple[int, ...]:
-        return tuple(c.index() for c in self.coords)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjPoint) and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __repr__(self) -> str:
-        return f"ProjPoint{self.key()}"
+def normalize_point(field: FieldSpec, vector) -> tuple[int, ...]:
+    """The point of a nonzero vector: the vector scaled so that its first
+    nonzero coordinate is 1."""
+    pivot = next((c for c in vector if c), 0)
+    if not pivot:
+        raise ValueError("cannot normalize the zero vector")
+    if pivot == 1:
+        return tuple(vector)
+    scale = field.inv(pivot)
+    return tuple(field.mul(scale, c) for c in vector)
 
 
-def canonicalize(coords) -> ProjPoint:
-    """Scale a nonzero vector so its first nonzero coordinate is 1."""
-    coords = tuple(coords)
-    pivot = None
-    for c in coords:
-        if not c.is_zero():
-            pivot = c
-            break
-    if pivot is None:
-        raise ValueError("cannot canonicalize the zero vector")
-    scale = pivot.inverse()
-    return ProjPoint(tuple(scale * c for c in coords))
-
-
-def projective_points(field: FieldSpec, m: int) -> list[ProjPoint]:
-    """All points of P^(m-1)(F_q), sorted by coordinate key; length (q^m-1)/(q-1)."""
+def projective_points(field: FieldSpec, m: int) -> list[tuple[int, ...]]:
+    """All points of P^(m-1)(F_q) as index tuples whose first nonzero
+    coordinate is 1, sorted; (q^m-1)/(q-1) of them."""
     if m < 2:
         raise ValueError("projective space needs m >= 2")
     points = []
-    one = field.one()
-    zero = field.zero()
-    for chart in range(m):
-        # first nonzero coordinate at position `chart`, normalized to 1
-        free = m - chart - 1
-        for tail_idx in product(range(field.q), repeat=free):
-            tail = tuple(field.from_int(i) for i in tail_idx)
-            points.append(ProjPoint((zero,) * chart + (one,) + tail))
-    points.sort(key=ProjPoint.key)
+    # a later first nonzero coordinate sorts first; tails come in order
+    for chart in reversed(range(m)):
+        head = (0,) * chart + (1,)
+        points.extend(head + tail for tail in product(range(field.q), repeat=m - chart - 1))
     return points

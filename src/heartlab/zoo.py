@@ -9,9 +9,12 @@ Schreier-Sims oracle in ``tests/support.py``.  Mathieu groups ship with
 classical hard-coded generator permutations (transcribed 1-indexed from the
 literature); the test suite certifies their orders, degrees and transitivity
 rather than taking the transcription on faith.
-PSL/PGL act on the canonical projective points of ``fields.projective_points``
-via images of standard SL/GL generator matrices; the point labeling table is
-attached to the returned group as ``point_labels``.
+PSL/PGL act on the points of ``fields.projective_points``, index tuples over
+the integer-coded F_q, through standard SL/GL generator matrices of field
+indices: each image vector is scaled so that its first nonzero coordinate is
+1 and looked up by its tuple.  The points, in label order, are attached to
+the returned group as ``point_labels``.  The tests check every generator
+image against the coefficient-tuple construction of ``tests/support.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import lru_cache
 from math import factorial, gcd
 import re
 
-from .fields import FieldElement, FieldSpec, make_field, projective_points, canonicalize
+from .fields import FieldSpec, make_field, normalize_point, projective_points
 from .perms import PermGroup, Permutation, from_cycles
 
 # Conway et al., ATLAS of Finite Groups (1985): |M11|, |M12|, |M22|, |M23|, |M24|
@@ -187,70 +190,52 @@ def mathieu(n: int) -> PermGroup:
 # -- projective linear groups -------------------------------------------------
 
 
-def _primitive_element(field: FieldSpec) -> FieldElement:
-    """Smallest-index generator of the multiplicative group."""
-    if field.q == 2:
-        return field.one()
-    target = field.q - 1
-    for idx in range(2, field.q):
-        a = field.from_int(idx)
-        order, b = 1, a
-        while b != field.one():
-            b = b * a
-            order += 1
-        if order == target:
-            return a
-    raise AssertionError("multiplicative group of a finite field is cyclic")
-
-
-def _mat_vec(mat, vec, field: FieldSpec):
-    m = len(vec)
-    out = []
-    for i in range(m):
-        acc = field.zero()
-        for j in range(m):
-            acc = acc + mat[i][j] * vec[j]
-        out.append(acc)
-    return tuple(out)
-
-
 def _projective_permutation(mat, points, index_of, field: FieldSpec) -> Permutation:
+    """The permutation of the points that the matrix induces, vector by
+    vector over the nonzero entries of its rows."""
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in mat]
+    add, mul = field.add, field.mul
     images = []
     for pt in points:
-        image = canonicalize(_mat_vec(mat, pt.coords, field))
-        images.append(index_of[image.key()])
+        image = []
+        for row in rows:
+            acc = 0
+            for j, a in row:
+                if pt[j]:
+                    acc = add(acc, mul(a, pt[j]))
+            image.append(acc)
+        images.append(index_of[normalize_point(field, image)])
     return Permutation(images)
 
 
 def _linear_generators(m: int, field: FieldSpec, include_pgl: bool):
-    """Standard generator matrices: transvections plus a signed basis cycle,
-    and (for PGL) a diagonal matrix with primitive-element determinant.
+    """Standard generator matrices of field indices: transvections plus a
+    signed basis cycle, and (for PGL) a diagonal matrix with
+    primitive-element determinant.
 
     Over a proper extension field a single transvection is not enough (its
     entries only span a subfield), so one transvection x_{12}(w^k) is emitted
     per F_p-basis power w^k of the primitive element w.
     """
-    zero, one = field.zero(), field.one()
-    omega = _primitive_element(field)
+
+    def identity():
+        return [[int(i == j) for j in range(m)] for i in range(m)]
 
     mats = []
-    scale = one
-    for _ in range(field.r):
-        transvection = [[one if i == j else zero for j in range(m)] for i in range(m)]
-        transvection[0][1] = scale
+    for k in range(field.r):
+        transvection = identity()
+        transvection[0][1] = field.exp[k]
         mats.append(transvection)
-        scale = scale * omega
 
-    cycle = [[zero] * m for _ in range(m)]
+    cycle = [[0] * m for _ in range(m)]
     for i in range(m - 1):
-        cycle[i + 1][i] = one
-    sign = one if (m - 1) % 2 == 0 else -one
-    cycle[0][m - 1] = sign
+        cycle[i + 1][i] = 1
+    cycle[0][m - 1] = 1 if (m - 1) % 2 == 0 else field.p - 1  # -1 is index p - 1
     mats.append(cycle)
 
     if include_pgl:
-        diag = [[one if i == j else zero for j in range(m)] for i in range(m)]
-        diag[0][0] = omega
+        diag = identity()
+        diag[0][0] = field.primitive
         mats.append(diag)
     return mats
 
@@ -260,7 +245,7 @@ def _projective_group(m: int, q: int, include_pgl: bool) -> PermGroup:
     p, r = prime_power_decomposition(q)
     field = make_field(p, r)
     points = projective_points(field, m)
-    index_of = {pt.key(): i for i, pt in enumerate(points)}
+    index_of = {pt: i for i, pt in enumerate(points)}
     mats = _linear_generators(m, field, include_pgl)
     gens = [_projective_permutation(mat, points, index_of, field) for mat in mats]
     group = PermGroup(gens, order=group_id.order)

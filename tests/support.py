@@ -8,6 +8,10 @@
 - The oracles of two MeatAxe steps: the spin that drains its whole
   worklist, and the polynomial evaluated at a matrix by right-multiplied
   Horner.
+- GF(p^r) on coefficient tuples with ``FieldElement`` objects, canonical
+  projective points and the PSL/PGL generator construction over them: the
+  oracle that the integer-coded fields of ``fields`` and the generator images
+  of ``zoo`` are checked against.
 - The deterministic Schreier-Sims chain, the oracle that the known-order
   chain of ``perms`` and the zoo's order formulas are checked against, and
   the base points and basic orbit sizes of a stabilizer chain, skipping the
@@ -16,10 +20,12 @@
 
 import itertools
 
+from heartlab.fields import make_field
 from heartlab.fppoly import degree, monic, normalize
 from heartlab.linalg import ModMatrix, Subspace, _Echelon
 from heartlab.perms import _StabilizerChain
 from heartlab.reps import GModuleRep
+from heartlab.zoo import prime_power_decomposition
 
 # -- F_p[x] on coefficient tuples ----------------------------------------------
 
@@ -130,6 +136,203 @@ def tuple_distinct_degree_split(f, p):
     if degree(f) > 0:
         out.append((degree(f), f))
     return out
+
+
+# -- GF(p^r) on coefficient tuples and the projective groups over it -----------
+
+
+class TupleField:
+    """GF(p^r) on coefficient tuples (constant term first), reduced modulo
+    the modulus of ``make_field(p, r)``."""
+
+    def __init__(self, p, r):
+        self.p = p
+        self.r = r
+        self.q = p**r
+        self.modulus = make_field(p, r).modulus
+
+    def zero(self):
+        return FieldElement(self, (0,) * self.r)
+
+    def one(self):
+        return FieldElement(self, (1,) + (0,) * (self.r - 1))
+
+    def from_int(self, value):
+        """Element with index ``value`` in base-p digit order (constant digit first)."""
+        coeffs = []
+        for _ in range(self.r):
+            coeffs.append(value % self.p)
+            value //= self.p
+        return FieldElement(self, tuple(coeffs))
+
+    def elements(self):
+        return [self.from_int(i) for i in range(self.q)]
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def mul(self, a, b):
+        p, r = self.p, self.r
+        prod = [0] * (2 * r - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for k in range(2 * r - 2, r - 1, -1):  # reduce modulo the monic modulus
+            c = prod[k]
+            prod[k] = 0
+            for i in range(r):
+                prod[k - r + i] = (prod[k - r + i] - c * self.modulus[i]) % p
+        return tuple(prod[:r])
+
+    def inv(self, a):
+        if not any(a):
+            raise ZeroDivisionError("inversion of zero field element")
+        result, base, k = self.one().coeffs, a, self.q - 2  # a^(q-2)
+        while k:
+            if k & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            k >>= 1
+        return result
+
+
+class FieldElement:
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        self.coeffs = coeffs
+
+    def __add__(self, other):
+        return FieldElement(self.field, self.field.add(self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        return FieldElement(self.field, self.field.neg(self.coeffs))
+
+    def __mul__(self, other):
+        return FieldElement(self.field, self.field.mul(self.coeffs, other.coeffs))
+
+    def inverse(self):
+        return FieldElement(self.field, self.field.inv(self.coeffs))
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def index(self):
+        """Base-p digit encoding; inverse of ``TupleField.from_int``."""
+        value = 0
+        for c in reversed(self.coeffs):
+            value = value * self.field.p + c
+        return value
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+
+class ProjPoint:
+    """Point of P^(m-1)(F_q): coordinates whose first nonzero entry is 1."""
+
+    def __init__(self, coords):
+        self.coords = coords
+
+    def key(self):
+        return tuple(c.index() for c in self.coords)
+
+    def __eq__(self, other):
+        return self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+
+def canonicalize(coords):
+    """Scale a nonzero vector so its first nonzero coordinate is 1."""
+    pivot = next((c for c in coords if not c.is_zero()), None)
+    if pivot is None:
+        raise ValueError("cannot canonicalize the zero vector")
+    scale = pivot.inverse()
+    return ProjPoint(tuple(scale * c for c in coords))
+
+
+def reference_projective_points(field, m):
+    """Every point of P^(m-1)(F_q), sorted by ``ProjPoint.key``."""
+    points = []
+    for chart in range(m):
+        for tail in itertools.product(field.elements(), repeat=m - chart - 1):
+            points.append(ProjPoint((field.zero(),) * chart + (field.one(),) + tail))
+    points.sort(key=ProjPoint.key)
+    return points
+
+
+def reference_primitive_element(field):
+    """The smallest-index element of multiplicative order q - 1, found by
+    taking powers of each candidate in turn (O(q^2))."""
+    if field.q == 2:
+        return field.one()
+    for a in field.elements()[2:]:
+        order, b = 1, a
+        while b != field.one():
+            b = b * a
+            order += 1
+        if order == field.q - 1:
+            return a
+    raise AssertionError("multiplicative group of a finite field is cyclic")
+
+
+def reference_linear_generators(m, field, include_pgl):
+    """The generator matrices of ``zoo._linear_generators`` over ``FieldElement``."""
+    zero, one = field.zero(), field.one()
+    omega = reference_primitive_element(field)
+
+    def identity():
+        return [[one if i == j else zero for j in range(m)] for i in range(m)]
+
+    mats = []
+    scale = one
+    for _ in range(field.r):
+        transvection = identity()
+        transvection[0][1] = scale
+        mats.append(transvection)
+        scale = scale * omega
+    cycle = [[zero] * m for _ in range(m)]
+    for i in range(m - 1):
+        cycle[i + 1][i] = one
+    cycle[0][m - 1] = one if (m - 1) % 2 == 0 else -one
+    mats.append(cycle)
+    if include_pgl:
+        diag = identity()
+        diag[0][0] = omega
+        mats.append(diag)
+    return mats
+
+
+def reference_projective_generators(m, q, include_pgl):
+    """The image lists of the PSL_m(q) (or PGL_m(q)) generators on the points
+    of ``reference_projective_points``: every coordinate of every image
+    summed and multiplied as a ``FieldElement``, then canonicalized."""
+    field = TupleField(*prime_power_decomposition(q))
+    points = reference_projective_points(field, m)
+    index_of = {pt.key(): i for i, pt in enumerate(points)}
+    images = []
+    for mat in reference_linear_generators(m, field, include_pgl):
+        image = []
+        for pt in points:
+            vector = []
+            for row in mat:
+                acc = field.zero()
+                for a, c in zip(row, pt.coords):
+                    if not a.is_zero():  # a zero entry adds zero
+                        acc = acc + a * c
+                vector.append(acc)
+            image.append(index_of[canonicalize(vector).key()])
+        images.append(tuple(image))
+    return images
 
 
 # -- F_2 matrices and permutation modules ----------------------------------------

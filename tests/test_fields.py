@@ -6,21 +6,23 @@ import random
 import pytest
 
 from heartlab.fields import (
-    canonicalize,
     is_prime,
     make_field,
+    normalize_point,
     projective_points,
+)
+from heartlab.zoo import prime_power_decomposition
+from support import (
+    TupleField,
+    reference_primitive_element,
+    reference_projective_points,
 )
 
 
-def elements(field):
-    return [field.from_int(i) for i in range(field.q)]
-
-
-def power(a, k):
-    result = a.field.one()
+def power(field, a, k):
+    result = 1
     for _ in range(k):
-        result = result * a
+        result = field.mul(result, a)
     return result
 
 
@@ -103,27 +105,25 @@ class TestMakeField:
 class TestArithmetic:
     def test_f4_generator_square(self):
         f4 = make_field(2, 2)
-        x = f4.from_int(2)  # the coefficients (0, 1)
-        assert (x * x).coeffs == (1, 1)  # x^2 = x + 1 under x^2+x+1
+        x = 2  # the coefficients (0, 1)
+        assert f4.digits(f4.mul(x, x)) == (1, 1)  # x^2 = x + 1 under x^2+x+1
 
     def test_f8_inverses_exhaustive(self):
         f8 = make_field(2, 3)
-        for a in elements(f8):
-            if a.is_zero():
+        for a in range(f8.q):
+            if a == 0:
                 with pytest.raises(ZeroDivisionError):
-                    a.inverse()
+                    f8.inv(a)
             else:
-                assert a * a.inverse() == f8.one()
+                assert f8.mul(a, f8.inv(a)) == 1
 
     def test_f9_multiplicative_group_cyclic(self):
         f9 = make_field(3, 2)
         orders = set()
-        for a in elements(f9):
-            if a.is_zero():
-                continue
+        for a in range(1, f9.q):
             power, k = a, 1
-            while power != f9.one():
-                power = power * a
+            while power != 1:
+                power = f9.mul(power, a)
                 k += 1
             orders.add(k)
         assert 8 in orders
@@ -133,29 +133,68 @@ class TestArithmetic:
         rng = random.Random(17)
         for p, r in [(2, 4), (3, 2), (5, 1), (7, 2)]:
             field = make_field(p, r)
+            add, mul = field.add, field.mul
             for _ in range(1000 // 4):
-                a, b, c = (field.from_int(rng.randrange(field.q)) for _ in range(3))
-                assert a * (b + c) == a * b + a * c
-                assert (a * b) * c == a * (b * c)
-                assert (a + b) + c == a + (b + c)
+                a, b, c = (rng.randrange(field.q) for _ in range(3))
+                assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+                assert mul(mul(a, b), c) == mul(a, mul(b, c))
+                assert add(add(a, b), c) == add(a, add(b, c))
 
     def test_frobenius_additive_exhaustive(self):
         for p, r in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)]:
             field = make_field(p, r)
             assert field.q <= 64 or (p, r) == (7, 2)
-            for a in elements(field):
-                for b in elements(field):
-                    assert power(a + b, p) == power(a, p) + power(b, p)
+            for a in range(field.q):
+                for b in range(field.q):
+                    assert power(field, field.add(a, b), p) == field.add(
+                        power(field, a, p), power(field, b, p)
+                    )
 
     def test_subtraction_and_negation(self):
-        # subtraction is adding the negation: 3 - 5 = 5 in F_7
+        # the negation of b is (-1) * b, and -1 is the index p - 1:
+        # subtraction is adding the negation, 3 - 5 = 5 in F_7
         f7 = make_field(7, 1)
-        a, b = f7.from_int(3), f7.from_int(5)
-        assert a + (-b) == f7.from_int(5)
-        assert (a + (-a)).is_zero()
+        a, b = 3, 5
+        assert f7.add(a, f7.mul(6, b)) == 5
+        assert f7.add(a, f7.mul(6, a)) == 0
         f9 = make_field(3, 2)
-        for x in elements(f9):
-            assert (x + (-x)).is_zero()
+        for x in range(f9.q):
+            assert f9.add(x, f9.mul(2, x)) == 0
+            assert f9.digits(f9.mul(2, x)) == tuple((-c) % 3 for c in f9.digits(x))
+
+
+class TestFieldTables:
+    """The int tables against the coefficient-tuple oracle of ``support``."""
+
+    def test_tables_match_tuple_arithmetic(self):
+        count = 0
+        for q in range(2, 65):
+            decomposition = prime_power_decomposition(q)
+            if decomposition is None:
+                continue
+            field, oracle = make_field(*decomposition), TupleField(*decomposition)
+            assert field.modulus == oracle.modulus
+            for k in range(q - 1):
+                assert field.log[field.exp[k]] == k
+            for a in range(1, q):
+                assert field.exp[field.log[a]] == a
+                assert oracle.from_int(field.inv(a)) == oracle.from_int(a).inverse()
+            for a, b in itertools.product(oracle.elements(), repeat=2):
+                assert field.mul(a.index(), b.index()) == (a * b).index()
+                assert field.add(a.index(), b.index()) == (a + b).index()
+            count += 1
+        assert count == 27  # 18 primes and 9 proper powers below 65
+
+    def test_primitive_element_matches_search(self):
+        count = 0
+        for q in range(2, 317):
+            decomposition = prime_power_decomposition(q)
+            if decomposition is None:
+                continue
+            expected = reference_primitive_element(TupleField(*decomposition)).index()
+            assert make_field(*decomposition).primitive == expected, q
+            count += 1
+        assert count == 82  # 65 primes and 17 proper powers up to 316
 
 
 class TestProjectivePoints:
@@ -168,39 +207,38 @@ class TestProjectivePoints:
         points = projective_points(field, m)
         assert len(points) == count
         assert (field.q**m - 1) == count * (field.q - 1)
+        assert points == [pt.key() for pt in reference_projective_points(TupleField(p, r), m)]
 
     def test_points_distinct_and_sorted(self):
         field = make_field(2, 2)
         points = projective_points(field, 3)
-        keys = [pt.key() for pt in points]
-        assert len(set(keys)) == len(keys)
-        assert keys == sorted(keys)
+        assert len(set(points)) == len(points)
+        assert points == sorted(points)
 
     def test_canonical_first_nonzero_is_one(self):
         field = make_field(3, 1)
         for pt in projective_points(field, 4):
-            leading = next(c for c in pt.coords if not c.is_zero())
-            assert leading == field.one()
+            leading = next(c for c in pt if c)
+            assert leading == 1
 
     def test_canonicalize_scaling_invariance(self):
         field = make_field(2, 2)
-        vector = (field.from_int(2), field.one(), field.zero())
+        vector = (2, 1, 0)
         images = {
-            canonicalize(tuple(s * c for c in vector))
-            for s in elements(field)
-            if not s.is_zero()
+            normalize_point(field, tuple(field.mul(s, c) for c in vector))
+            for s in range(1, field.q)
         }
         assert len(images) == 1
 
     def test_canonicalize_rejects_zero(self):
         field = make_field(2, 1)
         with pytest.raises(ValueError):
-            canonicalize((field.zero(), field.zero()))
+            normalize_point(field, (0, 0))
 
     def test_canonicalize_definition_case(self):
         field = make_field(5, 1)
-        a, b = field.from_int(2), field.from_int(3)
-        point = canonicalize((field.zero(), a, b))
-        assert point.coords[0].is_zero()
-        assert point.coords[1] == field.one()
-        assert point.coords[2] == a.inverse() * b
+        a, b = 2, 3
+        point = normalize_point(field, (0, a, b))
+        assert point[0] == 0
+        assert point[1] == 1
+        assert point[2] == field.mul(field.inv(a), b)

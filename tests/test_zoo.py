@@ -28,7 +28,12 @@ from heartlab.zoo import (
     psl_order,
     symmetric,
 )
-from support import DeterministicChain
+from support import (
+    DeterministicChain,
+    TupleField,
+    reference_projective_generators,
+    reference_projective_points,
+)
 
 MATHIEU_ORDERS = {11: 7920, 12: 95040, 22: 443520, 23: 10200960, 24: 244823040}
 MATHIEU_TRANSITIVITY = {11: 4, 12: 5, 22: 3, 23: 4, 24: 5}
@@ -165,6 +170,14 @@ class TestProjectiveGroups:
 
     def test_point_labels_attached(self, psl32):
         assert len(psl32.point_labels) == 7
+        for name in ("PSL(3,2)", "PSL(3,4)", "PGL(3,3)"):
+            gid = parse_group_spec(name)
+            labels = build_group(gid).point_labels
+            assert labels == sorted(labels)
+            assert all(next(c for c in label if c) == 1 for label in labels)
+            m, q = gid.parameters
+            field = TupleField(*prime_power_decomposition(q))
+            assert labels == [pt.key() for pt in reference_projective_points(field, m)]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(GroupSpecError):
@@ -181,6 +194,29 @@ class TestProjectiveGroups:
         assert {cycle_type(p).lengths for p in psl32.enumerate_elements() if p.order() == 7} == {
             (7,)
         }
+
+
+def _small_projective_parameters():
+    return [(m, q) for m in range(2, 12) for q in range(2, 3001)
+            if q**m <= 3000 and prime_power_decomposition(q) is not None]
+
+
+class TestGeneratorImages:
+    """The generators built on integer-coded fields against the
+    ``FieldElement`` construction of ``support``, image for image."""
+
+    def test_parameter_count(self):
+        assert len(_small_projective_parameters()) == 49
+
+    @pytest.mark.parametrize("m,q", _small_projective_parameters())
+    def test_small_groups(self, m, q):
+        assert [g.images for g in psl(m, q).generators] == reference_projective_generators(m, q, False)
+        assert [g.images for g in pgl(m, q).generators] == reference_projective_generators(m, q, True)
+
+    @pytest.mark.parametrize("m,q", [(3, 13), (3, 16), (2, 256), (5, 3), (2, 128), (3, 7), (2, 64),
+                                     (3, 5)])
+    def test_benchmark_groups(self, m, q):
+        assert [g.images for g in psl(m, q).generators] == reference_projective_generators(m, q, False)
 
 
 # every family at its smallest parameters and beyond, PSL = PGL (gcd(m, q-1)
