@@ -31,6 +31,8 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
+from . import zoo
+from .perms import jordan_certificate
 from .reps import endomorphism_algebra, heart, is_indecomposable, is_irreducible
 from .zoo import GroupId, GroupSpecError, build_group
 
@@ -576,11 +578,30 @@ def _decide(branch_ok: bool, certificate) -> str:
     return "inconclusive"
 
 
+def _jordan_evidence(group_id: GroupId) -> AuditEvidence:
+    """The evidence of an A_n or S_n audit, from the zoo's generators by
+    ``jordan_certificate``, with no stabilizer chain: A_n is
+    (n-2)-transitive.  The generators are read through the ``zoo`` module,
+    from the same helpers ``zoo.alternating`` and ``zoo.symmetric`` build on."""
+    n = group_id.parameters[0]
+    evidence = AuditEvidence(
+        transitivity_degree=jordan_certificate(zoo.alternating_generators(n), alternating=True)
+    )
+    if group_id.family == "symmetric":
+        jordan_certificate(zoo.symmetric_generators(n), alternating=False)
+        # Sym(n) contains every permutation of degree n, so A_n's generators
+        evidence.containment_verified = True
+    return evidence
+
+
 def audit(group_id: GroupId, n: int | None = None, seed: int = 0, deep: bool = False) -> AuditReport:
     """Audit the certification hypotheses for the given group.
 
-    ``deep`` additionally records MeatAxe irreducibility and indecomposability
-    of the heart as informational evidence; neither gates the verdict.
+    An A_n or S_n audit takes its evidence from the Jordan certificate
+    (``_jordan_evidence``); every other audit from the groups' stabilizer
+    chains.  ``deep`` additionally records MeatAxe irreducibility
+    and indecomposability of the heart as informational evidence; neither
+    gates the verdict.
     """
     name = group_id.name()
     natural = group_id.natural_degree
@@ -614,15 +635,17 @@ def audit(group_id: GroupId, n: int | None = None, seed: int = 0, deep: bool = F
             name, simple_id.name(), n, g, None, None, None, "inconclusive", gap, []
         )
 
-    simple_group = build_group(simple_id)
     citations = ["jacobian-criterion", "genus-formula"]
-    evidence = AuditEvidence(transitivity_degree=simple_group.transitivity_degree())
-
-    if simple_id != group_id:
-        audited_group = build_group(group_id)
-        evidence.containment_verified = all(
-            audited_group.contains(gen) for gen in simple_group.generators
-        )
+    if group_id.family in ("alternating", "symmetric"):
+        evidence = _jordan_evidence(group_id)
+    else:
+        simple_group = build_group(simple_id)
+        evidence = AuditEvidence(transitivity_degree=simple_group.transitivity_degree())
+        if simple_id != group_id:
+            audited_group = build_group(group_id)
+            evidence.containment_verified = all(
+                audited_group.contains(gen) for gen in simple_group.generators
+            )
 
     if n % 2 == 1:
         branch = "i"
@@ -634,7 +657,7 @@ def audit(group_id: GroupId, n: int | None = None, seed: int = 0, deep: bool = F
     heart_rep = None
     endo = None
     if branch == "iii" or deep:
-        heart_rep = heart(simple_group)
+        heart_rep = heart(build_group(simple_id))  # reads generators only, no chain
         endo = endomorphism_algebra(heart_rep)
         evidence.endo_dimension = endo.dimension
         evidence.endo_source = "computed"

@@ -31,6 +31,9 @@ from .perms import PermGroup, Permutation, from_cycles
 MATHIEU_ORDERS = {11: 7920, 12: 95040, 22: 443520, 23: 10200960, 24: 244823040}
 MATHIEU_DEGREES = tuple(MATHIEU_ORDERS)
 
+# The largest n of S_n and A_n, and the largest q^m of PSL_m(q) and PGL_m(q).
+SUPPORTED_SCALE = 10**5
+
 # Classical generator cycles, 1-indexed as published.
 _MATHIEU_CYCLES = {
     11: [
@@ -80,6 +83,13 @@ class GroupId:
         if fam in ("symmetric", "alternating", "cyclic", "dihedral"):
             if len(params) != 1 or params[0] < (3 if fam in ("alternating", "dihedral") else 2):
                 raise GroupSpecError(f"bad parameters {params} for {fam}")
+            # an audit holds O(n) cells (the Jordan certificate); --deep and
+            # heart still form n x n matrices over F_2.  Cyclic and dihedral
+            # audits build nothing
+            if fam in ("symmetric", "alternating") and params[0] > SUPPORTED_SCALE:
+                raise GroupSpecError(
+                    f"{fam} degree n={params[0]} exceeds the supported scale n <= 1e5"
+                )
         elif fam == "mathieu":
             if len(params) != 1 or params[0] not in MATHIEU_DEGREES:
                 raise GroupSpecError(f"no Mathieu group of degree {params}")
@@ -91,7 +101,7 @@ class GroupId:
                 raise GroupSpecError(f"bad {fam} parameters (m={m}, q={q})")
             # before the prime-power test, which trial-divides up to sqrt(q);
             # q >= 2 and m > 16 give q^m > 1e5 without forming q^m
-            if m > 16 or q**m > 10**5:
+            if m > 16 or q**m > SUPPORTED_SCALE:
                 raise GroupSpecError(f"(m={m}, q={q}) exceeds the supported scale q^m <= 1e5")
             if prime_power_decomposition(q) is None:
                 raise GroupSpecError(f"bad {fam} parameters (m={m}, q={q})")
@@ -146,23 +156,36 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
     return (q, 1)  # q itself is prime
 
 
-def symmetric(n: int) -> PermGroup:
-    """S_n, generated by (0 1) and the n-cycle."""
-    group_id = GroupId("symmetric", (n,))  # validates n
+def symmetric_generators(n: int) -> list[Permutation]:
+    """(0 1) and the n-cycle (0 1 ... n-1): the generators of ``symmetric(n)``
+    and of the Jordan certificate in an S_n audit."""
     gens = [from_cycles(n, [(0, 1)])]
     if n > 2:
         gens.append(from_cycles(n, [tuple(range(n))]))
-    return PermGroup(gens, order=group_id.order)
+    return gens
 
 
-def alternating(n: int) -> PermGroup:
-    """A_n, generated by (0 1 2) and an (n or n-1)-cycle of odd length."""
-    group_id = GroupId("alternating", (n,))  # validates n
+def alternating_generators(n: int) -> list[Permutation]:
+    """(0 1 2) and an (n or n-1)-cycle of odd length, (0 1 ... n-1) or
+    (1 2 ... n-1): the generators of ``alternating(n)`` and of the Jordan
+    certificate in an A_n or S_n audit."""
     gens = [from_cycles(n, [(0, 1, 2)])]
     if n > 3:
         long = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
         gens.append(from_cycles(n, [long]))
-    return PermGroup(gens, order=group_id.order)
+    return gens
+
+
+def symmetric(n: int) -> PermGroup:
+    """S_n, generated by ``symmetric_generators(n)``."""
+    group_id = GroupId("symmetric", (n,))  # validates n
+    return PermGroup(symmetric_generators(n), order=group_id.order)
+
+
+def alternating(n: int) -> PermGroup:
+    """A_n, generated by ``alternating_generators(n)``."""
+    group_id = GroupId("alternating", (n,))  # validates n
+    return PermGroup(alternating_generators(n), order=group_id.order)
 
 
 def cyclic(n: int) -> PermGroup:

@@ -16,10 +16,14 @@
   chain of ``perms`` and the zoo's order formulas are checked against, and
   the base points and basic orbit sizes of a stabilizer chain, skipping the
   levels whose point the stabilizer fixes.
+- The evidence of an A_n or S_n audit from stabilizer chains, the
+  oracle of the Jordan certificate that the audit reads instead.
 """
 
 import itertools
 
+from heartlab import zoo
+from heartlab.audit import AuditEvidence
 from heartlab.fields import make_field
 from heartlab.fppoly import degree, monic, normalize
 from heartlab.linalg import ModMatrix, Subspace, _Echelon
@@ -474,3 +478,17 @@ class DeterministicChain(_StabilizerChain):
                             progress = True
                     k += 1
                 i += 1
+
+
+def chain_evidence(group_id):
+    """An A_n or S_n audit's evidence as the audit computed it from
+    stabilizer chains: A_n's ``transitivity_degree()`` and, for S_n, whether
+    S_n ``contains`` A_n's generators.  The groups are built afresh, outside
+    the ``build_group`` cache."""
+    n = group_id.parameters[0]
+    simple = zoo.alternating(n)
+    evidence = AuditEvidence(transitivity_degree=simple.transitivity_degree())
+    if group_id.family == "symmetric":
+        audited = zoo.symmetric(n)
+        evidence.containment_verified = all(audited.contains(g) for g in simple.generators)
+    return evidence

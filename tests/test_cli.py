@@ -3,14 +3,18 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from heartlab import cli, zoo
+from heartlab import cli, perms, zoo
 from heartlab.perms import ChainOrderError, ClosureLimitError, PermGroup
+from support import chain_evidence
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -130,6 +134,102 @@ class TestExitCodes:
             "error: internal check failed: chain order 7920 is still below the given "
             "order 15840 after 1000 sampled elements\n"
         )
+
+    def test_wrong_alternating_generators_exit_four(self, capsys, monkeypatch):
+        # odd generators offered as A_7: the Jordan certificate refuses them
+        monkeypatch.setattr(zoo, "alternating_generators", zoo.symmetric_generators)
+        code, out, err = run_cli(capsys, "audit", "A7")
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal check failed: the generators generate Sym(7), not Alt(7)\n"
+
+    @pytest.mark.parametrize("name", ["S100001", "A100001", "S1000000"])
+    def test_huge_symmetric_degree_fails_fast(self, capsys, name):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "audit", name)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "exceeds the supported scale n <= 1e5" in err
+
+    def test_huge_cyclic_degree_still_answers(self, capsys):
+        # cyclic and dihedral audits build nothing, so they keep no bound
+        code, doc, _ = run_json(capsys, "audit", "C200000")
+        assert code == 3
+        assert doc["payload"]["verdict"] == "inconclusive"
+
+
+# Runs one ``heartlab audit`` in a child process and reports its exit code,
+# wall time, output and peak RSS; the child is this wrapper's only child, so
+# RUSAGE_CHILDREN reads its peak alone.
+RESOURCE_WRAPPER = """
+import json, resource, subprocess, sys, time
+start = time.perf_counter()
+done = subprocess.run([sys.executable, "-m", "heartlab.cli", "audit", sys.argv[1]],
+                      capture_output=True, text=True)
+print(json.dumps({
+    "code": done.returncode, "seconds": time.perf_counter() - start,
+    "rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+    "stdout": done.stdout,
+}))
+"""
+
+
+class TestJordanAudits:
+    """A_n and S_n audits take their evidence from the Jordan certificate and
+    build no stabilizer chain."""
+
+    @pytest.mark.parametrize("argv", [
+        (f"{letter}{n}",) for letter in "AS" for n in range(5, 101)
+    ] + [
+        (f"{letter}{n}", "--deep") for letter in "AS" for n in range(5, 13)
+    ])
+    def test_payload_matches_the_chain_oracle(self, capsys, monkeypatch, argv):
+        certified = run_cli(capsys, "audit", *argv)
+        monkeypatch.setattr(importlib.import_module("heartlab.audit"), "_jordan_evidence",
+                            chain_evidence)
+        assert run_cli(capsys, "audit", *argv) == certified
+        assert certified[0] == 0
+
+    def test_no_chain_is_built(self, capsys, monkeypatch):
+        class ChainBuilt(Exception):
+            pass
+
+        def refuse(self, group):
+            raise ChainBuilt
+
+        monkeypatch.setattr(perms._StabilizerChain, "__init__", refuse)
+        zoo.build_group.cache_clear()  # no cached group may bring its chain
+        try:
+            for name in ("A7", "S8", "S9", "A10", "A30", "A40"):
+                code, doc, _ = run_json(capsys, "audit", name)
+                assert (code, doc["payload"]["verdict"]) == (0, "certified")
+            # the heart reads the generators only, so --deep builds no chain
+            code, doc, _ = run_json(capsys, "audit", "A7", "--deep")
+            assert (code, doc["payload"]["verdict"]) == (0, "certified")
+            evidence = doc["payload"]["evidence"]
+            assert (evidence["irreducibility"], evidence["indecomposability"]) == (
+                "irreducible", "indecomposable"
+            )
+        finally:
+            zoo.build_group.cache_clear()
+
+    @pytest.mark.parametrize("name", ["S100000", "A99999"])
+    def test_largest_degrees_in_a_second_and_100_mb(self, name):
+        env = {**os.environ, "PYTHONPATH": str(Path(zoo.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", RESOURCE_WRAPPER, name],
+                              capture_output=True, text=True, check=True, env=env)
+        report = json.loads(done.stdout)
+        assert report["code"] == 0
+        assert json.loads(report["stdout"])["payload"]["verdict"] == "certified"
+        assert report["seconds"] < 1
+        assert report["rss_mb"] < 100
+
+    def test_largest_symmetric_in_process(self, capsys):
+        # the audit's own time, free of the child's interpreter start-up
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "audit", "S100000")
+        assert time.perf_counter() - start < 1
+        assert (code, doc["payload"]["verdict"]) == (0, "certified")
 
 
 class TestAuditCommand:

@@ -10,6 +10,7 @@ turn the oracle for the known-order chain of every zoo group, and
 """
 
 import random
+import re
 from functools import lru_cache
 from math import factorial
 
@@ -19,14 +20,23 @@ from hypothesis import given, strategies as st
 from heartlab.perms import (
     ChainOrderError,
     DegreeMismatchError,
+    JordanCertificateError,
     PermGroup,
     Permutation,
     compose,
     cycle_type,
     from_cycles,
     identity,
+    jordan_certificate,
 )
-from heartlab.zoo import alternating, build_group, parse_group_spec, symmetric
+from heartlab.zoo import (
+    alternating,
+    alternating_generators,
+    build_group,
+    parse_group_spec,
+    symmetric,
+    symmetric_generators,
+)
 from support import DeterministicChain, base_points, chain_snapshot, orbit_sizes
 
 
@@ -487,6 +497,81 @@ class TestTransitivity:
             for i in range(t):
                 product *= g.degree - i
             assert g.order() % product == 0
+
+
+class TestJordanCertificate:
+    """The certificate against the chain on the zoo's generators, against
+    closure on random generating sets, and on sets it must refuse."""
+
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_zoo_generators_match_the_chain(self, n):
+        assert jordan_certificate(alternating_generators(n), alternating=True) == (
+            alternating(n).transitivity_degree()
+        )
+        assert jordan_certificate(symmetric_generators(n), alternating=False) == (
+            symmetric(n).transitivity_degree()
+        )
+
+    def test_other_shapes_it_proves(self):
+        # Sym(3) from two transpositions: (0 1) is a 2-cycle fixing 2, (1 2) moves 2
+        assert jordan_certificate(
+            [from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)])], alternating=False
+        ) == 3
+        # (0 3 6) keeps the classes mod 3 along the 9-cycle, (0 1) breaks them
+        gens = [from_cycles(9, [(0, 3, 6)]), from_cycles(9, [tuple(range(9))]),
+                from_cycles(9, [(0, 1)])]
+        assert jordan_certificate(gens, alternating=False) == 9
+
+    @pytest.mark.parametrize("gens,alternating_claim,message", [
+        # an odd generator offered as A_n
+        (symmetric_generators(7), True, "generate Sym(7), not Alt(7)"),
+        ([from_cycles(8, [(0, 1, 2)]), from_cycles(8, [tuple(range(8))])], True,
+         "generate Sym(8), not Alt(8)"),
+        (alternating_generators(7), False, "generate Alt(7), not Sym(7)"),
+        # imprimitive: the classes mod 3 along the 9-cycle are blocks
+        ([from_cycles(9, [(0, 3, 6)]), from_cycles(9, [tuple(range(9))])], True,
+         "residue classes mod 3 along the 9-cycle are blocks"),
+        # intransitive: every generator fixes 0
+        ([from_cycles(8, [(1, 2, 3)]), from_cycles(8, [tuple(range(1, 8))])], True,
+         "point 0 is fixed by every generator"),
+        # a long cycle of the wrong length
+        ([from_cycles(9, [(0, 1, 2)]), from_cycles(9, [tuple(range(7))])], True,
+         "no 9-cycle or 8-cycle"),
+        ([from_cycles(9, [(0, 1, 2)]), from_cycles(9, [tuple(range(4)), tuple(range(4, 9))])],
+         True, "no 9-cycle or 8-cycle"),
+        # mixed degrees
+        ([from_cycles(7, [(0, 1, 2)]), from_cycles(8, [tuple(range(8))])], True,
+         "mixed degrees"),
+        # no 3-cycle and no transposition
+        ([from_cycles(8, [(0, 1), (2, 3)]), from_cycles(8, [tuple(range(8))])], False,
+         "no 3-cycle or transposition"),
+        ([], True, "no generators"),
+    ])
+    def test_refuses(self, gens, alternating_claim, message):
+        with pytest.raises(JordanCertificateError, match=re.escape(message)):
+            jordan_certificate(gens, alternating=alternating_claim)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_sets_against_closure(self, seed):
+        # a 3-cycle or transposition, an n- or (n-1)-cycle and a random
+        # permutation: with those shapes present the certificate is complete,
+        # so it returns exactly when closure finds A_n or Sym(n) as claimed
+        rng = random.Random(seed)
+        n = rng.randint(3, 7)
+        points = rng.sample(range(n), n)
+        jordan = from_cycles(n, [tuple(points[:rng.choice((2, 3))])])
+        length = rng.choice((n - 1, n))
+        long = from_cycles(n, [tuple(rng.sample(range(n), length))])
+        extra = Permutation(rng.sample(range(n), n))
+        gens = [jordan, long] + ([extra] if rng.random() < 0.5 else [])
+        order = len(PermGroup(gens, order=1).enumerate_elements())
+        for alternating_claim, target in ((True, factorial(n) // 2), (False, factorial(n))):
+            if order == target:
+                expected = n - 2 if alternating_claim else n
+                assert jordan_certificate(gens, alternating=alternating_claim) == expected
+            else:
+                with pytest.raises(JordanCertificateError):
+                    jordan_certificate(gens, alternating=alternating_claim)
 
 
 class TestRandomElements:

@@ -283,6 +283,15 @@ class TestGroupSpecParsing:
         with pytest.raises(GroupSpecError, match="exceeds the supported scale"):
             GroupId("psl", params)
 
+    def test_symmetric_and_alternating_scale(self):
+        for family in ("symmetric", "alternating"):
+            assert GroupId(family, (100000,)).natural_degree == 100000
+            with pytest.raises(GroupSpecError, match="exceeds the supported scale n <= 1e5"):
+                GroupId(family, (100001,))
+        # cyclic and dihedral build nothing in an audit and keep no bound
+        assert GroupId("cyclic", (200000,)).natural_degree == 200000
+        assert GroupId("dihedral", (200000,)).natural_degree == 200000
+
     def test_bad_parameters_inside_the_scale(self):
         for params in [(1, 5), (3, 6), (2, 316), (2, 1), (2, 0), (0, 10**18)]:
             with pytest.raises(GroupSpecError, match="bad pgl parameters"):
