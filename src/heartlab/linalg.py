@@ -3,8 +3,11 @@
 A row vector is a plain Python int used as a bitset (bit j = column j), so a
 row operation is a single word-level XOR.  Echelon forms are fully reduced
 (pivot entries 1, zeros above and below), which makes subspace equality plain
-representation equality.  The characteristic polynomial comes from Krylov
-spinning in one echelon basis, with the F_2[x] product of ``fppoly``.
+representation equality.  ``kernel`` alone eliminates to a semi-echelon form
+(no back-reduction) and back-substitutes bit-sliced, so its cost follows the
+ones of a sparse matrix; it returns the same reduced basis.  The
+characteristic polynomial comes from Krylov spinning in one echelon basis,
+with the F_2[x] product of ``fppoly``.
 """
 
 from __future__ import annotations
@@ -50,11 +53,12 @@ class _Echelon:
             return None
         pivot = _low_bit(v)
         bit = 1 << pivot
-        for p in list(self.rows):
-            if self.rows[p] & bit:
-                self.rows[p] ^= v
+        rows = self.rows
+        for p, r in rows.items():  # value stores only: the dict keeps its size
+            if r & bit:
+                rows[p] = r ^ v
         self._pivot_mask |= bit
-        self.rows[pivot] = v
+        rows[pivot] = v
         return pivot
 
     def contains(self, v: int) -> bool:
@@ -186,20 +190,51 @@ class ModMatrix:
 
 
 def kernel(matrix: ModMatrix) -> Subspace:
-    """Right kernel {x : M x = 0} as row vectors of length ncols."""
-    ech = _Echelon()
+    """Right kernel {x : M x = 0} as row vectors of length ncols.
+
+    Three passes whose work follows the ones in the rows, not rank x nullity:
+
+    1. Semi-echelon elimination: each row is reduced by the stored row keyed
+       by its lowest set bit until that bit is new, with no back-reduction.
+       A stored row has no set bit below its key.
+    2. Bit-sliced back-substitution: ``coords[j]`` holds coordinate j of every
+       kernel vector at once, bit k for the k-th free column.  A free column
+       is its own bit; pivots are solved from the highest down, each as the
+       XOR of the coordinates at its row's other set bits, all of which lie
+       above it and are already known.
+    3. The kernel vectors, read out of the slices, go through
+       ``Subspace.from_vectors``: the reduced-echelon basis of the space.
+    """
+    n = matrix.ncols
+    rows: dict[int, int] = {}  # lowest set bit -> semi-reduced row
     for r in matrix.rows:
-        ech.insert(r)
-    vectors = []
-    for free in range(matrix.ncols):
-        if free in ech.rows:
-            continue
-        v = 1 << free
-        for p, row in ech.rows.items():
-            if (row >> free) & 1:
-                v |= 1 << p
-        vectors.append(v)
-    return Subspace.from_vectors(matrix.ncols, vectors)
+        while r:
+            low = (r & -r).bit_length() - 1
+            if low not in rows:
+                rows[low] = r
+                break
+            r ^= rows[low]
+    coords = [0] * n
+    nullity = 0
+    for j in range(n):
+        if j not in rows:
+            coords[j] = 1 << nullity
+            nullity += 1
+    for p in sorted(rows, reverse=True):
+        rest = rows[p] & (rows[p] - 1)  # the row without its pivot bit
+        acc = 0
+        while rest:
+            low = rest & -rest
+            acc ^= coords[low.bit_length() - 1]
+            rest ^= low
+        coords[p] = acc
+    vectors = [0] * nullity
+    for j, c in enumerate(coords):
+        while c:
+            low = c & -c
+            vectors[low.bit_length() - 1] |= 1 << j
+            c ^= low
+    return Subspace.from_vectors(n, vectors)
 
 
 def spin(seed_vectors, actions: list[ModMatrix], ambient: int) -> Subspace:

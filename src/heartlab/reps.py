@@ -276,6 +276,9 @@ def is_irreducible(rep: GModuleRep, seed: int = 0) -> IrreducibilityVerdict:
     if d == 1:
         return IrreducibilityVerdict("irreducible", attempts=0)
     transposed = rep.transposed_images()
+    # seeds whose spin filled the space: it would fill again, so it is not
+    # repeated (a proper spin ends the search, so it is never met twice)
+    filled: set[int] = set()
     for attempt in range(1, MEATAXE_ATTEMPT_CAP + 1):
         theta = _random_algebra_element(images, rng, attempt)
         if theta.is_scalar():  # zero or the identity
@@ -287,10 +290,12 @@ def is_irreducible(rep: GModuleRep, seed: int = 0) -> IrreducibilityVerdict:
             if null.dimension == 0:
                 continue
             v = null.basis[0]
-            span = spin([v], images, d)
-            if span.is_proper_nonzero():
-                _verify_invariant(span, images)
-                return IrreducibilityVerdict("reducible", span, attempt)
+            if v not in filled:
+                span = spin([v], images, d)
+                if span.is_proper_nonzero():
+                    _verify_invariant(span, images)
+                    return IrreducibilityVerdict("reducible", span, attempt)
+                filled.add(v)
             if null.dimension != fppoly.degree(poly_factor):
                 continue
             dual_null = kernel(p_of_theta)  # kernel under the transposed action

@@ -5,9 +5,10 @@
 - F_2 matrices from entry lists, their entries and rank.
 - Permutation matrices and the permutation module, a test input for the
   End solver and the MeatAxe next to the heart.
-- The oracles of two MeatAxe steps: the spin that drains its whole
-  worklist, and the polynomial evaluated at a matrix by right-multiplied
-  Horner.
+- The oracles of the MeatAxe steps: the kernel from a fully reduced
+  echelon, the spin that drains its whole worklist, the polynomial evaluated
+  at a matrix by right-multiplied Horner, and the MeatAxe that spins every
+  kernel vector it meets, also one whose spin filled the space before.
 - GF(p^r) on coefficient tuples with ``FieldElement`` objects, canonical
   projective points and the PSL/PGL generator construction over them: the
   oracle that the integer-coded fields of ``fields`` and the generator images
@@ -22,13 +23,22 @@
 
 import itertools
 
-from heartlab import zoo
+from heartlab import fppoly, zoo
 from heartlab.audit import AuditEvidence
 from heartlab.fields import make_field
 from heartlab.fppoly import degree, monic, normalize
-from heartlab.linalg import ModMatrix, Subspace, _Echelon
+from heartlab.linalg import ModMatrix, Subspace, _Echelon, charpoly, kernel, spin
 from heartlab.perms import _StabilizerChain
-from heartlab.reps import GModuleRep
+from heartlab.reps import (
+    MEATAXE_ATTEMPT_CAP,
+    GModuleRep,
+    IrreducibilityVerdict,
+    _matrix_poly,
+    _orthogonal_complement,
+    _random_algebra_element,
+    _verify_invariant,
+)
+from heartlab.rng import SplitMix64
 from heartlab.zoo import prime_power_decomposition
 
 # -- F_p[x] on coefficient tuples ----------------------------------------------
@@ -387,6 +397,24 @@ def drained_spin(seed_vectors, actions, ambient):
     return Subspace(ambient, ech)
 
 
+def reference_kernel(matrix):
+    """``linalg.kernel`` by a fully reduced echelon of the rows and a
+    rank x nullity bit test per kernel vector, put in echelon form again."""
+    ech = _Echelon()
+    for r in matrix.rows:
+        ech.insert(r)
+    vectors = []
+    for free in range(matrix.ncols):
+        if free in ech.rows:
+            continue
+        v = 1 << free
+        for p, row in ech.rows.items():
+            if (row >> free) & 1:
+                v |= 1 << p
+        vectors.append(v)
+    return Subspace.from_vectors(matrix.ncols, vectors)
+
+
 def right_horner_matrix_poly(coeffs, m):
     """``reps._matrix_poly`` with the Horner step acc * m instead of m * acc."""
     d = m.nrows
@@ -397,6 +425,41 @@ def right_horner_matrix_poly(coeffs, m):
         if c:
             acc = acc + identity
     return acc
+
+
+def reference_is_irreducible(rep, seed=0):
+    """``reps.is_irreducible`` that spins the first p(theta)-kernel vector of
+    every factor, even one whose spin filled the space in an earlier attempt."""
+    d = rep.dimension
+    if d == 0:
+        raise ValueError("empty module")
+    rng = SplitMix64(seed)
+    images = rep.images
+    if d == 1:
+        return IrreducibilityVerdict("irreducible", attempts=0)
+    transposed = rep.transposed_images()
+    for attempt in range(1, MEATAXE_ATTEMPT_CAP + 1):
+        theta = _random_algebra_element(images, rng, attempt)
+        if theta.is_scalar():
+            continue
+        for poly_factor, _multiplicity in fppoly.factor(tuple(charpoly(theta)), 2, rng):
+            p_of_theta = _matrix_poly(poly_factor, theta)
+            null = kernel(p_of_theta.transpose())
+            if null.dimension == 0:
+                continue
+            span = spin([null.basis[0]], images, d)
+            if span.is_proper_nonzero():
+                _verify_invariant(span, images)
+                return IrreducibilityVerdict("reducible", span, attempt)
+            if null.dimension != fppoly.degree(poly_factor):
+                continue
+            dual_span = spin([kernel(p_of_theta).basis[0]], transposed, d)
+            if dual_span.is_proper_nonzero():
+                complement = _orthogonal_complement(dual_span, d)
+                _verify_invariant(complement, images)
+                return IrreducibilityVerdict("reducible", complement, attempt)
+            return IrreducibilityVerdict("irreducible", attempts=attempt)
+    return IrreducibilityVerdict("inconclusive", attempts=MEATAXE_ATTEMPT_CAP)
 
 
 # -- stabilizer chains ------------------------------------------------------------

@@ -1,19 +1,21 @@
 """Exact F_2 linear algebra on bitset rows: kernel, inverse, spin, charpoly.
 
 The Krylov ``charpoly`` is cross-checked against ``hessenberg_charpoly``, the
-similarity-to-Hessenberg reduction it replaced, kept here as a test oracle.
+similarity-to-Hessenberg reduction it replaced, kept here as a test oracle;
+the sparse ``kernel`` against ``support.reference_kernel``, and the
+incremental echelon against column-by-column Gauss-Jordan elimination.
 """
 
 import random
 
 import pytest
 
-from heartlab.linalg import ModMatrix, Subspace, charpoly, kernel, spin
+from heartlab.linalg import ModMatrix, Subspace, _Echelon, charpoly, kernel, spin
 from heartlab.perms import from_cycles
 from heartlab.reps import _random_algebra_element, heart
 from heartlab.rng import SplitMix64
 from heartlab.zoo import mathieu, psl, symmetric
-from support import entry, matrix_from_entries, permutation_matrix, rank
+from support import entry, matrix_from_entries, permutation_matrix, rank, reference_kernel
 
 
 def random_matrix(rng, rows, cols):
@@ -66,6 +68,28 @@ def hessenberg_charpoly(matrix: ModMatrix) -> list[int]:
                 term[idx] ^= pi[idx]
         polys.append(term)
     return polys[n]
+
+
+def sparse_matrix(rng, rows, cols, density):
+    return ModMatrix(
+        rows, cols, [sum(1 << j for j in range(cols) if rng.random() < density) for _ in range(rows)]
+    )
+
+
+def gauss_jordan(vectors, ncols):
+    """Reduced-echelon rows by pivoting on each column in turn, lowest first."""
+    rows = [v for v in vectors if v]
+    basis = []
+    for col in range(ncols):
+        bit = 1 << col
+        pivot = next((r for r in rows if r & bit), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [r ^ pivot if r & bit else r for r in rows]
+        basis = [b ^ pivot if b & bit else b for b in basis]
+        basis.append(pivot)
+    return basis
 
 
 def companion(coeffs):
@@ -130,6 +154,14 @@ class TestRankKernelSolve:
                         acc ^= entry(m, i, j) & ((v >> j) & 1)
                     assert acc == 0
 
+    @pytest.mark.parametrize("density", [0.02, 0.1, 0.5])
+    def test_kernel_matches_reference_kernel(self, density):
+        rng = random.Random(int(density * 100))
+        for _ in range(1000):
+            m = sparse_matrix(rng, rng.randrange(41), rng.randrange(41), density)
+            got, want = kernel(m), reference_kernel(m)
+            assert (got.ambient, got.basis, got.pivots) == (want.ambient, want.basis, want.pivots)
+
     def test_inverse_roundtrip_f2(self):
         rng = random.Random(11)
         found = 0
@@ -170,6 +202,37 @@ class TestSubspace:
         s = Subspace.from_vectors(4, [0b0011, 0b1100])
         assert s.contains(0b1111)
         assert not s.contains(0b0001)
+
+
+class TestEchelon:
+    @pytest.mark.parametrize("ncols", [1, 5, 16, 40])
+    def test_invariants_after_every_insert(self, ncols):
+        rng = random.Random(ncols)
+        for _ in range(40):
+            ech = _Echelon()
+            inserted = []
+            for _ in range(rng.randrange(2 * ncols + 1)):
+                # every third vector a sum of earlier ones, so dependent
+                if inserted and rng.randrange(3) == 0:
+                    v = 0
+                    for u in rng.sample(inserted, rng.randrange(1, len(inserted) + 1)):
+                        v ^= u
+                else:
+                    v = rng.randrange(1 << ncols)
+                before = ech.dimension
+                pivot = ech.insert(v)
+                inserted.append(v)
+                if pivot is None:
+                    assert ech.dimension == before
+                else:
+                    assert ech.dimension == before + 1
+                    row = ech.rows[pivot]
+                    assert row & -row == 1 << pivot
+                for p, row in ech.rows.items():
+                    assert row & -row == 1 << p
+                    assert sum(1 for r in ech.rows.values() if r >> p & 1) == 1
+                assert ech.basis_rows() == Subspace.from_vectors(ncols, inserted).basis
+                assert ech.basis_rows() == gauss_jordan(inserted, ncols)
 
 
 class TestSpin:

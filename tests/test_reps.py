@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from heartlab import fppoly
+from heartlab import fppoly, reps
 from heartlab.linalg import ModMatrix, Subspace, charpoly, kernel, spin
 from heartlab.perms import PermGroup, compose, identity
 from heartlab.reps import (
@@ -27,11 +27,14 @@ from heartlab.zoo import (
     parse_group_spec,
     symmetric,
 )
+import support
 from support import (
     drained_spin,
     permutation_matrix,
     permutation_module,
     rank,
+    reference_is_irreducible,
+    reference_kernel,
     right_horner_matrix_poly,
 )
 from test_cli import MEATAXE_PINS
@@ -387,6 +390,92 @@ class TestMeatAxeSteps:
                 m = ModMatrix(d, d, [rng.randrange(1 << d) for _ in range(d)])
                 coeffs = [rng.randrange(2) for _ in range(rng.randrange(13))]
                 assert _matrix_poly(coeffs, m) == right_horner_matrix_poly(coeffs, m)
+
+
+# the groups of the MeatAxe and End benchmark workloads: hearts of dimension
+# 20-272 whose p(theta) and End systems are sparse
+MEATAXE_LARGE_GROUPS = ("PSL(3,13)", "PSL(3,16)", "PSL(2,256)", "PSL(5,3)", "PSL(2,128)")
+HEART_DEEP_GROUPS = ("M22", "M24", "PSL(3,5)", "PSL(4,3)", "PSL(5,2)", "PSL(3,7)", "PSL(2,64)")
+MEMO_GROUPS = (
+    "PSL(3,2)", "PSL(2,8)", "A7", "M11", "M12", "PSL(3,3)", "PSL(3,4)", "PSL(2,16)",
+    "PSL(4,2)", "S8", "M22", "PGL(3,3)", "PSL(2,32)", "PSL(3,5)", "D10", "PSL(2,11)",
+)
+
+
+def record_spins(monkeypatch, module):
+    """Patch ``module.spin`` to record (first seed, actions, filled) per call."""
+    calls = []
+
+    def recording(seeds, actions, ambient):
+        span = spin(seeds, actions, ambient)
+        calls.append((seeds[0], actions, span.dimension == ambient))
+        return span
+
+    monkeypatch.setattr(module, "spin", recording)
+    return calls
+
+
+def without_repeated_filled_spins(calls, images):
+    """The reference's spins less each primal one whose seed filled before."""
+    filled = set()
+    kept = []
+    for v, actions, full in calls:
+        if actions is images:
+            if v in filled:
+                continue
+            if full:
+                filled.add(v)
+        kept.append((v, actions, full))
+    return kept
+
+
+class TestMeatAxeKernelAndMemo:
+    """The sparse kernel against the fully reduced one on the systems the
+    MeatAxe and the End solve really pass it, and the filled-spin memo
+    against the MeatAxe that spins every kernel vector it meets."""
+
+    @pytest.mark.parametrize("group", MEATAXE_LARGE_GROUPS + HEART_DEEP_GROUPS)
+    def test_kernel_matches_reference_on_captured_systems(self, monkeypatch, group):
+        captured = []
+
+        def capturing(matrix):
+            captured.append(matrix)
+            return kernel(matrix)
+
+        monkeypatch.setattr(reps, "kernel", capturing)
+        rep = heart_of(group)
+        for seed in (0, 1):
+            is_irreducible(rep, seed)
+        if group in HEART_DEEP_GROUPS:
+            endomorphism_algebra(rep)
+        assert captured
+        for matrix in captured:
+            got, want = kernel(matrix), reference_kernel(matrix)
+            assert (got.ambient, got.basis, got.pivots) == (want.ambient, want.basis, want.pivots)
+
+    @pytest.mark.parametrize("group", MEMO_GROUPS)
+    def test_memo_matches_reference(self, monkeypatch, group):
+        rep = heart_of(group)
+        spins = record_spins(monkeypatch, reps)
+        reference_spins = record_spins(monkeypatch, support)
+        for seed in range(30):
+            spins.clear()
+            reference_spins.clear()
+            got, want = is_irreducible(rep, seed), reference_is_irreducible(rep, seed)
+            assert (got.status, got.attempts) == (want.status, want.attempts)
+            if want.witness is None:
+                assert got.witness is None
+            else:
+                assert got.witness.basis == want.witness.basis
+            assert spins == without_repeated_filled_spins(reference_spins, rep.images)
+
+    def test_memo_saves_four_spins_on_psl_3_16(self, monkeypatch):
+        rep = heart_of("PSL(3,16)")
+        spins = record_spins(monkeypatch, reps)
+        reference_spins = record_spins(monkeypatch, support)
+        assert is_irreducible(rep, 1).status == "reducible"
+        reference_is_irreducible(rep, 1)
+        assert (len(spins), len(reference_spins)) == (11, 15)
 
 
 class TestIndecomposability:
