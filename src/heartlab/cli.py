@@ -7,10 +7,11 @@ envelope timestamp is null unless --timestamp is passed, precisely so that
 the default output stays reproducible.
 
 Exit codes: audit 0 = certified, 2 = excluded, 3 = inconclusive; probe and
-heart 0 on a successful run; 1 for usage, parse or degree errors everywhere;
-4 when an internal check fails (a witness or End verification, an element
-closure past its limit, or a known-order stabilizer chain that contradicts
-its group's order), reported as one line on stderr.  A MeatAxe that reaches
+heart 0 on a successful run; 1 for usage, parse or degree errors everywhere,
+and for a command that runs out of memory ("error: out of memory: ..." on
+stderr); 4 when an internal check fails (a witness or End verification, an
+element closure past its limit, or a known-order stabilizer chain that
+contradicts its group's order), reported as one line on stderr.  A MeatAxe that reaches
 no verdict is not a failure: its status reads "inconclusive".
 """
 
@@ -244,6 +245,10 @@ def main(argv: list[str] | None = None) -> int:
     except (AssertionError, ClosureLimitError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        # a backstop: no command predicts its memory yet
+        print(f"error: out of memory: {' '.join(argv)}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -4,12 +4,15 @@ full factorization over F_2 only.
 Polynomials are tuples of coefficients in [0, p), constant term first, with
 no trailing zeros (the zero polynomial is the empty tuple).
 
-The probe reads only factor degrees of f mod p (Dedekind), for any p:
+The probe reads only factor degrees of f mod p (Dedekind), for any p, and
+learns whether f mod p is squarefree from Res(f, f') over Z (``probe``), so
+the only squarefree test here, ``is_squarefree``, serves ``make_field``.
 ``distinct_degree_split`` packs each residue modulo f into one int
-(Kronecker substitution), so a product modulo f is one int multiply and a
-fold of the high slots; it computes x^p mod f once and gets each further
-Frobenius power from the rows x^(ip) mod f.  Its gcds and exact divisions,
-and ``is_squarefree``, run Euclid on int lists.
+(Kronecker substitution), its slots kept lazily in [0, 2p) and reduced all
+at once by a packed Barrett step, so a product modulo f is one int
+multiply, a fold of the high slots and two such steps; it computes x^p mod
+f once and gets each further Frobenius power from the rows x^(ip) mod f.
+Its gcds and exact divisions run Euclid on int lists of exact residues.
 
 The MeatAxe factors characteristic polynomials over F_2, where ``factor``
 works on Python ints, bit i the coefficient of x^i: carry-less multiply,
@@ -99,9 +102,11 @@ def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
     A residue modulo f (degree n) is one int with n slots of w bits, slot i
     the coefficient of x^i (Kronecker substitution; von zur Gathen and
     Gerhard, Modern Computer Algebra, sec. 8.4), so a product is one int
-    multiply.  w bounds every unreduced slot: a product coefficient is at
-    most n (p - 1)^2, and folding the high slots onto the rows x^(n + j) mod
-    f at most doubles that.  x^p mod f costs one square-and-multiply, with
+    multiply.  Slots are kept lazily in [0, 2p): ``red`` brings every slot
+    of an int below 2p at once by a packed Barrett step, and only the
+    coefficients Euclid reads are reduced exactly.  A product modulo f is
+    red of the product, then its high slots folded onto the rows x^(n + j)
+    mod f, then red again.  x^p mod f costs one square-and-multiply, with
     multiplying by x a shift; after that h -> h^p is F_p-linear modulo f, so
     each further Frobenius power is the sum of h_i times the row x^(ip) mod f
     (Berlekamp's Q-matrix; ibid., ch. 14).  h stays reduced modulo the
@@ -112,29 +117,49 @@ def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
     out = []
     n = degree(f)
     if n >= 2:
-        w = 2 * (p - 1).bit_length() + n.bit_length() + 2
+        # every slot red() reads or the Euclid unpacks is below bound: a
+        # product of two lazy residues has slots up to n (2p - 1)^2, and a
+        # fold adds a lazy low slot to n lazy products
+        bound = 2 * p + n * (2 * p - 1) ** 2
+        s = bound.bit_length()
+        m = (1 << s) // p
+        # floor(v m / 2^s) <= v / p sits in the low qbits of a slot, and the
+        # fractional bits of the slot above fill the s bits under it
+        qbits = (bound * m >> s).bit_length()
+        w = s + qbits
         slot = (1 << w) - 1
         low = (1 << (w * n)) - 1
+        top = w * (n - 1)
         offsets = range(0, w * n, w)
+        qmask = ((1 << qbits) - 1) * sum(1 << o for o in range(0, 2 * w * n, w))
 
-        def pack(coeffs) -> int:
-            return sum(map(operator.lshift, coeffs, offsets))
+        def red(v: int) -> int:
+            """v with every slot below 2p and congruent mod p (Barrett): a
+            slot v_i < 2^s loses q_i p, q_i = floor(v_i m / 2^s), which is at
+            most v_i and more than v_i - 2p."""
+            return v - ((v * m >> s) & qmask) * p
 
-        def fold(h: int) -> list[int]:
-            """The coefficients of h mod f, for h of at most 2n slots."""
+        def fold(h: int) -> int:
+            """h mod f, lazy, for h a product of two lazy residues (2n slots)."""
+            h = red(h)
             acc = h & low
             h >>= w * n
             for t in table:
                 if not h:
                     break
-                acc += (h & slot) % p * t
+                acc += (h & slot) * t
                 h >>= w
-            return [(acc >> s & slot) % p for s in offsets]
+            return red(acc)
 
-        # table[j] = x^(n + j) mod f for j < n: a square times x has 2n slots
-        table = [pack([-c % p for c in f[:n]])]
+        def coefficients(h: int) -> list[int]:
+            return [(h >> o & slot) % p for o in offsets]
+
+        # table[j] = x^(n + j) mod f for j < n: x times the row before
+        t0 = sum(-c % p << o for c, o in zip(f, offsets))
+        table = [t0]
         for _ in range(n - 1):
-            table.append(pack(fold(table[-1] << w)))
+            t = table[-1]
+            table.append(red(((t << w) & low) + (t >> top) * t0))
 
         # x^p mod f, left to right: square, then multiply by x for a 1 bit
         h = 1 << w
@@ -142,11 +167,11 @@ def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
             h *= h
             if bit == "1":
                 h <<= w
-            h = pack(fold(h))
+            h = fold(h)
         rows = [1, h]
         for _ in range(n - 2):
-            rows.append(pack(fold(rows[-1] * h)))
-        power = fold(h)  # x^(p^k) mod f
+            rows.append(fold(rows[-1] * h))
+        power = coefficients(h)  # x^(p^k) mod f
 
         rem = list(f)
         k = 1
@@ -161,7 +186,7 @@ def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
                 rem = _divide_exact(rem, g, p)
             k += 1
             if 2 * k <= len(rem) - 1:
-                power = fold(sum(map(operator.mul, power, rows)))
+                power = coefficients(sum(map(operator.mul, power, rows)))
         f = tuple(rem)
     if degree(f) > 0:
         out.append((degree(f), f))

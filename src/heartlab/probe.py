@@ -10,7 +10,8 @@ agreement is evidence, never proof, and the auditor never consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt, log
 
 from . import fppoly
 from .perms import CycleType, cycle_type, identity
@@ -44,6 +45,9 @@ class IntPolynomial:
     @property
     def leading(self) -> int:
         return self.coeffs[-1]
+
+    def derivative(self) -> tuple[int, ...]:
+        return tuple(i * c for i, c in enumerate(self.coeffs))[1:]
 
 
 _TOKEN_CHARS = set("0123456789xX+-*^() \t")
@@ -178,38 +182,87 @@ def format_poly(poly: IntPolynomial) -> str:
 def primes_coprime_to(count: int, leading: int) -> list[int]:
     """The first ``count`` primes not dividing the leading coefficient.
 
-    Each candidate is trial-divided by the primes found so far up to its
-    square root, those that divide the leading coefficient included.
+    A sieve of Eratosthenes over [0, limit), the limit starting from
+    Rosser's bound p_k < k (ln k + ln ln k) (k >= 6) and doubling until the
+    range holds ``count`` primes that do not divide ``leading``.
     """
-    out = []
-    primes: list[int] = []
-    small = 0  # primes[:small] are the primes q with q * q <= candidate
-    candidate = 1
-    while len(out) < count:
-        candidate += 1
-        while small < len(primes) and primes[small] ** 2 <= candidate:
-            small += 1
-        for q in primes[:small]:
-            if not candidate % q:
-                break
-        else:
-            primes.append(candidate)
-            if leading % candidate:
-                out.append(candidate)
-    return out
+    limit = 16
+    if count >= 6:
+        limit = max(limit, int(count * (log(count) + log(log(count)))) + 1)
+    while True:
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for q in range(2, isqrt(limit - 1) + 1):
+            if sieve[q]:
+                sieve[q * q::q] = bytes(len(range(q * q, limit, q)))
+        out = [q for q in compress(range(limit), sieve) if leading % q]
+        if len(out) >= count:
+            return out[:count]
+        limit *= 2
 
 
-def cycle_type_mod_p(poly: IntPolynomial, p: int) -> CycleType | None:
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) a mod b over Z, for deg a >= deg b."""
+    lead = b[-1]
+    r = list(a)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = r.pop()
+        r = [lead * x for x in r]
+        r[shift:] = [x - c * y for x, y in zip(r[shift:], b)]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def resultant(f: tuple[int, ...], g: tuple[int, ...]) -> int:
+    """Res(f, g) of integer polynomials of degree >= 0 (coefficients constant
+    term first, nonzero leading coefficient), by Collins' subresultant
+    algorithm (Cohen, A Course in Computational Algebraic Number Theory,
+    GTM 138, Alg. 3.3.7): each pseudo-remainder, divided by the previous
+    divisor's leading coefficient times h^delta, is a subresultant, so it
+    stays in Z and no larger than a minor of the Sylvester matrix;
+    O(deg f deg g) coefficient operations.
+    """
+    a, b = list(f), list(g)
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -1
+    lead, h = 1, 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0
+        divisor = lead * h**delta
+        a, b = b, [c // divisor for c in r]
+        lead = a[-1]
+        if delta:
+            h = lead**delta // h ** (delta - 1)
+    da = len(a) - 1
+    return sign * (b[0] ** da // h ** (da - 1) if da else 1)
+
+
+def cycle_type_mod_p(poly: IntPolynomial, p: int,
+                     derivative_resultant: int | None = None) -> CycleType | None:
     """Cycle type of Frobenius at p, or None when p is ramified.
 
-    Requires p coprime to the leading coefficient; ramification is detected
-    as a repeated factor of the reduction (gcd with the derivative).
+    Requires p coprime to the leading coefficient.  For such p, f mod p is
+    squarefree exactly when p does not divide Res(f, f'), also when p
+    divides deg f or f' vanishes mod p (the Sylvester matrix reduces mod p,
+    and lc(f) is a unit).  ``derivative_resultant`` is Res(f, f'), computed
+    here when not given; ``probe`` computes it once per polynomial.
     """
     if poly.leading % p == 0:
         raise ValueError(f"prime {p} divides the leading coefficient")
-    fbar = fppoly.monic(fppoly.normalize(poly.coeffs, p), p)
-    if not fppoly.is_squarefree(fbar, p):
+    if derivative_resultant is None:
+        derivative_resultant = resultant(poly.coeffs, poly.derivative())
+    if derivative_resultant % p == 0:
         return None
+    fbar = fppoly.monic(fppoly.normalize(poly.coeffs, p), p)
     return CycleType(tuple(fppoly.factor_degrees(fbar, p)))
 
 
@@ -341,11 +394,12 @@ def probe(poly: IntPolynomial, prime_count: int, candidates: list[GroupId],
                 f"points but deg f = {poly.degree}"
             )
     primes = primes_coprime_to(prime_count, poly.leading)
+    derivative_resultant = resultant(poly.coeffs, poly.derivative())
     histogram: dict[CycleType, int] = {}
     observed_order: list[CycleType] = []
     ramified = []
     for p in primes:
-        ctype = cycle_type_mod_p(poly, p)
+        ctype = cycle_type_mod_p(poly, p, derivative_resultant)
         if ctype is None:
             ramified.append(p)
             continue

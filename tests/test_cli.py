@@ -143,6 +143,24 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: internal check failed: the generators generate Sym(7), not Alt(7)\n"
 
+    @pytest.mark.parametrize(
+        "function,argv",
+        [("audit", ["audit", "PSL(8,4)"]),
+         ("build_group", ["heart", "PSL(6,5)", "--endo"]),
+         ("probe", ["probe", "x^5-x-1", "--primes", "10"])],
+    )
+    def test_out_of_memory_exit_one(self, capsys, monkeypatch, function, argv):
+        # the first library call raises as a failed allocation would, so
+        # nothing large is built
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, function, exhausted)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_USAGE == 1
+        assert out == ""
+        assert err == f"error: out of memory: {' '.join(argv)}\n"
+
     @pytest.mark.parametrize("name", ["S100001", "A100001", "S1000000"])
     def test_huge_symmetric_degree_fails_fast(self, capsys, name):
         start = time.perf_counter()

@@ -1,5 +1,6 @@
 """GF(p^r) arithmetic and projective point enumeration."""
 
+import hashlib
 import itertools
 import random
 
@@ -97,6 +98,16 @@ class TestMakeField:
                     count += 1
                 p += 1
         assert count == 9690
+
+    def test_zoo_moduli_unchanged(self):
+        # PSL(m, q) and PGL(m, q) need q^m <= 1e5 with m >= 2, so q <= 316:
+        # 82 fields; digest of [(p, r, modulus)] recorded before distinct-
+        # degree splitting moved to lazily reduced slots
+        pairs = sorted({prime_power_decomposition(q) for q in range(2, 317)} - {None})
+        moduli = [(p, r, make_field(p, r).modulus) for p, r in pairs]
+        assert len(moduli) == 82
+        digest = hashlib.sha256(repr(moduli).encode()).hexdigest()
+        assert digest == "ced2d8a37ed2e7da63c68f0cd9c2af9d5d62459aa985d3ce2648ac4760f2b3c4"
 
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

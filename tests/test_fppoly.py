@@ -10,6 +10,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from heartlab import fppoly
 from heartlab.fppoly import degree, monic, normalize
@@ -166,8 +167,16 @@ def squarefree_product(rng, d, p):
             return f
 
 
+def random_squarefree(rng, d, p):
+    while True:
+        f = random_monic(rng, d, p)
+        if is_squarefree(f, p):
+            return f
+
+
 PRIMES = (2, 3, 5, 7, 101, 7919, 65537)
-# a residue slot holds 2 * 61 + 6 + 2 bits at degree 40 and p = 2^61 - 1
+# a residue slot holds 130 + 69 bits (bound, then quotient) at degree 40
+# and p = 2^61 - 1
 WIDE_PRIMES = (2**31 - 1, 2**61 - 1)
 
 
@@ -191,6 +200,43 @@ class TestDistinctDegreeSplit:
             for _ in range(8):
                 f = squarefree_test_poly(rng, p)
                 assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_narrowest_slots(self, p):
+        # the slot width grows with p and n: small p are where a bound that
+        # is off by one bit would first spill into the next slot
+        rng = random.Random(p)
+        for d in range(1, 21):
+            for _ in range(6):
+                f = squarefree_product(rng, d, p)
+                assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+
+    @pytest.mark.parametrize("p", [65537, 2**31 - 1, 2**61 - 1])
+    def test_wide_primes_every_degree(self, p):
+        rng = random.Random(p % 1000)
+        for d in range(1, 13):
+            f = random_squarefree(rng, d, p)
+            assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 65537, 2**61 - 1])
+    def test_degrees_one_and_two(self, p):
+        # below the packed kernel (n = 1) and its smallest table (n = 2)
+        for f in [(0, 1), (1, 1), (p - 1, 1)]:
+            assert fppoly.distinct_degree_split(f, p) == [(1, f)]
+        rng = random.Random(p)
+        for _ in range(20):
+            f = random_squarefree(rng, 2, p)
+            assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11, 13, 101, 7919, 65537, 2**31 - 1, 2**61 - 1]),
+        st.lists(st.integers(0, 2**64), min_size=1, max_size=16),
+    )
+    def test_matches_tuple_oracle_property(self, p, tail):
+        f = normalize(tail + [1], p)
+        assume(is_squarefree(f, p))
+        assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
 
     def test_same_degree_and_linear_products(self):
         # x^p - x is the product of every linear factor over F_p

@@ -19,6 +19,7 @@ from heartlab.probe import (
     parse_poly,
     primes_coprime_to,
     probe,
+    resultant,
 )
 from heartlab.perms import cycle_type
 from heartlab.zoo import GroupId, build_group, parse_group_spec
@@ -170,16 +171,72 @@ class TestCycleTypeModP:
             if ctype is not None:
                 assert ctype.degree == 7
 
-    def test_ramified_primes_divide_the_discriminant_resultant(self):
-        corpus = ["x^5-x-1", "x^3-2", "x^7-7*x+3", "x^4+1", "x^2+1", "2x^3+x^2-5"]
-        for text in corpus:
-            f = parse_poly(text)
-            resultant = sylvester_resultant(f.coeffs, int_derivative(f.coeffs))
-            assert resultant != 0  # squarefree corpus
-            for p in primes_coprime_to(50, f.leading):
-                if cycle_type_mod_p(f, p) is None:
-                    assert resultant % p == 0
+    # (text, reason it is there): every good prime below 3000 is ramified
+    # exactly when it divides Res(f, f'), and exactly when f mod p has a
+    # repeated factor
+    RAMIFICATION_CASES = [
+        ("x^5-x-1", "irreducible, squarefree discriminant"),
+        ("x^3-2", "p | n at 3"),
+        ("x^7-7*x+3", "p | n at 7, where f = (x + 3)^7"),
+        ("x^3-x-1", "p | n at 3, unramified there"),
+        ("x^6-3", "p | n at 2 and 3"),
+        ("x^5+5*x+10", "f' = 5x^4 + 5 vanishes mod 5"),
+        ("x^4+1", "ramified only at 2"),
+        ("x^2+1", "ramified only at 2"),
+        ("2x^3+x^2-5", "non-monic"),
+        ("-6x^4+3x^3+x-7", "non-monic, negative leading coefficient"),
+        ("3x^2+2x+3", "non-monic, (x + 1)^2 mod 2"),
+        ("x^2-2*x+1", "a square: Res = 0, every prime ramified"),
+    ]
 
+    def test_ramified_primes_divide_the_discriminant_resultant(self):
+        primes = [p for p in range(2, 3000) if is_prime(p)]
+        for text, _ in self.RAMIFICATION_CASES:
+            f = parse_poly(text)
+            res = sylvester_resultant(f.coeffs, int_derivative(f.coeffs))
+            assert resultant(f.coeffs, int_derivative(f.coeffs)) == res
+            for p in primes:
+                if f.leading % p == 0:
+                    continue
+                fbar = fppoly.normalize(f.coeffs, p)
+                deriv = derivative(fbar, p)
+                repeated = not deriv or fppoly.degree(gcd(fbar, deriv, p)) > 0
+                ramified = cycle_type_mod_p(f, p) is None
+                assert ramified == (res % p == 0) == repeated, (text, p)
+                assert ramified == (cycle_type_mod_p(f, p, res) is None)
+
+    def test_f_prime_vanishing_and_p_dividing_n(self):
+        assert cycle_type_mod_p(parse_poly("x^5+5*x+10"), 5) is None
+        assert cycle_type_mod_p(parse_poly("x^5+5*x+11"), 5) is None  # (x + 1)^5 mod 5
+        assert cycle_type_mod_p(parse_poly("x^7-7*x+3"), 7) is None  # (x + 3)^7 mod 7
+        # p | n with f' = -1 mod 3: squarefree, and irreducible (Artin-Schreier)
+        assert cycle_type_mod_p(parse_poly("x^3-x-1"), 3).lengths == (3,)
+
+    def test_square_is_ramified_everywhere(self):
+        f = parse_poly("x^2-2*x+1")
+        assert resultant(f.coeffs, int_derivative(f.coeffs)) == 0
+        report = probe(f, 40, [GroupId("symmetric", (2,))])
+        assert report.ramified_primes == report.primes_used
+        assert not report.histogram
+        assert report.verdicts[0].status == "insufficient_data"
+
+    def test_resultant_matches_sylvester(self):
+        rng = random.Random(8)
+        for degree in range(1, 21):
+            coeffs = [rng.randrange(-10**6, 10**6 + 1) for _ in range(degree)]
+            coeffs.append(rng.choice((-1, 1)) * rng.randrange(1, 10**6 + 1))
+            f = tuple(coeffs)
+            df = int_derivative(f)
+            assert resultant(f, df) == sylvester_resultant(f, df)
+            # a second polynomial of degree 0-10, below and above deg f
+            other = tuple(rng.randrange(-10**6, 10**6 + 1) for _ in range(rng.randrange(0, 11)))
+            other += (rng.randrange(1, 10**6 + 1),)
+            assert resultant(f, other) == sylvester_resultant(f, other)
+            assert resultant(other, f) == sylvester_resultant(other, f)
+        # a common factor, and constants
+        assert resultant((-1, 0, 1), (1, 1)) == 0
+        assert resultant((5,), (3, 1)) == 5
+        assert resultant((2, 3), (7,)) == 7
 
     # the tuple oracle costs up to 10 ms per prime at degree 20, so the full
     # comparison runs on a prefix and a stride of each prime list; the
@@ -199,11 +256,13 @@ class TestCycleTypeModP:
             primes = primes_coprime_to(500, f.leading)
             for p in primes[:10] + primes[10::70]:
                 assert cycle_type_mod_p(f, p) == tuple_cycle_type_mod_p(f, p)
+            res = resultant(f.coeffs, f.derivative())
             for p in primes:
                 fbar = fppoly.normalize(f.coeffs, p)
                 deriv = derivative(fbar, p)
                 expected = bool(deriv) and fppoly.degree(gcd(fbar, deriv, p)) == 0
                 assert fppoly.is_squarefree(fppoly.monic(fbar, p), p) == expected
+                assert (res % p != 0) == expected
                 ramified += not expected
         assert ramified > 40  # every p dividing a discriminant, not one per polynomial
 
@@ -222,11 +281,12 @@ class TestCycleTypeModP:
 
 
 class TestPrimesCoprimeTo:
-    @pytest.mark.parametrize("leading", [1, -6, 30030, 7919])
+    @pytest.mark.parametrize("leading", [1, -6, 30030, 7919, 2**61 - 1])
     def test_matches_trial_division(self, leading):
-        expected = trial_division_primes_coprime_to(2000, leading)
+        expected = trial_division_primes_coprime_to(5000, leading)
         # each count's answer is the prefix of the next one's
-        for count in list(range(1, 101)) + list(range(101, 2001, 97)) + [2000]:
+        counts = list(range(1, 101)) + list(range(101, 2001, 97)) + [1000, 2000, 5000]
+        for count in counts:
             assert primes_coprime_to(count, leading) == expected[:count]
 
     def test_primes_dividing_the_leading_coefficient_still_sieve(self):
