@@ -598,8 +598,9 @@ def audit(group_id: GroupId, n: int | None = None, seed: int = 0, deep: bool = F
     """Audit the certification hypotheses for the given group.
 
     An A_n or S_n audit takes its evidence from the Jordan certificate
-    (``_jordan_evidence``); every other audit from the groups' stabilizer
-    chains.  ``deep`` additionally records MeatAxe irreducibility
+    (``_jordan_evidence``); every other audit from the simple subgroup's
+    stabilizer chain, and a PGL audit its containment from the generators
+    alone.  ``deep`` additionally records MeatAxe irreducibility
     and indecomposability of the heart as informational evidence; neither
     gates the verdict.
     """
@@ -642,10 +643,12 @@ def audit(group_id: GroupId, n: int | None = None, seed: int = 0, deep: bool = F
         simple_group = build_group(simple_id)
         evidence = AuditEvidence(transitivity_degree=simple_group.transitivity_degree())
         if simple_id != group_id:
-            audited_group = build_group(group_id)
-            evidence.containment_verified = all(
-                audited_group.contains(gen) for gen in simple_group.generators
-            )
+            # PGL's generators are PSL's followed by one diagonal matrix
+            # (zoo._linear_generators), so PSL's generators among PGL's prove
+            # the containment with no PGL chain
+            simple_gens = simple_group.generators
+            audited_gens = build_group(group_id).generators
+            evidence.containment_verified = audited_gens[: len(simple_gens)] == simple_gens
 
     if n % 2 == 1:
         branch = "i"

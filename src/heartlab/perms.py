@@ -12,9 +12,11 @@ the basic orbit lengths equals that order, which proves the chain complete.
 The loop draws from a sampler seeded by a fixed module constant, never a
 user seed, so the chain is reproducible bit-for-bit, and a complete chain's
 orbit sizes along the forced base are invariants of the group: order,
-membership and transitivity do not depend on how it was built.  The chain
-keeps inverse transversals only (the image tuple of u^-1 per orbit point)
-and sifts raw image tuples, so its inner loops never build a
+membership and transitivity do not depend on how it was built.  Each level
+keeps a Schreier vector, one generator index per orbit point, so a chain of
+degree N holds O(N) cells per level beside its strong generators (Seress,
+*Permutation Group Algorithms*, 2003, sec. 4.1); no coset representative is
+stored.  The chain sifts raw image tuples, so its inner loops never build a
 ``Permutation`` or invert one.
 
 Beside the chain, ``jordan_certificate`` proves from generators alone that
@@ -25,6 +27,7 @@ chain: the evidence an A_n or S_n audit prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from operator import itemgetter
 
@@ -275,24 +278,29 @@ def jordan_certificate(generators, alternating: bool) -> int:
 
 
 class _Level:
-    """One stabilizer-chain level: base point, strong generators, transversal.
+    """One stabilizer-chain level: base point, strong generators, Schreier
+    vector.
 
-    ``inverses[beta]`` is the image tuple of u^-1, where u is the coset
-    representative with u(point) == beta; the forward representatives are
-    never stored.  ``gen_inverses[k]`` is the image tuple of ``gens[k]``^-1,
-    the same tuple object at every level the generator is listed at.  The
-    transversal is only ever extended, never rebuilt, so coset representatives
-    stay stable while the chain grows.
+    ``schreier[gamma]`` is the index k of the generator that first reached
+    gamma, from alpha = gens[k]^-1(gamma), and -1 at the base point; the
+    points it holds are the orbit.  The coset representative of gamma is
+    u_gamma = gens[k] u_alpha, so u_gamma^-1 = u_alpha^-1 gens[k]^-1, and
+    ``coset_inverse`` applies it by walking the tree back to the base point,
+    one gather per edge; no representative is stored.  ``gen_inverses[k]``
+    is the image tuple of ``gens[k]``^-1, the same tuple object at every
+    level the generator is listed at.  The tree is only ever extended, never
+    rebuilt, so coset representatives stay stable while the chain grows, and
+    a level keeps O(orbit) cells beside its generators.
     """
 
-    __slots__ = ("point", "gens", "gen_inverses", "orbit_list", "inverses", "expanded")
+    __slots__ = ("point", "gens", "gen_inverses", "orbit_list", "schreier", "expanded")
 
-    def __init__(self, point: int, identity_images: tuple[int, ...]):
+    def __init__(self, point: int):
         self.point = point
         self.gens: list[Permutation] = []
         self.gen_inverses: list[tuple[int, ...]] = []
         self.orbit_list: list[int] = [point]
-        self.inverses: dict[int, tuple[int, ...]] = {point: identity_images}
+        self.schreier: dict[int, int] = {point: -1}
         self.expanded: list[int] = []  # orbit positions already expanded per gen
 
     def add_generator(self, g: Permutation, g_inverse: tuple[int, ...]) -> None:
@@ -302,25 +310,38 @@ class _Level:
         self._extend_orbit()
 
     def _extend_orbit(self) -> None:
-        inverses = self.inverses
+        schreier = self.schreier
         orbit = self.orbit_list
+        gens = self.gens
         expanded = self.expanded
-        changed = True
-        while changed:
-            changed = False
-            for k, g in enumerate(self.gens):
-                gi = g.images
-                g_inverse = self.gen_inverses[k]
-                while expanded[k] < len(orbit):
-                    alpha = orbit[expanded[k]]
-                    expanded[k] += 1
-                    gamma = gi[alpha]
-                    if gamma not in inverses:
-                        # u_gamma = g u_alpha, so u_gamma^-1 = u_alpha^-1 g^-1
-                        alpha_inverse = inverses[alpha]
-                        inverses[gamma] = itemgetter(*g_inverse)(alpha_inverse)
+        # every older generator is already expanded over the whole orbit, so
+        # the first sweep starts at the new one; a sweep that grows the orbit
+        # is followed by a full one.  A list iterator reads the points
+        # appended behind it, so one loop expands generator k to the end.
+        first = len(gens) - 1
+        size = 0
+        while size < len(orbit):
+            size = len(orbit)
+            for k in range(first, len(gens)):
+                for gamma in map(gens[k].images.__getitem__, islice(orbit, expanded[k], None)):
+                    if gamma not in schreier:
+                        schreier[gamma] = k
                         orbit.append(gamma)
-                        changed = True
+                expanded[k] = len(orbit)
+            first = 0
+
+    def coset_inverse(self, beta: int, p: tuple[int, ...]) -> tuple[int, ...]:
+        """The image tuple of u_beta^-1 p, for beta in the orbit;
+        ``itemgetter(*p)(t)`` is the image tuple of t∘p."""
+        schreier = self.schreier
+        gen_inverses = self.gen_inverses
+        k = schreier[beta]
+        while k >= 0:
+            g_inverse = gen_inverses[k]
+            p = itemgetter(*p)(g_inverse)
+            beta = g_inverse[beta]
+            k = schreier[beta]
+        return p
 
 
 class _StabilizerChain:
@@ -342,14 +363,15 @@ class _StabilizerChain:
     an exhausted draw budget, raises ``ChainOrderError``.  The seed is a
     fixed constant, so the loop is deterministic.
 
-    Sifting runs on raw image tuples: each level applies its stored inverse
-    coset representative as one tuple gather (``itemgetter(*p)(u)`` is the
-    image tuple of u∘p), and the identity test compares with one cached
-    identity tuple, so sifting inverts nothing.  Only a residue that becomes
-    a strong generator is wrapped as a ``Permutation``, and its inverse is
-    computed once, there.  A gather is only ever made with a nontrivial
-    permutation, so the degree is at least 2 and ``itemgetter`` returns a
-    tuple.
+    Sifting runs on raw image tuples: each level applies the inverse coset
+    representative u_beta^-1 by walking its Schreier tree from beta back to
+    the base point, one tuple gather with a stored generator inverse per
+    edge (``_Level.coset_inverse``), and the identity test compares with one
+    cached identity tuple, so sifting inverts nothing.  Only a residue that
+    becomes a strong generator is wrapped as a ``Permutation``, and its
+    inverse is computed once, there.  A gather is only ever made with a
+    nontrivial permutation, so the degree is at least 2 and ``itemgetter``
+    returns a tuple.
     """
 
     def __init__(self, group: "PermGroup"):
@@ -366,15 +388,14 @@ class _StabilizerChain:
             beta = p[level.point]
             if beta == level.point:
                 continue
-            u_inverse = level.inverses.get(beta)
-            if u_inverse is None:
+            if beta not in level.schreier:
                 return p, i
-            p = itemgetter(*p)(u_inverse)
+            p = level.coset_inverse(beta, p)
         return p, len(levels)
 
     def _place(self, j: int, residue: tuple[int, ...]) -> None:
         while len(self.levels) <= j:
-            self.levels.append(_Level(len(self.levels), self._id))
+            self.levels.append(_Level(len(self.levels)))
         g = Permutation(residue, _checked=True)
         g_inverse = g.inverse().images
         for i in range(j + 1):

@@ -162,8 +162,11 @@ def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
     by_coordinate = [
         ModMatrix(d, unknowns, [image.rows[m] for image in images]) for m in range(d)
     ]
+    # the last relations first: the BFS lists those of the first tree vectors
+    # first, and they are often group identities that give no condition.  The
+    # scalars solve every condition, so the stop rule holds in any order.
     conditions = _Echelon()
-    for k, g in relations:
+    for k, g in reversed(relations):
         if conditions.dimension == unknowns - 1:
             break
         c = w_inverse.act(rep.images[g].act(vectors[k]))

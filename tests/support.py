@@ -22,6 +22,7 @@
 """
 
 import itertools
+from operator import itemgetter
 
 from heartlab import fppoly, zoo
 from heartlab.audit import AuditEvidence
@@ -478,13 +479,63 @@ def chain_snapshot(chain):
             for level in chain.levels]
 
 
-class DeterministicChain(_StabilizerChain):
+class CachedInverses:
+    """Strips a ``perms`` chain with cached representatives: ``inverses[i]``
+    holds the image tuples u_beta^-1 of level i made so far (a
+    representative never changes once made), and ``_strip`` applies each as
+    one gather a level, where the production strip walks the Schreier tree
+    edge by edge (``_Level.coset_inverse``).  The representatives, and so the
+    residues, are the same; oracles that sift thousands of elements, or walk
+    A_n's deep trees, stay as fast as with stored transversals."""
+
+    def u_inverse(self, i, beta):
+        """The image tuple of u_beta^-1 at level i, cached: with k the
+        Schreier label of beta and alpha = gens[k]^-1(beta),
+        u_beta^-1 = u_alpha^-1 gens[k]^-1, one gather from alpha's."""
+        while len(self.inverses) <= i:
+            self.inverses.append({})
+        cache = self.inverses[i]
+        inverse = cache.get(beta)
+        if inverse is None:
+            level = self.levels[i]
+            k = level.schreier[beta]
+            if k < 0:
+                inverse = self._id
+            else:
+                g_inverse = level.gen_inverses[k]
+                inverse = itemgetter(*g_inverse)(self.u_inverse(i, g_inverse[beta]))
+            cache[beta] = inverse
+        return inverse
+
+    def _strip(self, p):
+        levels = self.levels
+        for i in range(len(levels)):
+            level = levels[i]
+            beta = p[level.point]
+            if beta == level.point:
+                continue
+            if beta not in level.schreier:
+                return p, i
+            p = itemgetter(*p)(self.u_inverse(i, beta))
+        return p, len(levels)
+
+
+class KnownOrderChain(CachedInverses, _StabilizerChain):
+    """The known-order chain of a group, built by the production loop, with
+    cached representatives."""
+
+    def __init__(self, group):
+        self.inverses = []
+        super().__init__(group)
+
+
+class DeterministicChain(CachedInverses, _StabilizerChain):
     """The chain of ``perms`` closed by deterministic Schreier-Sims, with no
     order given: each generator is stripped, then every Schreier generator is
     drained (``_process``) until the chain is closed.  It reuses the
-    production ``_strip`` and ``_place`` and keeps its own watermarks:
-    ``sifted[i][k]`` counts the orbit positions of level i whose Schreier
-    generator for ``levels[i].gens[k]`` has been sifted.
+    production ``_place`` and keeps its own watermarks: ``sifted[i][k]``
+    counts the orbit positions of level i whose Schreier generator for
+    ``levels[i].gens[k]`` has been sifted.
     """
 
     def __init__(self, degree, generators):
@@ -492,6 +543,7 @@ class DeterministicChain(_StabilizerChain):
         self.levels = []
         self._id = tuple(range(degree))
         self.sifted = []
+        self.inverses = []
         for g in generators:
             if g.images != self._id:
                 residue, j = self._strip(g.images)
@@ -516,7 +568,6 @@ class DeterministicChain(_StabilizerChain):
             i = 0
             while i < len(self.levels):
                 level = self.levels[i]
-                inverses = level.inverses
                 orbit = level.orbit_list
                 sifted = self.sifted[i]
                 k = 0
@@ -528,9 +579,9 @@ class DeterministicChain(_StabilizerChain):
                         # the Schreier generator v^-1 s u (u = u_beta, v = u_s(beta))
                         # sends u^-1(y) to v^-1(s(y)); it fixes the points of
                         # levels 0..i, so stripping passes over those levels
-                        v_inverse = inverses[s[beta]]
+                        v_inverse = self.u_inverse(i, s[beta])
                         schreier = [0] * degree
-                        for x, y in zip(inverses[beta], s):
+                        for x, y in zip(self.u_inverse(i, beta), s):
                             schreier[x] = v_inverse[y]
                         schreier = tuple(schreier)
                         if schreier == identity_images:
@@ -547,11 +598,12 @@ def chain_evidence(group_id):
     """An A_n or S_n audit's evidence as the audit computed it from
     stabilizer chains: A_n's ``transitivity_degree()`` and, for S_n, whether
     S_n ``contains`` A_n's generators.  The groups are built afresh, outside
-    the ``build_group`` cache."""
+    the ``build_group`` cache, and their chains strip with cached
+    representatives (``KnownOrderChain``)."""
     n = group_id.parameters[0]
     simple = zoo.alternating(n)
-    evidence = AuditEvidence(transitivity_degree=simple.transitivity_degree())
+    evidence = AuditEvidence(transitivity_degree=KnownOrderChain(simple).transitivity_degree())
     if group_id.family == "symmetric":
-        audited = zoo.symmetric(n)
+        audited = KnownOrderChain(zoo.symmetric(n))
         evidence.containment_verified = all(audited.contains(g) for g in simple.generators)
     return evidence

@@ -28,6 +28,7 @@ from heartlab.zoo import (
     MATHIEU_DEGREES,
     GroupId,
     GroupSpecError,
+    build_group,
     parse_group_spec,
     prime_power_decomposition,
 )
@@ -299,6 +300,18 @@ class TestAudit:
         report = audit(GroupId("pgl", (3, 3)))
         assert report.verdict == "certified"
         assert report.simple_subgroup == "PSL(3,3)"
+
+    @pytest.mark.parametrize("m,q", [(3, 3), (3, 7)])
+    def test_pgl_containment_builds_no_pgl_chain(self, m, q):
+        build_group.cache_clear()
+        try:
+            report = audit(GroupId("pgl", (m, q)))
+            assert report.evidence.containment_verified is True
+            # the audit's own groups, from the cache: PSL's chain only
+            assert build_group(GroupId("pgl", (m, q)))._chain is None
+            assert build_group(GroupId("psl", (m, q)))._chain is not None
+        finally:
+            build_group.cache_clear()
 
     def test_uncovered_groups_inconclusive(self):
         assert audit(GroupId("cyclic", (6,))).verdict == "inconclusive"

@@ -176,20 +176,38 @@ class TestExitCodes:
         assert doc["payload"]["verdict"] == "inconclusive"
 
 
-# Runs one ``heartlab audit`` in a child process and reports its exit code,
-# wall time, output and peak RSS; the child is this wrapper's only child, so
-# RUSAGE_CHILDREN reads its peak alone.
-RESOURCE_WRAPPER = """
+# Runs one ``heartlab`` command (argv[2:]) in a child process whose address
+# space is capped at argv[1] MB, so a regression fails with MemoryError (exit
+# 1) instead of growing the machine, and reports its exit code, wall time,
+# output and peak RSS.  The cap is set on the child only, and the child is
+# this wrapper's only child, so RUSAGE_CHILDREN reads its peak alone.
+CAPPED_WRAPPER = """
 import json, resource, subprocess, sys, time
+cap = int(sys.argv[1]) * 2**20
 start = time.perf_counter()
-done = subprocess.run([sys.executable, "-m", "heartlab.cli", "audit", sys.argv[1]],
-                      capture_output=True, text=True)
+done = subprocess.run([sys.executable, "-m", "heartlab.cli", *sys.argv[2:]],
+                      capture_output=True, text=True,
+                      preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
 print(json.dumps({
     "code": done.returncode, "seconds": time.perf_counter() - start,
     "rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
     "stdout": done.stdout,
 }))
 """
+
+
+# far above every command run capped here, far below what the machine holds
+CHILD_CAP_MB = 1024
+
+
+def run_capped(*argv):
+    """One CLI command in a child process capped at ``CHILD_CAP_MB`` of
+    address space: its exit code, wall time (interpreter start included),
+    stdout and peak RSS."""
+    env = {**os.environ, "PYTHONPATH": str(Path(zoo.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", CAPPED_WRAPPER, str(CHILD_CAP_MB), *argv],
+                          capture_output=True, text=True, check=True, env=env)
+    return json.loads(done.stdout)
 
 
 class TestJordanAudits:
@@ -233,10 +251,7 @@ class TestJordanAudits:
 
     @pytest.mark.parametrize("name", ["S100000", "A99999"])
     def test_largest_degrees_in_a_second_and_100_mb(self, name):
-        env = {**os.environ, "PYTHONPATH": str(Path(zoo.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", RESOURCE_WRAPPER, name],
-                              capture_output=True, text=True, check=True, env=env)
-        report = json.loads(done.stdout)
+        report = run_capped("audit", name)
         assert report["code"] == 0
         assert json.loads(report["stdout"])["payload"]["verdict"] == "certified"
         assert report["seconds"] < 1
@@ -248,6 +263,20 @@ class TestJordanAudits:
         code, doc, _ = run_json(capsys, "audit", "S100000")
         assert time.perf_counter() - start < 1
         assert (code, doc["payload"]["verdict"]) == (0, "certified")
+
+
+class TestChainFrontier:
+    """Branch-i PSL audits whose chain is nearly their whole cost: Schreier
+    vectors keep it at O(N) cells a level (PSL(5,9) took 2.06 GB with
+    inverse transversals, and PSL(8,4) ran out of memory)."""
+
+    @pytest.mark.parametrize("name", ["PSL(5,9)", "PSL(8,4)"])
+    def test_certified_under_150_mb(self, name):
+        report = run_capped("audit", name)
+        assert report["code"] == 0
+        assert json.loads(report["stdout"])["payload"]["verdict"] == "certified"
+        assert report["seconds"] < 30
+        assert report["rss_mb"] < 150
 
 
 class TestAuditCommand:

@@ -1,5 +1,6 @@
 """Hearts, endomorphism algebras, MeatAxe, indecomposability."""
 
+import hashlib
 import random
 
 import pytest
@@ -187,7 +188,37 @@ SMALL_MODULES = {
 }
 
 
+# (End dimension, sha256 of the basis rows, each row d bits little-endian),
+# recorded while the End solve still consumed its relations first to last:
+# the order of the relations must not reach the basis.
+END_BASIS_DIGESTS = {
+    "M22": (1, "0fc389aa7272dd8d177f35981dcb52a5daf47dca48cf546d73fb1235a3dbb5da"),
+    "M23": (1, "71f3fc190adb4e1ed20f9ae2908d420ed176463d806e9222753451f993894cf6"),
+    "M24": (1, "71f3fc190adb4e1ed20f9ae2908d420ed176463d806e9222753451f993894cf6"),
+    "PSL(3,5)": (1, "f088134c93e473e7d7978a2a58c93499766e0eb8c719ee48aa62302d95a0bd8f"),
+    "PSL(4,3)": (1, "2469d39036f7f65e47ccbb269f13bf199f104626bc3aa87f9dc275d912ec6d61"),
+    "PSL(5,2)": (1, "f088134c93e473e7d7978a2a58c93499766e0eb8c719ee48aa62302d95a0bd8f"),
+    "PSL(3,7)": (1, "2ef5a97eeb3b3c68d41fdd147ccda33ae947f9513ed6a6cd47081aee95c1b777"),
+    "PSL(2,64)": (1, "b163622b0256b4b0b05f66c2eb1b13e5729c852ceb88adaf82dc99e582bb0df4"),
+    "PSL(3,8)": (1, "1f799f1d64a53fc3819772d73313ee756795c03d0df22a2a7073c7dd29fd4c11"),
+    "PSL(3,9)": (1, "268fead4e1fb63557c83d373898b199a08f26f90d14e1c6a3e819b7b68723605"),
+    "PSL(4,5)": (1, "9ac60775183c63e4c18ddbc198a7265d684f76d8929c08bc04a506a7555c030b"),
+    "PSL(2,97)": (2, "b389a097984207a45a93994f96d0ca5d955c33fba4f0a4e9e45221aab19d630b"),
+    "PSL(2,11)": (2, "441326a5f80ff89e3b4129ab4549ea8683bfbf2b64f71059e0bce6758b6aacb3"),
+}
+
+
 class TestEndomorphismAlgebra:
+    @pytest.mark.parametrize("name", END_BASIS_DIGESTS)
+    def test_heart_basis_digest(self, name):
+        rep = heart(build_group(parse_group_spec(name)))
+        endo = endomorphism_algebra(rep)
+        digest = hashlib.sha256()
+        for x in endo.basis:
+            for row in x.rows:
+                digest.update(row.to_bytes((rep.dimension + 7) // 8, "little"))
+        assert (endo.dimension, digest.hexdigest()) == END_BASIS_DIGESTS[name]
+
     @pytest.mark.parametrize("module", ORACLE_MODULES)
     @pytest.mark.parametrize("spec", ORACLE_GROUPS)
     def test_basis_matches_commutation_kernel(self, spec, module):

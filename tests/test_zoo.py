@@ -129,6 +129,11 @@ def desk_projective_instances(max_degree=100):
     return sorted(out)
 
 
+def _small_projective_parameters():
+    return [(m, q) for m in range(2, 12) for q in range(2, 3001)
+            if q**m <= 3000 and prime_power_decomposition(q) is not None]
+
+
 class TestProjectiveGroups:
     def test_psl32_order_by_closure(self, psl32):
         assert deterministic(psl32).order() == 168
@@ -155,6 +160,15 @@ class TestProjectiveGroups:
             sub = build_group(GroupId("psl", (m, q)))
             big = deterministic(build_group(GroupId("pgl", (m, q))))
             assert all(big.contains(g) for g in sub.generators)
+
+    # audit proves PSL <= PGL by this prefix instead of building PGL's chain;
+    # PGL(3,3) is in the q^m <= 3000 range
+    @pytest.mark.parametrize("m,q", [*_small_projective_parameters(), (4, 16), (5, 9)])
+    def test_psl_generators_are_a_prefix_of_pgl(self, m, q):
+        sub = [g.images for g in psl(m, q).generators]
+        big = [g.images for g in pgl(m, q).generators]
+        assert big[: len(sub)] == sub
+        assert len(big) == len(sub) + 1
 
     def test_pgl_equals_psl_iff_gcd_one(self):
         for m, q in [(3, 2), (2, 8), (3, 4), (4, 3)]:
@@ -194,11 +208,6 @@ class TestProjectiveGroups:
         assert {cycle_type(p).lengths for p in psl32.enumerate_elements() if p.order() == 7} == {
             (7,)
         }
-
-
-def _small_projective_parameters():
-    return [(m, q) for m in range(2, 12) for q in range(2, 3001)
-            if q**m <= 3000 and prime_power_decomposition(q) is not None]
 
 
 class TestGeneratorImages:
