@@ -187,13 +187,7 @@ def _cmd_zoo(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heartlab",
-        description="Permutation groups, mod-2 hearts, and certified jacobian-endomorphism audits.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_audit(sub) -> None:
     p_audit = sub.add_parser("audit", help="audit certification hypotheses for a group")
     p_audit.add_argument("group", help="group name, e.g. M23 or PSL(3,3)")
     p_audit.add_argument("--deep", action="store_true",
@@ -202,6 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--timestamp", action="store_true")
     p_audit.set_defaults(func=_cmd_audit)
 
+
+def _add_heart(sub) -> None:
     p_heart = sub.add_parser("heart", help="heart module analyses for a group")
     p_heart.add_argument("group")
     p_heart.add_argument("--endo", action="store_true", help="endomorphism algebra dimension")
@@ -211,6 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_heart.add_argument("--timestamp", action="store_true")
     p_heart.set_defaults(func=_cmd_heart)
 
+
+def _add_probe(sub) -> None:
     p_probe = sub.add_parser("probe", help="Frobenius cycle-type probe of a polynomial")
     p_probe.add_argument("poly", nargs="?", default=None, help='polynomial, e.g. "x^5-x-1"')
     p_probe.add_argument("--file", default=None, help="file with one polynomial per line")
@@ -222,16 +220,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--timestamp", action="store_true")
     p_probe.set_defaults(func=_cmd_probe)
 
+
+def _add_zoo(sub) -> None:
     p_zoo = sub.add_parser("zoo", help="list supported groups and fact-table citations")
     p_zoo.add_argument("--timestamp", action="store_true")
     p_zoo.set_defaults(func=_cmd_zoo)
+
+
+SUBCOMMANDS = {"audit": _add_audit, "heart": _add_heart, "probe": _add_probe, "zoo": _add_zoo}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given one name in ``SUBCOMMANDS``,
+    of that subcommand alone.  argparse builds a help formatter for every
+    argument it adds, so one subcommand's parser costs a fraction of the
+    full one; its top-level usage still lists all four subcommands, so a
+    usage error prints the same text with either."""
+    parser = argparse.ArgumentParser(
+        prog="heartlab",
+        description="Permutation groups, mod-2 hearts, and certified jacobian-endomorphism audits.",
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in SUBCOMMANDS.values():
+            add(sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(SUBCOMMANDS) + "}")
+        SUBCOMMANDS[command](sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    # a first argument that names a subcommand is that subcommand; anything
+    # else (none, -h, an unknown name) gets the full parser and its message
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

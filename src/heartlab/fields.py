@@ -10,9 +10,11 @@ polynomials has to re-map elements.
 
 Addition is XOR when p = 2, addition mod p when r = 1, and digit by digit
 otherwise.  Multiplication and inversion read log/antilog tables to the base
-of the field's smallest-index primitive element.  A ``FieldSpec`` builds its
-tables on first use, so ``make_field`` stays cheap and every table hangs off
-the ``FieldSpec`` it returns.
+of the field's smallest-index primitive element, built from coefficient
+vectors multiplied modulo the modulus (for p = 2, a carry-less product of the
+indices' bits).  A ``FieldSpec`` builds its tables on first use, so
+``make_field`` stays cheap and every table hangs off the ``FieldSpec`` it
+returns.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class FieldSpec:
         self.modulus = modulus  # length r+1, monic
         if p == 2:
             self.add = operator.xor
+            self._modulus_bits = sum(c << i for i, c in enumerate(modulus))
         elif r == 1:
             self.add = lambda a, b: (a + b) % p
         else:
@@ -86,6 +89,8 @@ class FieldSpec:
         p, r = self.p, self.r
         if r == 1:
             return a * b % p
+        if p == 2:  # F_2[x] on ints: the index's bits are the coefficients
+            return fppoly._mod2(fppoly.clmul(a, b), self._modulus_bits)
         prod = [0] * (2 * r - 1)
         db = self.digits(b)
         for i, x in enumerate(self.digits(a)):
@@ -175,18 +180,6 @@ def make_field(p: int, r: int) -> FieldSpec:
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
-def normalize_point(field: FieldSpec, vector) -> tuple[int, ...]:
-    """The point of a nonzero vector: the vector scaled so that its first
-    nonzero coordinate is 1."""
-    pivot = next((c for c in vector if c), 0)
-    if not pivot:
-        raise ValueError("cannot normalize the zero vector")
-    if pivot == 1:
-        return tuple(vector)
-    scale = field.inv(pivot)
-    return tuple(field.mul(scale, c) for c in vector)
-
-
 def projective_points(field: FieldSpec, m: int) -> list[tuple[int, ...]]:
     """All points of P^(m-1)(F_q) as index tuples whose first nonzero
     coordinate is 1, sorted; (q^m-1)/(q-1) of them."""
@@ -198,3 +191,33 @@ def projective_points(field: FieldSpec, m: int) -> list[tuple[int, ...]]:
         head = (0,) * chart + (1,)
         points.extend(head + tail for tail in product(range(field.q), repeat=m - chart - 1))
     return points
+
+
+def point_ranks(field: FieldSpec, m: int, vectors) -> list[int]:
+    """The index in ``projective_points(field, m)`` of the point of each
+    nonzero vector of length m, with no point list or lookup.
+
+    Let a be the first nonzero coordinate of a vector, at position c.  The
+    vector is scaled by 1/a in log space, exp[q - 1 - log a + log x] for each
+    coordinate x.  Its index is the number of points whose first nonzero
+    coordinate comes later, sum q^(m-1-c') over c' > c, plus the scaled
+    coordinates after c read as the base-q digits of one number.
+    """
+    q, exp, log = field.q, field.exp, field.log
+    top = q - 1
+    offsets = [(q ** (m - 1 - c) - 1) // top for c in range(m)]  # charts after c
+    ranks = []
+    for vector in vectors:
+        c = 0
+        for a in vector:
+            if a:
+                break
+            c += 1
+        else:
+            raise ValueError("a zero vector has no projective point")
+        s = top - log[a]
+        rank = 0
+        for x in vector[c + 1:]:
+            rank = rank * q + (exp[s + log[x]] if x else 0)
+        ranks.append(offsets[c] + rank)
+    return ranks

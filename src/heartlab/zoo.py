@@ -11,10 +11,11 @@ literature); the test suite certifies their orders, degrees and transitivity
 rather than taking the transcription on faith.
 PSL/PGL act on the points of ``fields.projective_points``, index tuples over
 the integer-coded F_q, through standard SL/GL generator matrices of field
-indices: each image vector is scaled so that its first nonzero coordinate is
-1 and looked up by its tuple.  The points, in label order, are attached to
-the returned group as ``point_labels``.  The tests check every generator
-image against the coefficient-tuple construction of ``tests/support.py``.
+indices: each image vector is mapped to its point's index by
+``fields.point_ranks``, a closed form in the vector's coordinates.  The
+points, in label order, are attached to the returned group as
+``point_labels``.  The tests check every generator image against the
+coefficient-tuple construction of ``tests/support.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 from math import factorial, gcd
 import re
 
-from .fields import FieldSpec, make_field, normalize_point, projective_points
+from .fields import FieldSpec, make_field, point_ranks, projective_points
 from .perms import PermGroup, Permutation, from_cycles
 
 # Conway et al., ATLAS of Finite Groups (1985): |M11|, |M12|, |M22|, |M23|, |M24|
@@ -213,22 +214,24 @@ def mathieu(n: int) -> PermGroup:
 # -- projective linear groups -------------------------------------------------
 
 
-def _projective_permutation(mat, points, index_of, field: FieldSpec) -> Permutation:
-    """The permutation of the points that the matrix induces, vector by
-    vector over the nonzero entries of its rows."""
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in mat]
-    add, mul = field.add, field.mul
+def _projective_permutation(mat, points, field: FieldSpec) -> Permutation:
+    """The permutation of the points that the matrix induces: each row, kept
+    as (column, log of entry) pairs, is applied in log space, and each image
+    vector is ranked by ``point_ranks``."""
+    exp, log, add = field.exp, field.log, field.add
+    rows = [[(j, log[a]) for j, a in enumerate(row) if a] for row in mat]
     images = []
     for pt in points:
         image = []
         for row in rows:
             acc = 0
-            for j, a in row:
-                if pt[j]:
-                    acc = add(acc, mul(a, pt[j]))
+            for j, la in row:
+                x = pt[j]
+                if x:
+                    acc = add(acc, exp[la + log[x]])
             image.append(acc)
-        images.append(index_of[normalize_point(field, image)])
-    return Permutation(images)
+        images.append(image)
+    return Permutation(point_ranks(field, len(mat), images))
 
 
 def _linear_generators(m: int, field: FieldSpec, include_pgl: bool):
@@ -268,9 +271,8 @@ def _projective_group(m: int, q: int, include_pgl: bool) -> PermGroup:
     p, r = prime_power_decomposition(q)
     field = make_field(p, r)
     points = projective_points(field, m)
-    index_of = {pt: i for i, pt in enumerate(points)}
     mats = _linear_generators(m, field, include_pgl)
-    gens = [_projective_permutation(mat, points, index_of, field) for mat in mats]
+    gens = [_projective_permutation(mat, points, field) for mat in mats]
     group = PermGroup(gens, order=group_id.order)
     group.point_labels = points
     return group

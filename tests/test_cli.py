@@ -1,5 +1,6 @@
 """CLI exit codes, JSON schema validity, and byte stability."""
 
+import argparse
 import hashlib
 import importlib
 import json
@@ -405,6 +406,42 @@ class TestZooCommand:
         assert code == 0
         assert len(doc["payload"]["facts"]) == 10
         assert doc["citations"]
+
+
+# help and usage errors, one per subcommand and at the top level
+SURFACE_ARGVS = [
+    [], ["-h"], ["frob"], ["audit"], ["audit", "-h"], ["audit", "M11", "--bogus"],
+    ["heart", "-h"], ["probe", "-h"], ["zoo", "-h"],
+]
+
+
+class TestParser:
+    """``main`` builds the parser of the invoked subcommand only; every other
+    argument list gets all four, as ``build_parser()`` does."""
+
+    @pytest.mark.parametrize("argv", SURFACE_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+    def test_same_output_as_the_full_parser(self, capsys, monkeypatch, argv):
+        narrow = run_cli(capsys, *argv)
+        full_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+        assert run_cli(capsys, *argv) == narrow
+        assert narrow[1] or narrow[2]
+
+    def test_one_subparser_for_a_command(self, capsys, monkeypatch):
+        calls = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            calls.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        code, _, _ = run_cli(capsys, "audit", "M11")
+        assert code == 0
+        assert calls == ["audit"]
+        calls.clear()
+        run_cli(capsys, "-h")
+        assert calls == list(cli.SUBCOMMANDS)
 
 
 class TestEnvelope:

@@ -9,7 +9,7 @@ import pytest
 from heartlab.fields import (
     is_prime,
     make_field,
-    normalize_point,
+    point_ranks,
     projective_points,
 )
 from heartlab.zoo import prime_power_decomposition
@@ -177,6 +177,18 @@ class TestArithmetic:
 class TestFieldTables:
     """The int tables against the coefficient-tuple oracle of ``support``."""
 
+    def test_carryless_product_matches_digits(self):
+        # GF(2^r) multiplies indices as F_2[x] ints; the tables are built
+        # from this product, so it must agree with the digit product on
+        # every pair
+        for r in range(2, 9):
+            field, oracle = make_field(2, r), TupleField(2, r)
+            coeffs = [oracle.from_int(a).coeffs for a in range(field.q)]
+            index = {c: a for a, c in enumerate(coeffs)}
+            for a, ca in enumerate(coeffs):
+                for b, cb in enumerate(coeffs):
+                    assert field._poly_mul(a, b) == index[oracle.mul(ca, cb)], (r, a, b)
+
     def test_tables_match_tuple_arithmetic(self):
         count = 0
         for q in range(2, 65):
@@ -235,21 +247,42 @@ class TestProjectivePoints:
     def test_canonicalize_scaling_invariance(self):
         field = make_field(2, 2)
         vector = (2, 1, 0)
-        images = {
-            normalize_point(field, tuple(field.mul(s, c) for c in vector))
-            for s in range(1, field.q)
-        }
-        assert len(images) == 1
+        multiples = [tuple(field.mul(s, c) for c in vector) for s in range(1, field.q)]
+        assert len(set(multiples)) == field.q - 1
+        assert len(set(point_ranks(field, 3, multiples))) == 1
 
     def test_canonicalize_rejects_zero(self):
         field = make_field(2, 1)
         with pytest.raises(ValueError):
-            normalize_point(field, (0, 0))
+            point_ranks(field, 2, [(1, 0), (0, 0)])
 
     def test_canonicalize_definition_case(self):
         field = make_field(5, 1)
         a, b = 2, 3
-        point = normalize_point(field, (0, a, b))
-        assert point[0] == 0
-        assert point[1] == 1
-        assert point[2] == field.mul(field.inv(a), b)
+        (rank,) = point_ranks(field, 3, [(0, a, b)])
+        assert projective_points(field, 3)[rank] == (0, 1, field.mul(field.inv(a), b))
+
+
+# every (m, q) with q^m <= 3000, and the PSL/PGL of the benchmark beyond it
+RANKED_SPACES = [
+    *((m, q) for m in range(2, 12) for q in range(2, 3001)
+      if q**m <= 3000 and prime_power_decomposition(q) is not None),
+    (2, 64), (3, 16), (2, 128), (2, 256),
+]
+
+
+class TestPointRanks:
+    """``point_ranks`` inverts ``projective_points`` on every representative
+    of every point."""
+
+    def test_space_count(self):
+        assert len(RANKED_SPACES) == 53
+
+    @pytest.mark.parametrize("m,q", RANKED_SPACES)
+    def test_every_multiple_of_every_point(self, m, q):
+        field = make_field(*prime_power_decomposition(q))
+        points = projective_points(field, m)
+        assert point_ranks(field, m, points) == list(range(len(points)))
+        for s in range(2, q):
+            multiples = [tuple(field.mul(s, c) for c in pt) for pt in points]
+            assert point_ranks(field, m, multiples) == list(range(len(points))), s
