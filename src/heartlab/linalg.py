@@ -8,6 +8,18 @@ representation equality.  ``kernel`` alone eliminates to a semi-echelon form
 ones of a sparse matrix; it returns the same reduced basis.  The
 characteristic polynomial comes from Krylov spinning in one echelon basis,
 with the F_2[x] product of ``fppoly``.
+
+``ModMatrix.act`` costs one step per set bit of the vector acted on, so
+``spin`` and ``charpoly`` act on reduced echelon rows, not on raw vectors:
+
+- ``spin`` acts on the current row of each queued pivot, back-reduced
+  against every pivot inserted since.  The rows read are a unitriangular
+  recombination of the queued residues, so they span the same space and the
+  closure, with its canonical reduced basis, is unchanged.
+- ``charpoly`` acts on the low part of the residue just inserted and carries
+  its current-block tags one power up.  That candidate equals the next raw
+  Krylov vector, tagged alike, modulo the span of the earlier blocks, which
+  is invariant under the matrix, so every block relation is unchanged.
 """
 
 from __future__ import annotations
@@ -240,12 +252,16 @@ def kernel(matrix: ModMatrix) -> Subspace:
 def spin(seed_vectors, actions: list[ModMatrix], ambient: int) -> Subspace:
     """Smallest subspace containing the seeds and closed under every action.
 
-    Worklist closure: each newly independent residue is queued and hit with
-    every action; candidates are reduced against the current echelon basis
-    before insertion.  The spin stops as soon as the basis reaches the
-    ambient dimension, even between the actions on one vector: a full
-    reduced echelon basis is the identity whatever order its vectors
-    arrived in, so the result is the one the drained worklist would give.
+    Worklist closure: the pivot of each newly independent residue is queued,
+    and its row is hit with every action when its turn comes; candidates are
+    reduced against the current echelon basis before insertion.  By its turn
+    the row has been back-reduced against every pivot inserted since, so it
+    is mostly sparser than the residue as queued, and the rows read are a
+    unitriangular recombination of the queued residues: the same span, the
+    same closure.  The spin stops as soon as the basis reaches the ambient
+    dimension, even between the actions on one vector: a full reduced
+    echelon basis is the identity whatever order its vectors arrived in, so
+    the result is the one the drained worklist would give.
     """
     for a in actions:
         if a.nrows != a.ncols or a.nrows != ambient:
@@ -258,15 +274,15 @@ def spin(seed_vectors, actions: list[ModMatrix], ambient: int) -> Subspace:
             raise ValueError("seed vectors must lie in F_2^ambient")
         pivot = ech.insert(v)
         if pivot is not None:
-            worklist.append(ech.rows[pivot])
+            worklist.append(pivot)
     head = 0
     while head < len(worklist) and ech.dimension < ambient:
-        v = worklist[head]
+        v = ech.rows[worklist[head]]  # the row as later pivots reduced it
         head += 1
         for a in actions:
             pivot = ech.insert(a.act(v))
             if pivot is not None:
-                worklist.append(ech.rows[pivot])
+                worklist.append(pivot)
                 if ech.dimension == ambient:
                     break
     return Subspace(ambient, ech)
@@ -283,6 +299,13 @@ def charpoly(matrix: ModMatrix) -> list[int]:
     the charpoly of M on that cyclic quotient; tags of earlier blocks only
     record vectors already in the earlier span.  The charpoly is the product
     of the block polynomials.
+
+    The next push is not the raw v.M^(k+1) but the residue r just inserted
+    acted on, (r & low).M, with r's current-block tags shifted one power up.
+    Modulo the span of the earlier blocks, which M maps into itself, that is
+    the same vector with the same tag polynomial, and ``r >> start`` drops
+    the earlier-block tags; so each block relation, and their product, is
+    the same polynomial, at a fraction of the bits acted on.
     """
     if matrix.nrows != matrix.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -294,14 +317,15 @@ def charpoly(matrix: ModMatrix) -> list[int]:
     for i in range(n):
         if ech.dimension == n:
             break
-        v = 1 << i
         start = tag
+        v = (1 << i) | (1 << tag)
         while True:
-            r = ech.reduce(v | (1 << tag))
+            r = ech.reduce(v)
             tag += 1
             if not r & low:
                 break
             ech.insert(r)
-            v = matrix.act(v)
+            # M on the residue, its block's tags one power up
+            v = matrix.act(r & low) | ((r >> start) << (start + 1))
         result = clmul(result, r >> start)
     return [(result >> k) & 1 for k in range(n + 1)]

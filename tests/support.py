@@ -6,7 +6,8 @@
 - Permutation matrices and the permutation module, a test input for the
   End solver and the MeatAxe next to the heart.
 - The oracles of the MeatAxe steps: the kernel from a fully reduced
-  echelon, the spin that drains its whole worklist, the polynomial evaluated
+  echelon, the spin that drains its whole worklist, the Krylov charpoly
+  that acts on the raw Krylov vectors, the polynomial evaluated
   at a matrix by right-multiplied Horner, and the MeatAxe that spins every
   kernel vector it meets, also one whose spin filled the space before.
 - GF(p^r) on coefficient tuples with ``FieldElement`` objects, canonical
@@ -27,7 +28,7 @@ from operator import itemgetter
 from heartlab import fppoly, zoo
 from heartlab.audit import AuditEvidence
 from heartlab.fields import make_field
-from heartlab.fppoly import degree, monic, normalize
+from heartlab.fppoly import clmul, degree, monic, normalize
 from heartlab.linalg import ModMatrix, Subspace, _Echelon, charpoly, kernel, spin
 from heartlab.perms import _StabilizerChain
 from heartlab.reps import (
@@ -379,8 +380,10 @@ def permutation_module(group):
 
 
 def drained_spin(seed_vectors, actions, ambient):
-    """``linalg.spin`` without its early stop: every queued vector is hit with
-    every action, also after the basis has filled the space."""
+    """``linalg.spin`` without its early stop, acting on each residue as it
+    was queued rather than on its row as later pivots reduced it: every
+    queued vector is hit with every action, also after the basis has filled
+    the space."""
     ech = _Echelon()
     worklist = []
     for v in seed_vectors:
@@ -396,6 +399,32 @@ def drained_spin(seed_vectors, actions, ambient):
             if pivot is not None:
                 worklist.append(ech.rows[pivot])
     return Subspace(ambient, ech)
+
+
+def raw_krylov_charpoly(matrix):
+    """``linalg.charpoly`` acting on the raw Krylov vector v.M^k instead of
+    on the reduced residue: each push is v | (1 << tag), and v.M the next."""
+    if matrix.nrows != matrix.ncols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    n = matrix.nrows
+    low = (1 << n) - 1
+    ech = _Echelon()
+    result = 1
+    tag = n
+    for i in range(n):
+        if ech.dimension == n:
+            break
+        v = 1 << i
+        start = tag
+        while True:
+            r = ech.reduce(v | (1 << tag))
+            tag += 1
+            if not r & low:
+                break
+            ech.insert(r)
+            v = matrix.act(v)
+        result = clmul(result, r >> start)
+    return [(result >> k) & 1 for k in range(n + 1)]
 
 
 def reference_kernel(matrix):

@@ -1,7 +1,9 @@
 """Exact F_2 linear algebra on bitset rows: kernel, inverse, spin, charpoly.
 
 The Krylov ``charpoly`` is cross-checked against ``hessenberg_charpoly``, the
-similarity-to-Hessenberg reduction it replaced, kept here as a test oracle;
+similarity-to-Hessenberg reduction it replaced, kept here as a test oracle,
+and against ``support.raw_krylov_charpoly``, which acts on the raw Krylov
+vectors instead of the residues;
 the sparse ``kernel`` against ``support.reference_kernel``, and the
 incremental echelon against column-by-column Gauss-Jordan elimination.
 """
@@ -9,13 +11,21 @@ incremental echelon against column-by-column Gauss-Jordan elimination.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heartlab.linalg import ModMatrix, Subspace, _Echelon, charpoly, kernel, spin
 from heartlab.perms import from_cycles
 from heartlab.reps import _random_algebra_element, heart
 from heartlab.rng import SplitMix64
 from heartlab.zoo import mathieu, psl, symmetric
-from support import entry, matrix_from_entries, permutation_matrix, rank, reference_kernel
+from support import (
+    entry,
+    matrix_from_entries,
+    permutation_matrix,
+    rank,
+    raw_krylov_charpoly,
+    reference_kernel,
+)
 
 
 def random_matrix(rng, rows, cols):
@@ -106,6 +116,33 @@ def block_diagonal(blocks):
         rows += [r << offset for r in b.rows]
         offset += b.nrows
     return ModMatrix(offset, offset, rows)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of size 0-40: dense ones, and block-diagonal ones with
+    repeated blocks, conjugated by a unit upper triangular matrix.  A repeated
+    block splits the Krylov chain into several cyclic blocks, and after the
+    conjugation a later block's residue carries earlier-block tags."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 40))
+        return ModMatrix(n, n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    pieces = []
+    for size in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)):
+        rows = draw(st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size))
+        pieces.append(ModMatrix(size, size, rows))
+    order = draw(st.lists(st.integers(0, len(pieces) - 1), min_size=1, max_size=8))
+    blocks = []
+    for k in order:
+        if sum(b.nrows for b in blocks) + pieces[k].nrows <= 40:
+            blocks.append(pieces[k])
+    m = block_diagonal(blocks)
+    n = m.nrows
+    if draw(st.booleans()):
+        upper = [(1 << i) | draw(st.integers(0, (1 << n) - 1)) >> (i + 1) << (i + 1) for i in range(n)]
+        change = ModMatrix(n, n, upper)
+        m = change * m * change.inverse()
+    return m
 
 
 class TestRankKernelSolve:
@@ -388,6 +425,11 @@ class TestCharpoly:
             rng.shuffle(blocks)
             m = block_diagonal(blocks)
             assert charpoly(m) == hessenberg_charpoly(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_residue_krylov_matches_raw_krylov(self, m):
+        assert charpoly(m) == raw_krylov_charpoly(m)
 
     @pytest.mark.parametrize("group", [mathieu(24), psl(3, 4)], ids=["M24", "PSL(3,4)"])
     def test_krylov_matches_hessenberg_meataxe_elements(self, group):

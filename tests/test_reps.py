@@ -34,6 +34,7 @@ from support import (
     permutation_matrix,
     permutation_module,
     rank,
+    raw_krylov_charpoly,
     reference_is_irreducible,
     reference_kernel,
     right_horner_matrix_poly,
@@ -431,6 +432,90 @@ MEMO_GROUPS = (
     "PSL(3,2)", "PSL(2,8)", "A7", "M11", "M12", "PSL(3,3)", "PSL(3,4)", "PSL(2,16)",
     "PSL(4,2)", "S8", "M22", "PGL(3,3)", "PSL(2,32)", "PSL(3,5)", "D10", "PSL(2,11)",
 )
+
+
+# Set bits of the vectors that ``ModMatrix.act`` walks inside spin and inside
+# charpoly during is_irreducible(heart(G), seed).  Acting on the vectors as
+# queued and on the raw Krylov vectors, not on the reduced rows, walked
+# (191578, 33740) and (300798, 14472).
+MEATAXE_WORK_PINS = {
+    ("PSL(2,256)", 0): (61878, 17105),
+    ("PSL(3,16)", 1): (154347, 8214),
+}
+
+
+class TestReducedRows:
+    """``spin`` acting on reduced echelon rows and ``charpoly`` on Krylov
+    residues, against the drained spin on vectors as queued and the
+    raw-Krylov charpoly, on the seeds and elements the MeatAxe really uses;
+    and the bits that ``ModMatrix.act`` walks in each."""
+
+    @pytest.mark.parametrize("group", ["PSL(2,256)", "PSL(3,16)"])
+    def test_spin_matches_drained_spin_on_meataxe_seeds(self, group):
+        # the first p(theta)-kernel vector of every factor in attempts 1-3, the
+        # dense seeds the MeatAxe spins, and the dual seed under the transpose
+        rep = heart_of(group)
+        d = rep.dimension
+        transposed = rep.transposed_images()
+        rng = SplitMix64(0)
+        spins = 0
+        for attempt in range(1, 4):
+            theta = _random_algebra_element(rep.images, rng, attempt)
+            for factor, _ in fppoly.factor(tuple(charpoly(theta)), 2, rng):
+                p_of_theta = _matrix_poly(factor, theta)
+                null = kernel(p_of_theta.transpose())
+                if null.dimension == 0:
+                    continue
+                dual_seed = kernel(p_of_theta).basis[0]
+                for v, actions in ((null.basis[0], rep.images), (dual_seed, transposed)):
+                    got = spin([v], actions, d)
+                    expected = drained_spin([v], actions, d)
+                    assert (got.basis, got.pivots) == (expected.basis, expected.pivots)
+                    spins += 1
+        assert spins >= 6
+
+    @pytest.mark.parametrize("group", MEATAXE_LARGE_GROUPS)
+    def test_charpoly_matches_raw_krylov_on_meataxe_elements(self, group):
+        # theta of attempts 1-10 at MeatAxe seeds 0 and 1: the MeatAxe draws
+        # from its generator only for theta and for factoring its charpoly
+        images = heart_of(group).images
+        for seed in (0, 1):
+            rng = SplitMix64(seed)
+            for attempt in range(1, 11):
+                theta = _random_algebra_element(images, rng, attempt)
+                if theta.is_scalar():
+                    continue
+                poly = charpoly(theta)
+                assert poly == raw_krylov_charpoly(theta)
+                fppoly.factor(tuple(poly), 2, rng)
+
+    @pytest.mark.parametrize("group,seed", list(MEATAXE_WORK_PINS))
+    def test_bits_walked_in_spin_and_charpoly(self, monkeypatch, group, seed):
+        rep = heart_of(group)
+        walked = {"spin": 0, "charpoly": 0}
+        phase = [None]
+        act = ModMatrix.act
+
+        def counted(self, v):
+            if phase[0] is not None:
+                walked[phase[0]] += v.bit_count()
+            return act(self, v)
+
+        def within(name, function):
+            def run(*args):
+                phase[0] = name
+                try:
+                    return function(*args)
+                finally:
+                    phase[0] = None
+
+            return run
+
+        monkeypatch.setattr(ModMatrix, "act", counted)
+        monkeypatch.setattr(reps, "spin", within("spin", spin))
+        monkeypatch.setattr(reps, "charpoly", within("charpoly", charpoly))
+        is_irreducible(rep, seed)
+        assert (walked["spin"], walked["charpoly"]) == MEATAXE_WORK_PINS[group, seed]
 
 
 def record_spins(monkeypatch, module):
