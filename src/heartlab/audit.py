@@ -594,7 +594,7 @@ def _jordan_evidence(group_id: GroupId) -> AuditEvidence:
     return evidence
 
 
-def audit(group_id: GroupId, n: int | None = None, seed: int = 0, deep: bool = False) -> AuditReport:
+def audit(group_id: GroupId, seed: int = 0, deep: bool = False) -> AuditReport:
     """Audit the certification hypotheses for the given group.
 
     An A_n or S_n audit takes its evidence from the Jordan certificate
@@ -605,11 +605,7 @@ def audit(group_id: GroupId, n: int | None = None, seed: int = 0, deep: bool = F
     gates the verdict.
     """
     name = group_id.name()
-    natural = group_id.natural_degree
-    if n is None:
-        n = natural
-    if n != natural:
-        raise GroupSpecError(f"{name} acts on {natural} points, not {n}")
+    n = group_id.natural_degree
     if n < 5:
         raise GroupSpecError(f"degree {n} < 5: no hyperelliptic curve to audit")
     g = genus_of(n)

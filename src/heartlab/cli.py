@@ -84,8 +84,9 @@ def _cmd_heart(args) -> int:
         "degree": group.degree,
         "heart_dimension": rep.dimension,
     }
-    endo = endomorphism_algebra(rep) if args.endo else None
-    if endo is not None:
+    # solved once, shared by the --endo entry and the idempotent search
+    endo = endomorphism_algebra(rep) if args.endo or args.indecomposable else None
+    if args.endo:
         payload["endo_dimension"] = endo.dimension
     if args.meataxe:
         verdict = is_irreducible(rep, args.seed)
@@ -148,8 +149,7 @@ def _cmd_probe(args) -> int:
                     candidate, budget=args.budget, seed=args.seed
                 )
         reports.append(
-            probe(poly, args.primes, candidates, seed=args.seed, sample_budget=args.budget,
-                  type_sets=type_sets)
+            probe(poly, args.primes, candidates, type_sets, seed=args.seed)
         )
     payload = reports[0].to_payload() if len(reports) == 1 else {
         "reports": [r.to_payload() for r in reports]

@@ -164,8 +164,9 @@ def make_field(p: int, r: int) -> FieldSpec:
 
     Candidate moduli x^r + c_{r-1} x^{r-1} + ... + c_0 are compared by the
     tuple (c_0, ..., c_{r-1}), low-degree coefficient first.  A candidate is
-    irreducible iff it is squarefree with one factor of degree r; c_0 = 0
-    means x divides it, which rules it out before any factoring.
+    irreducible iff ``factor_degrees`` gives one factor of degree r, also
+    when it is not squarefree (``distinct_degree_split``); c_0 = 0 means x
+    divides it, which rules it out before any factoring.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -175,7 +176,7 @@ def make_field(p: int, r: int) -> FieldSpec:
         return FieldSpec(p, 1, (0, 1))  # modulus x, i.e. the prime field
     for tail in product(range(p), repeat=r):
         modulus = tail + (1,)
-        if tail[0] and fppoly.is_squarefree(modulus, p) and fppoly.factor_degrees(modulus, p) == [r]:
+        if tail[0] and fppoly.factor_degrees(modulus, p) == [r]:
             return FieldSpec(p, r, modulus)
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 

@@ -5,8 +5,9 @@ Polynomials are tuples of coefficients in [0, p), constant term first, with
 no trailing zeros (the zero polynomial is the empty tuple).
 
 The probe reads only factor degrees of f mod p (Dedekind), for any p, and
-learns whether f mod p is squarefree from Res(f, f') over Z (``probe``), so
-the only squarefree test here, ``is_squarefree``, serves ``make_field``.
+learns whether f mod p is squarefree from Res(f, f') over Z (``probe``);
+``make_field`` needs no squarefree test, since ``factor_degrees`` tells
+irreducible f from every other f.
 ``distinct_degree_split`` packs each residue modulo f into one int
 (Kronecker substitution), its slots kept lazily in [0, 2p) and reduced all
 at once by a packed Barrett step, so a product modulo f is one int
@@ -88,16 +89,14 @@ def _divide_exact(f: list[int], g: list[int], p: int) -> list[int]:
     return quot
 
 
-def is_squarefree(f: Poly, p: int) -> bool:
-    """gcd(f, f') = 1 for f of degree >= 1."""
-    deriv = [i * c % p for i, c in enumerate(f)][1:]
-    while deriv and not deriv[-1]:
-        deriv.pop()
-    return bool(deriv) and len(_euclid(list(f), deriv, p)) == 1
-
-
 def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
     """[(k, product of degree-k irreducible factors)] for squarefree monic f.
+
+    For any monic f of degree r, squarefree or not, the split is [(r, f)]
+    exactly when f is irreducible: a reducible f has irreducible factors of
+    degree at most r/2, and at k the least of these degrees the remainder is
+    still f (no factor of smaller degree exists), so gcd(x^(p^k) - x, f) is
+    a proper factor and (k, ...) is listed.
 
     A residue modulo f (degree n) is one int with n slots of w bits, slot i
     the coefficient of x^i (Kronecker substitution; von zur Gathen and
@@ -194,7 +193,8 @@ def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
 
 
 def factor_degrees(f: Poly, p: int) -> list[int]:
-    """Degrees (with multiplicity) of the irreducible factors of squarefree f."""
+    """Degrees (with multiplicity) of the irreducible factors of squarefree f;
+    for any f of degree r, [r] exactly when f is irreducible."""
     out = []
     for k, product in distinct_degree_split(f, p):
         out.extend([k] * (degree(product) // k))

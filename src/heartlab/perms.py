@@ -39,7 +39,10 @@ class DegreeMismatchError(ValueError):
 
 
 class ClosureLimitError(RuntimeError):
-    """Raised when a breadth-first closure grows past its element limit."""
+    """Raised when a breadth-first closure grows past ``CLOSURE_LIMIT``."""
+
+
+CLOSURE_LIMIT = 10**6  # elements ``PermGroup.enumerate_elements`` may list
 
 
 class ChainOrderError(AssertionError):
@@ -460,22 +463,17 @@ class _StabilizerChain:
 
 
 class PermGroup:
-    """A permutation group given by generators and its order, with a lazy
-    stabilizer chain.
+    """A permutation group given by a nonempty list of generators of one
+    degree and its order, with a lazy stabilizer chain.
 
     ``order`` must be the order of the group the generators generate; the
     chain raises ``ChainOrderError`` when its orbit-length product overshoots
     that order or never reaches it.
     """
 
-    def __init__(self, generators, degree: int | None = None, *, order: int):
+    def __init__(self, generators, *, order: int):
         gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
-        if not gens:
-            if degree is None:
-                raise ValueError("need generators or an explicit degree")
-            gens = [identity(degree)]
-        if degree is None:
-            degree = gens[0].degree
+        degree = gens[0].degree
         for g in gens:
             if g.degree != degree:
                 raise DegreeMismatchError("generators have mixed degrees")
@@ -500,11 +498,11 @@ class PermGroup:
     def transitivity_degree(self) -> int:
         return self.chain().transitivity_degree()
 
-    def enumerate_elements(self, limit: int = 10**6) -> list[Permutation]:
+    def enumerate_elements(self) -> list[Permutation]:
         """All elements by breadth-first closure; independent of the chain.
 
         Intended as an oracle for small groups; raises ``ClosureLimitError``
-        if the group has more than ``limit`` elements.
+        if the group has more than ``CLOSURE_LIMIT`` elements.
         """
         seen = {identity(self.degree).images}
         queue = [identity(self.degree)]
@@ -515,8 +513,8 @@ class PermGroup:
             for g in self.generators:
                 nxt = compose(g, current)
                 if nxt.images not in seen:
-                    if len(seen) >= limit:
-                        raise ClosureLimitError(f"closure exceeds limit {limit}")
+                    if len(seen) >= CLOSURE_LIMIT:
+                        raise ClosureLimitError(f"closure exceeds limit {CLOSURE_LIMIT}")
                     seen.add(nxt.images)
                     queue.append(nxt)
         return queue

@@ -246,20 +246,17 @@ def resultant(f: tuple[int, ...], g: tuple[int, ...]) -> int:
     return sign * (b[0] ** da // h ** (da - 1) if da else 1)
 
 
-def cycle_type_mod_p(poly: IntPolynomial, p: int,
-                     derivative_resultant: int | None = None) -> CycleType | None:
+def cycle_type_mod_p(poly: IntPolynomial, p: int, derivative_resultant: int) -> CycleType | None:
     """Cycle type of Frobenius at p, or None when p is ramified.
 
     Requires p coprime to the leading coefficient.  For such p, f mod p is
     squarefree exactly when p does not divide Res(f, f'), also when p
     divides deg f or f' vanishes mod p (the Sylvester matrix reduces mod p,
-    and lc(f) is a unit).  ``derivative_resultant`` is Res(f, f'), computed
-    here when not given; ``probe`` computes it once per polynomial.
+    and lc(f) is a unit).  ``derivative_resultant`` is Res(f, f'), which
+    ``probe`` computes once per polynomial.
     """
     if poly.leading % p == 0:
         raise ValueError(f"prime {p} divides the leading coefficient")
-    if derivative_resultant is None:
-        derivative_resultant = resultant(poly.coeffs, poly.derivative())
     if derivative_resultant % p == 0:
         return None
     fbar = fppoly.monic(fppoly.normalize(poly.coeffs, p), p)
@@ -371,14 +368,13 @@ class ProbeReport:
 
 
 def probe(poly: IntPolynomial, prime_count: int, candidates: list[GroupId],
-          seed: int = 0, sample_budget: int = 2000,
-          type_sets: dict[GroupId, tuple[set[CycleType], bool]] | None = None) -> ProbeReport:
+          type_sets: dict[GroupId, tuple[set[CycleType], bool]], seed: int = 0) -> ProbeReport:
     """Factor modulo the first ``prime_count`` good primes and compare the
     observed Frobenius cycle types against each candidate group's type set.
 
-    ``type_sets`` maps each candidate to its ``group_cycle_types`` result for
-    this ``seed`` and ``sample_budget``, so a batch of polynomials computes
-    each set once; without it the sets are computed here.
+    ``type_sets`` maps each candidate to its ``group_cycle_types`` result,
+    drawn with ``seed`` (echoed in the report), so a batch of polynomials
+    computes each set once.
 
     Inconsistency (an observed type outside an exact type set) is sound by
     construction; consistency only says the data does not rule the group out.
@@ -409,10 +405,7 @@ def probe(poly: IntPolynomial, prime_count: int, candidates: list[GroupId],
 
     verdicts = []
     for candidate in candidates:
-        if type_sets is None:
-            types, exact = group_cycle_types(candidate, budget=sample_budget, seed=seed)
-        else:
-            types, exact = type_sets[candidate]
+        types, exact = type_sets[candidate]
         outside = [t for t in observed_order if t not in types]
         if not histogram:
             verdicts.append(CandidateVerdict(candidate.name(), "insufficient_data", exact))

@@ -325,17 +325,15 @@ class IndecomposabilityVerdict:
 IDEMPOTENT_ENUM_CAP = 20
 
 
-def is_indecomposable(rep: GModuleRep, endo: EndoAlgebra | None = None) -> IndecomposabilityVerdict:
-    """Exhaustive idempotent search in the endomorphism algebra.
+def is_indecomposable(rep: GModuleRep, endo: EndoAlgebra) -> IndecomposabilityVerdict:
+    """Exhaustive idempotent search in ``endo``, which must be
+    ``endomorphism_algebra(rep)``: the caller solves End once and shares it.
 
     The module decomposes iff End contains an idempotent other than 0 and the
     identity; the witness idempotent's image and kernel are the complementary
     invariant summands.  Dimensions above the enumeration cap return
-    inconclusive rather than guessing.  ``endo``, when given, must be
-    ``endomorphism_algebra(rep)``; it saves a second solve.
+    inconclusive rather than guessing.
     """
-    if endo is None:
-        endo = endomorphism_algebra(rep)
     k = endo.dimension
     if k > IDEMPOTENT_ENUM_CAP:
         return IndecomposabilityVerdict("inconclusive", endo_dimension=k)

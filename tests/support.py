@@ -20,6 +20,8 @@
   levels whose point the stabilizer fixes.
 - The evidence of an A_n or S_n audit from stabilizer chains, the
   oracle of the Jordan certificate that the audit reads instead.
+- The ``type_sets`` argument of ``probe``, built as the ``probe`` command
+  builds it.
 """
 
 import itertools
@@ -31,6 +33,7 @@ from heartlab.fields import make_field
 from heartlab.fppoly import clmul, degree, monic, normalize
 from heartlab.linalg import ModMatrix, Subspace, _Echelon, charpoly, kernel, spin
 from heartlab.perms import _StabilizerChain
+from heartlab.probe import group_cycle_types
 from heartlab.reps import (
     MEATAXE_ATTEMPT_CAP,
     GModuleRep,
@@ -636,3 +639,9 @@ def chain_evidence(group_id):
         audited = KnownOrderChain(zoo.symmetric(n))
         evidence.containment_verified = all(audited.contains(g) for g in simple.generators)
     return evidence
+
+
+def type_sets(candidates, budget=2000, seed=0):
+    """The ``type_sets`` argument of ``probe`` for these candidates, as the
+    ``probe`` command builds it from its --budget and --seed."""
+    return {c: group_cycle_types(c, budget=budget, seed=seed) for c in candidates}

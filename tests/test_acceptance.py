@@ -23,7 +23,7 @@ from heartlab.zoo import (
     prime_power_decomposition,
     psl_order,
 )
-from support import DeterministicChain
+from support import DeterministicChain, type_sets
 
 HEART_SUITE = [
     ("mathieu", (11,)), ("mathieu", (12,)), ("mathieu", (22,)), ("mathieu", (23,)),
@@ -106,7 +106,8 @@ def test_criterion_2_irreducibility_pattern():
             if endomorphism_algebra(rep).dimension != 1:
                 ok = False
     for n in (22, 23, 24):
-        verdict = is_indecomposable(heart(build_group(GroupId("mathieu", (n,)))))
+        rep = heart(build_group(GroupId("mathieu", (n,))))
+        verdict = is_indecomposable(rep, endomorphism_algebra(rep))
         if verdict.status != "indecomposable":
             ok = False
             details.append(f"M{n} not indecomposable")
@@ -303,7 +304,8 @@ def _x4_plus_1_factors_mod(p: int) -> bool:
 def test_criterion_7_probe_determinism_and_soundness():
     ok = True
     quartic = parse_poly("x^4+1")
-    report = probe(quartic, 50, [GroupId("symmetric", (4,))], seed=0)
+    s4 = [GroupId("symmetric", (4,))]
+    report = probe(quartic, 50, s4, type_sets(s4), seed=0)
     if report.irreducibility_evidence:
         ok = False
     for ctype in report.histogram:
@@ -317,7 +319,8 @@ def test_criterion_7_probe_determinism_and_soundness():
             ok = False
 
     quintic = parse_poly("x^5-x-1")
-    report_a5 = probe(quintic, 100, [GroupId("alternating", (5,))], seed=0)
+    a5 = [GroupId("alternating", (5,))]
+    report_a5 = probe(quintic, 100, a5, type_sets(a5), seed=0)
     verdict = report_a5.verdicts[0]
     if verdict.status != "inconsistent" or verdict.witness is None:
         ok = False
@@ -330,7 +333,7 @@ def test_criterion_7_probe_determinism_and_soundness():
         if ctype.degree != 5:
             ok = False
 
-    rerun = probe(quintic, 100, [GroupId("alternating", (5,))], seed=0)
+    rerun = probe(quintic, 100, a5, type_sets(a5), seed=0)
     if rerun.to_payload() != report_a5.to_payload():
         ok = False
     _criterion(7, "probe determinism and inconsistency soundness", ok,

@@ -1,6 +1,7 @@
 """Fact table, unboundedness rules, and audit verdict logic."""
 
 import importlib
+import json
 
 import pytest
 
@@ -323,8 +324,6 @@ class TestAudit:
     def test_degree_preconditions(self):
         with pytest.raises(GroupSpecError):
             audit(GroupId("symmetric", (4,)))
-        with pytest.raises(GroupSpecError):
-            audit(GroupId("mathieu", (23,)), n=22)
 
     def test_deep_audit_records_module_evidence(self):
         report = audit(GroupId("mathieu", (11,)), deep=True)
@@ -388,3 +387,10 @@ class TestOneEndSolve:
         assert cli.main(["heart", "M22", "--endo", "--indecomposable"]) == 0
         capsys.readouterr()
         assert end_calls == [20]
+
+    def test_heart_indecomposable_without_endo(self, end_calls, capsys):
+        # End is solved for the idempotent search, and not printed
+        assert cli.main(["heart", "M22", "--indecomposable"]) == 0
+        out, _ = capsys.readouterr()
+        assert end_calls == [20]
+        assert "endo_dimension" not in json.loads(out)["payload"]

@@ -110,8 +110,8 @@ class TestExitCodes:
 
 
     def test_closure_limit_exit_four(self, capsys, monkeypatch):
-        def failing(self, limit=10**6):
-            raise ClosureLimitError(f"closure exceeds limit {limit}")
+        def failing(self):
+            raise ClosureLimitError(f"closure exceeds limit {perms.CLOSURE_LIMIT}")
 
         # PSL(2,4) acts on 5 points and still enumerates; A5 has a closed form
         monkeypatch.setattr(PermGroup, "enumerate_elements", failing)
@@ -624,6 +624,30 @@ INDECOMPOSABLE_PINS = {
     "D5": "3689bda2280718d8e001b0637a4ac33baa9e67b6ca17b10f81705f5e4bf2fcd5",
     "D10": "90587caf0ca08768e3c07b9d83674fe8a271d231203ff027cb383f8649e01bcd",
 }
+# heart G --indecomposable without --endo, recorded while End was solved
+# inside is_indecomposable: no top-level endo_dimension
+INDECOMPOSABLE_ONLY_PINS = {
+    "M11": "c2a3270c469a177b8cec08dc29657e1aa2c5edbf466777b2c5b2b4a1992c5b93",
+    "M12": "819275b0098bb70ca9aafc7dbc371cb3b930711d11b825925b706ef9a85f47b2",
+    "M22": "f6849b8c6a4e7caf32428f52ec18733ff64f31aa33b03d2d2d8a18d4b84e424e",
+    "M23": "7c9ec0ccd65bbc4744d710e77be29af7a7b8e74d35779f217c6b4fa25f5d2483",
+    "M24": "e620ca532e1e59f19f9a1635f1b8ce32d6da9574e2863a555012513836cb0ee4",
+    "PSL(3,2)": "0a60b79be546954d3e73570f86dd7289fef5f43b563f353abe772314dbfb4a84",
+    "PSL(2,8)": "16baf3edd4c62012d8a4be523db67ca7548c113a9eec6f3aaff98e729eec8999",
+    "PSL(3,3)": "30dd9e7732bbc3d63e42e9466a0ce735927a62866b3b4acef276d55755ba5bf6",
+    "PSL(3,4)": "f31e912b8af024f8423d87c9825039860d8e689fb15f45c8fbe8ccff90a00b31",
+    "PSL(4,3)": "b690392d83ef282d966619518e2aadf29dc3a94df536b7a1a24d4f455fa855e7",
+    "C5": "a9a1c0e4f17ad3cad1271227992947cab625984ce20c5ebd5c207d9af44c3836",
+    "C6": "3d0ab8a1e045780f267cf9c23f99628d0739f3b8bfae6c2d40df982c9a04ed96",
+    "C7": "0eeeb1eb64cd6efbd6ea2d8dc19a265ea5431b2a417bdfafc883584a7f3e3f55",
+    "C8": "99305e47c68db3a8ebf76064af07d2812cdce93da4e4757a454959665829cd72",
+    "C9": "97c56344e8667bb85c9d8810cb55e38797e442b3d029c493e64ac12957ca9534",
+    "C10": "646685a4b9616149d11b115c44f88d3415a5a16914a351a1f1c11721b079f38b",
+    "C11": "4baafc983e2b5de1961261d7104dfedbda3ec2cbdd163afcd7a90d7941360cb4",
+    "C12": "efa7d22767ab36759eaa1333fe9fa23d31456c491a8c8ea7d2ebdd017d648140",
+    "D5": "3b5e61bc4f681b0822385e0ef80fa76d90af11d341d7e4a09149b516f191f46d",
+    "D10": "de2890c435b9a75816513820714a7f46f29e373ac995df2c96f418c53f930df2",
+}
 
 # audit G --deep --seed s on the acceptance groups, recorded before the Krylov
 # charpoly and the int-encoded F_2[x] factoring: the MeatAxe and End results
@@ -708,6 +732,11 @@ class TestPayloadPins:
     def test_indecomposable_payload(self, capsys, group):
         digest = payload_digest(capsys, "heart", group, "--endo", "--indecomposable")
         assert digest == INDECOMPOSABLE_PINS[group]
+
+    @pytest.mark.parametrize("group", list(INDECOMPOSABLE_ONLY_PINS))
+    def test_indecomposable_only_payload(self, capsys, group):
+        digest = payload_digest(capsys, "heart", group, "--indecomposable")
+        assert digest == INDECOMPOSABLE_ONLY_PINS[group]
 
     @pytest.mark.parametrize("group,seed", list(AUDIT_DEEP_PINS))
     def test_audit_deep_payload(self, capsys, group, seed):

@@ -238,6 +238,19 @@ class TestDistinctDegreeSplit:
         assume(is_squarefree(f, p))
         assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
 
+    @pytest.mark.parametrize("p,max_degree", [(2, 10), (3, 6), (5, 4)])
+    def test_one_factor_exactly_when_irreducible(self, p, max_degree):
+        # every monic f with a nonzero constant term, squarefree or not:
+        # make_field reads factor_degrees(f, p) == [deg f] as irreducibility
+        repeated = 0
+        for d in range(1, max_degree + 1):
+            for tail in itertools.product(range(p), repeat=d):
+                if tail[0]:
+                    f = tail + (1,)
+                    assert (fppoly.factor_degrees(f, p) == [d]) == brute_force_irreducible(f, p), f
+                    repeated += not is_squarefree(f, p)
+        assert repeated > 0
+
     def test_same_degree_and_linear_products(self):
         # x^p - x is the product of every linear factor over F_p
         for p in (2, 3, 5, 7, 11, 13):

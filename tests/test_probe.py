@@ -23,7 +23,7 @@ from heartlab.probe import (
 )
 from heartlab.perms import cycle_type
 from heartlab.zoo import GroupId, build_group, parse_group_spec
-from support import derivative, gcd, tuple_distinct_degree_split
+from support import derivative, gcd, tuple_distinct_degree_split, type_sets
 
 
 def sylvester_resultant(f: tuple, g: tuple) -> int:
@@ -60,6 +60,12 @@ def sylvester_resultant(f: tuple, g: tuple) -> int:
 
 def int_derivative(coeffs: tuple) -> tuple:
     return tuple(i * c for i, c in enumerate(coeffs))[1:]
+
+
+def frobenius_type(poly: IntPolynomial, p: int):
+    """cycle_type_mod_p at one prime, with Res(f, f') computed as ``probe``
+    computes it once per polynomial."""
+    return cycle_type_mod_p(poly, p, resultant(poly.coeffs, poly.derivative()))
 
 
 def tuple_cycle_type_mod_p(poly: IntPolynomial, p: int):
@@ -152,22 +158,23 @@ class TestCycleTypeModP:
         f = parse_poly("x^3-2")
         roots = [x for x in range(5) if (x**3 - 2) % 5 == 0]
         assert roots == [3]
-        assert cycle_type_mod_p(f, 5).lengths == (2, 1)
+        assert frobenius_type(f, 5).lengths == (2, 1)
 
     def test_ramified_detection(self):
-        assert cycle_type_mod_p(parse_poly("x^2+1"), 2) is None
+        assert frobenius_type(parse_poly("x^2+1"), 2) is None
 
     def test_split_quadratic(self):
-        assert cycle_type_mod_p(parse_poly("x^2+1"), 5).lengths == (1, 1)
+        assert frobenius_type(parse_poly("x^2+1"), 5).lengths == (1, 1)
 
     def test_rejects_prime_dividing_leading(self):
         with pytest.raises(ValueError):
-            cycle_type_mod_p(parse_poly("3x^2+1"), 3)
+            frobenius_type(parse_poly("3x^2+1"), 3)
 
     def test_lengths_sum_to_degree(self):
         f = parse_poly("x^7-7*x+3")
+        res = resultant(f.coeffs, f.derivative())
         for p in primes_coprime_to(25, f.leading):
-            ctype = cycle_type_mod_p(f, p)
+            ctype = cycle_type_mod_p(f, p, res)
             if ctype is not None:
                 assert ctype.degree == 7
 
@@ -195,27 +202,29 @@ class TestCycleTypeModP:
             f = parse_poly(text)
             res = sylvester_resultant(f.coeffs, int_derivative(f.coeffs))
             assert resultant(f.coeffs, int_derivative(f.coeffs)) == res
+            computed = resultant(f.coeffs, f.derivative())
             for p in primes:
                 if f.leading % p == 0:
                     continue
                 fbar = fppoly.normalize(f.coeffs, p)
                 deriv = derivative(fbar, p)
                 repeated = not deriv or fppoly.degree(gcd(fbar, deriv, p)) > 0
-                ramified = cycle_type_mod_p(f, p) is None
+                ramified = cycle_type_mod_p(f, p, computed) is None
                 assert ramified == (res % p == 0) == repeated, (text, p)
                 assert ramified == (cycle_type_mod_p(f, p, res) is None)
 
     def test_f_prime_vanishing_and_p_dividing_n(self):
-        assert cycle_type_mod_p(parse_poly("x^5+5*x+10"), 5) is None
-        assert cycle_type_mod_p(parse_poly("x^5+5*x+11"), 5) is None  # (x + 1)^5 mod 5
-        assert cycle_type_mod_p(parse_poly("x^7-7*x+3"), 7) is None  # (x + 3)^7 mod 7
+        assert frobenius_type(parse_poly("x^5+5*x+10"), 5) is None
+        assert frobenius_type(parse_poly("x^5+5*x+11"), 5) is None  # (x + 1)^5 mod 5
+        assert frobenius_type(parse_poly("x^7-7*x+3"), 7) is None  # (x + 3)^7 mod 7
         # p | n with f' = -1 mod 3: squarefree, and irreducible (Artin-Schreier)
-        assert cycle_type_mod_p(parse_poly("x^3-x-1"), 3).lengths == (3,)
+        assert frobenius_type(parse_poly("x^3-x-1"), 3).lengths == (3,)
 
     def test_square_is_ramified_everywhere(self):
         f = parse_poly("x^2-2*x+1")
         assert resultant(f.coeffs, int_derivative(f.coeffs)) == 0
-        report = probe(f, 40, [GroupId("symmetric", (2,))])
+        candidates = [GroupId("symmetric", (2,))]
+        report = probe(f, 40, candidates, type_sets(candidates))
         assert report.ramified_primes == report.primes_used
         assert not report.histogram
         assert report.verdicts[0].status == "insufficient_data"
@@ -246,22 +255,22 @@ class TestCycleTypeModP:
 
     def test_x_n_minus_x_minus_1_matches_tuple_oracle(self):
         for f in self.X_N_MINUS_X_MINUS_1:
+            res = resultant(f.coeffs, f.derivative())
             for p in primes_coprime_to(12, f.leading):
-                assert cycle_type_mod_p(f, p) == tuple_cycle_type_mod_p(f, p)
+                assert cycle_type_mod_p(f, p, res) == tuple_cycle_type_mod_p(f, p)
 
     def test_non_monic_matches_tuple_oracle(self):
         assert {f.degree for f in self.NON_MONIC} >= {2, 20}
         ramified = 0
         for f in self.NON_MONIC:
             primes = primes_coprime_to(500, f.leading)
-            for p in primes[:10] + primes[10::70]:
-                assert cycle_type_mod_p(f, p) == tuple_cycle_type_mod_p(f, p)
             res = resultant(f.coeffs, f.derivative())
+            for p in primes[:10] + primes[10::70]:
+                assert cycle_type_mod_p(f, p, res) == tuple_cycle_type_mod_p(f, p)
             for p in primes:
                 fbar = fppoly.normalize(f.coeffs, p)
                 deriv = derivative(fbar, p)
                 expected = bool(deriv) and fppoly.degree(gcd(fbar, deriv, p)) == 0
-                assert fppoly.is_squarefree(fppoly.monic(fbar, p), p) == expected
                 assert (res % p != 0) == expected
                 ramified += not expected
         assert ramified > 40  # every p dividing a discriminant, not one per polynomial
@@ -269,15 +278,16 @@ class TestCycleTypeModP:
     @pytest.mark.parametrize("p", [65537, 2**31 - 1])
     def test_large_primes_match_tuple_oracle(self, p):
         for f in self.X_N_MINUS_X_MINUS_1[::3] + self.NON_MONIC[::4]:
-            assert cycle_type_mod_p(f, p) == tuple_cycle_type_mod_p(f, p)
+            assert frobenius_type(f, p) == tuple_cycle_type_mod_p(f, p)
 
     def test_ramified_non_monic(self):
         # discriminant 2^2 - 4*3*3 = -32: 3x^2 + 2x + 3 = (x + 1)^2 mod 2, and
         # it is squarefree mod every odd prime
         f = parse_poly("3x^2+2x+3")
-        assert cycle_type_mod_p(f, 2) is None and tuple_cycle_type_mod_p(f, 2) is None
+        res = resultant(f.coeffs, f.derivative())
+        assert cycle_type_mod_p(f, 2, res) is None and tuple_cycle_type_mod_p(f, 2) is None
         for p in (5, 7, 11, 13):
-            assert cycle_type_mod_p(f, p) == tuple_cycle_type_mod_p(f, p) is not None
+            assert cycle_type_mod_p(f, p, res) == tuple_cycle_type_mod_p(f, p) is not None
 
 
 class TestPrimesCoprimeTo:
@@ -370,7 +380,8 @@ class TestGroupCycleTypes:
 
 class TestProbe:
     def test_quadratic_vs_s2(self):
-        report = probe(parse_poly("x^2+1"), 10, [GroupId("symmetric", (2,))])
+        s2 = [GroupId("symmetric", (2,))]
+        report = probe(parse_poly("x^2+1"), 10, s2, type_sets(s2))
         assert report.verdicts[0].status == "consistent"
         assert sum(report.histogram.values()) == len(report.primes_used) - len(
             report.ramified_primes
@@ -379,12 +390,14 @@ class TestProbe:
             assert ctype.degree == 2
 
     def test_x4_plus_1_never_irreducible(self):
-        report = probe(parse_poly("x^4+1"), 50, [GroupId("symmetric", (4,))])
+        s4 = [GroupId("symmetric", (4,))]
+        report = probe(parse_poly("x^4+1"), 50, s4, type_sets(s4))
         assert report.irreducibility_evidence is False
         assert report.verdicts[0].status == "consistent"
 
     def test_a5_inconsistency_with_witness(self):
-        report = probe(parse_poly("x^5-x-1"), 100, [GroupId("alternating", (5,))])
+        a5 = [GroupId("alternating", (5,))]
+        report = probe(parse_poly("x^5-x-1"), 100, a5, type_sets(a5))
         verdict = report.verdicts[0]
         assert verdict.status == "inconsistent"
         types, exact = group_cycle_types(GroupId("alternating", (5,)))
@@ -392,32 +405,37 @@ class TestProbe:
         assert verdict.witness not in types  # soundness of the witness
 
     def test_s5_consistent_and_irreducibility_evidence(self):
-        report = probe(parse_poly("x^5-x-1"), 100, [GroupId("symmetric", (5,))])
+        s5 = [GroupId("symmetric", (5,))]
+        report = probe(parse_poly("x^5-x-1"), 100, s5, type_sets(s5))
         assert report.verdicts[0].status == "consistent"
         assert report.irreducibility_evidence is True
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_non_positive_prime_count_rejected(self, count):
         with pytest.raises(ValueError, match=f"prime_count must be positive, got {count}"):
-            probe(parse_poly("x^5-x-1"), count, [GroupId("alternating", (5,))])
+            a5 = [GroupId("alternating", (5,))]
+            probe(parse_poly("x^5-x-1"), count, a5, type_sets(a5))
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            probe(parse_poly("x^4+1"), 5, [GroupId("symmetric", (5,))])
+            s5 = [GroupId("symmetric", (5,))]
+            probe(parse_poly("x^4+1"), 5, s5, type_sets(s5))
 
     def test_determinism(self):
-        gid = parse_group_spec("M23")
-        a = probe(parse_poly("x^23-1"), 12, [gid], seed=0, sample_budget=200)
-        b = probe(parse_poly("x^23-1"), 12, [gid], seed=0, sample_budget=200)
+        m23 = [parse_group_spec("M23")]
+        a = probe(parse_poly("x^23-1"), 12, m23, type_sets(m23, budget=200), seed=0)
+        b = probe(parse_poly("x^23-1"), 12, m23, type_sets(m23, budget=200), seed=0)
         assert a.to_payload() == b.to_payload()
 
     def test_sampled_sets_cannot_rule_out(self):
         # every verdict against a sampled type set is consistent/insufficient
-        report = probe(parse_poly("x^23-1"), 12, [parse_group_spec("M23")], sample_budget=100)
+        m23 = [parse_group_spec("M23")]
+        report = probe(parse_poly("x^23-1"), 12, m23, type_sets(m23, budget=100))
         assert report.verdicts[0].status in ("consistent", "insufficient_data")
 
     def test_payload_shape(self):
-        payload = probe(parse_poly("x^2+1"), 6, [GroupId("symmetric", (2,))]).to_payload()
+        s2 = [GroupId("symmetric", (2,))]
+        payload = probe(parse_poly("x^2+1"), 6, s2, type_sets(s2)).to_payload()
         assert payload["polynomial"] == "x^2+1"
         assert len(payload["primes_used"]) == 6
         total = sum(entry["count"] for entry in payload["cycle_type_histogram"])

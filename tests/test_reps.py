@@ -116,7 +116,7 @@ class TestHeart:
         # the heart map is multiplicative in action order, like the module map
         g0, g1 = group.generators[0], group.generators[1]
         product = compose(g1, g0)
-        single = PermGroup([product], degree=group.degree, order=product.order())
+        single = PermGroup([product], order=product.order())
         rep_single = heart(single)
         assert rep.images[0] * rep.images[1] == rep_single.images[0]
 
@@ -597,13 +597,14 @@ class TestMeatAxeKernelAndMemo:
 class TestIndecomposability:
     def test_big_mathieu_hearts_indecomposable(self):
         for n in (22, 23, 24):
-            verdict = is_indecomposable(heart(build_group(GroupId("mathieu", (n,)))))
+            rep = heart(build_group(GroupId("mathieu", (n,))))
+            verdict = is_indecomposable(rep, endomorphism_algebra(rep))
             assert verdict.status == "indecomposable"
             assert verdict.endo_dimension == 1
 
     def test_direct_sum_of_trivial_modules_decomposes(self):
         rep = permutation_module(PermGroup([identity(2)], order=1))
-        verdict = is_indecomposable(rep)
+        verdict = is_indecomposable(rep, endomorphism_algebra(rep))
         assert verdict.status == "decomposable"
         witness = verdict.witness
         assert witness is not None
@@ -613,14 +614,14 @@ class TestIndecomposability:
         assert 0 < image_rank < 2
 
     def test_irreducible_heart_is_indecomposable(self):
-        assert is_indecomposable(heart(build_group(GroupId("mathieu", (11,))))).status == (
-            "indecomposable"
-        )
+        rep = heart(build_group(GroupId("mathieu", (11,))))
+        assert is_indecomposable(rep, endomorphism_algebra(rep)).status == "indecomposable"
 
     def test_cyclic_heart_decomposes_when_idempotent_exists(self):
         # C_5 heart: F_2[x]/(1+x+x^2+x^3+x^4) is a field, so indecomposable;
         # C_7 heart: x^6+...+1 = (x^3+x+1)(x^3+x^2+1) splits, so decomposable
-        assert is_indecomposable(heart(cyclic(5))).status == "indecomposable"
-        verdict = is_indecomposable(heart(cyclic(7)))
+        c5, c7 = heart(cyclic(5)), heart(cyclic(7))
+        assert is_indecomposable(c5, endomorphism_algebra(c5)).status == "indecomposable"
+        verdict = is_indecomposable(c7, endomorphism_algebra(c7))
         assert verdict.status == "decomposable"
         assert verdict.witness is not None
