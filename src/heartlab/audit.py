@@ -594,7 +594,7 @@ def _jordan_evidence(group_id: GroupId) -> AuditEvidence:
     return evidence
 
 
-def audit(group_id: GroupId, seed: int = 0, deep: bool = False) -> AuditReport:
+def audit(group_id: GroupId, seed: int, deep: bool) -> AuditReport:
     """Audit the certification hypotheses for the given group.
 
     An A_n or S_n audit takes its evidence from the Jordan certificate

@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .audit import CITATIONS, audit, _load_facts
 from .perms import ClosureLimitError
-from .probe import PolyParseError, group_cycle_types, parse_poly, probe
+from .probe import SAMPLE_BUDGET, PolyParseError, group_cycle_types, parse_poly, probe
 from .reps import endomorphism_algebra, heart, is_indecomposable, is_irreducible
 from .zoo import GroupSpecError, MATHIEU_DEGREES, build_group, parse_group_spec
 
@@ -214,7 +214,7 @@ def _add_probe(sub) -> None:
     p_probe.add_argument("--file", default=None, help="file with one polynomial per line")
     p_probe.add_argument("--primes", type=int, default=50)
     p_probe.add_argument("--candidates", default="", help="comma-separated group names")
-    p_probe.add_argument("--budget", type=int, default=2000,
+    p_probe.add_argument("--budget", type=int, default=SAMPLE_BUDGET,
                          help="sample budget for groups too large to enumerate")
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.add_argument("--timestamp", action="store_true")

@@ -1,16 +1,16 @@
 """Exact dense linear algebra over F_2, rows as int bitsets.
 
 A row vector is a plain Python int used as a bitset (bit j = column j), so a
-row operation is a single word-level XOR.  Echelon forms are fully reduced
-(pivot entries 1, zeros above and below), which makes subspace equality plain
-representation equality.  ``kernel`` alone eliminates to a semi-echelon form
-(no back-reduction) and back-substitutes bit-sliced, so its cost follows the
-ones of a sparse matrix; it returns the same reduced basis.  The
-characteristic polynomial comes from Krylov spinning in one echelon basis,
-with the F_2[x] product of ``fppoly``.
+row operation is a single word-level XOR.  ``Subspace`` is the one fully
+reduced echelon form (pivot entries 1, zeros above and below), which makes
+subspace equality plain representation equality.  ``kernel`` and
+``charpoly`` read no reduced basis, so they share the semi-echelon loop
+``_semi_reduce`` (no back-reduction): ``kernel`` back-substitutes
+bit-sliced, so its cost follows the ones of a sparse matrix, and
+``charpoly`` reads only each Krylov block's relation.
 
 ``ModMatrix.act`` costs one step per set bit of the vector acted on, so
-``spin`` and ``charpoly`` act on reduced echelon rows, not on raw vectors:
+``spin`` and ``charpoly`` act on echelon rows, not on raw vectors:
 
 - ``spin`` acts on the current row of each queued pivot, back-reduced
   against every pivot inserted since.  The rows read are a unitriangular
@@ -31,17 +31,25 @@ def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-class _Echelon:
-    """Incremental reduced-echelon row basis.
+class Subspace:
+    """A subspace of F_2^ambient held as an incremental reduced-echelon basis.
 
     Rows are kept mutually reduced: a pivot column has a 1 in its own row and
     zeros in every other basis row, so reducing an incoming vector is a single
     pass over the pivot table in any order.
     """
 
-    def __init__(self):
+    def __init__(self, ambient: int):
+        self.ambient = ambient
         self.rows: dict[int, int] = {}  # pivot column -> reduced row
         self._pivot_mask = 0  # union of pivot bits
+
+    @classmethod
+    def from_vectors(cls, ambient: int, vectors) -> "Subspace":
+        space = cls(ambient)
+        for v in vectors:
+            space.insert(v)
+        return space
 
     def reduce(self, v: int) -> int:
         """Residue of v modulo the current row space."""
@@ -76,36 +84,17 @@ class _Echelon:
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
-    def basis_rows(self) -> list[int]:
-        return [self.rows[p] for p in sorted(self.rows)]
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self.rows)
+
+    @property
+    def basis(self) -> list[int]:
+        return [self.rows[p] for p in self.pivots]
 
     @property
     def dimension(self) -> int:
         return len(self.rows)
-
-
-class Subspace:
-    """A subspace of F_2^ambient held as a reduced-echelon row basis."""
-
-    def __init__(self, ambient: int, echelon: _Echelon):
-        self.ambient = ambient
-        self._echelon = echelon
-        self.basis = echelon.basis_rows()
-        self.pivots = sorted(echelon.rows)
-
-    @classmethod
-    def from_vectors(cls, ambient: int, vectors) -> "Subspace":
-        ech = _Echelon()
-        for v in vectors:
-            ech.insert(v)
-        return cls(ambient, ech)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def contains(self, v: int) -> bool:
-        return self._echelon.contains(v)
 
     def is_proper_nonzero(self) -> bool:
         return 0 < self.dimension < self.ambient
@@ -118,6 +107,22 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dimension}, ambient={self.ambient})"
+
+
+def _semi_reduce(rows: dict[int, int], v: int, mask: int = -1) -> int:
+    """Reduce v by the row of ``rows`` keyed by its lowest set bit until that
+    bit is new, and store the residue under it; a stored row has no set bit
+    below its key.  Only bits under ``mask``, a run of low bits, are
+    eliminated: the residue is 0 under ``mask``, and not stored, exactly when
+    v lay in the span."""
+    while v & mask:
+        low = (v & -v).bit_length() - 1
+        row = rows.get(low)
+        if row is None:
+            rows[low] = v
+            break
+        v ^= row
+    return v
 
 
 class ModMatrix:
@@ -189,13 +194,12 @@ class ModMatrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        ech = _Echelon()
-        for i in range(n):
-            ech.insert(self.rows[i] | (1 << (n + i)))
+        augmented = (r | (1 << (n + i)) for i, r in enumerate(self.rows))  # [M | I]
+        rows = Subspace.from_vectors(2 * n, augmented).rows
         mask = (1 << n) - 1
-        if any(ech.rows.get(i, 0) & mask != (1 << i) for i in range(n)):
+        if any(rows.get(i, 0) & mask != (1 << i) for i in range(n)):
             raise ValueError("matrix is singular")
-        return ModMatrix(n, n, [ech.rows[i] >> n for i in range(n)])
+        return ModMatrix(n, n, [rows[i] >> n for i in range(n)])
 
     def __repr__(self) -> str:
         return f"ModMatrix({self.nrows}x{self.ncols})"
@@ -206,9 +210,9 @@ def kernel(matrix: ModMatrix) -> Subspace:
 
     Three passes whose work follows the ones in the rows, not rank x nullity:
 
-    1. Semi-echelon elimination: each row is reduced by the stored row keyed
-       by its lowest set bit until that bit is new, with no back-reduction.
-       A stored row has no set bit below its key.
+    1. Semi-echelon elimination (``_semi_reduce``): each row is reduced by
+       the stored row keyed by its lowest set bit until that bit is new, with
+       no back-reduction.  A stored row has no set bit below its key.
     2. Bit-sliced back-substitution: ``coords[j]`` holds coordinate j of every
        kernel vector at once, bit k for the k-th free column.  A free column
        is its own bit; pivots are solved from the highest down, each as the
@@ -220,12 +224,7 @@ def kernel(matrix: ModMatrix) -> Subspace:
     n = matrix.ncols
     rows: dict[int, int] = {}  # lowest set bit -> semi-reduced row
     for r in matrix.rows:
-        while r:
-            low = (r & -r).bit_length() - 1
-            if low not in rows:
-                rows[low] = r
-                break
-            r ^= rows[low]
+        _semi_reduce(rows, r)
     coords = [0] * n
     nullity = 0
     for j in range(n):
@@ -266,26 +265,26 @@ def spin(seed_vectors, actions: list[ModMatrix], ambient: int) -> Subspace:
     for a in actions:
         if a.nrows != a.ncols or a.nrows != ambient:
             raise ValueError("actions must be square of the ambient dimension")
-    ech = _Echelon()
+    space = Subspace(ambient)
     worklist = []
     for v in seed_vectors:
         # the early stop counts pivots, so every vector must lie in F_2^ambient
         if v < 0 or v >> ambient:
             raise ValueError("seed vectors must lie in F_2^ambient")
-        pivot = ech.insert(v)
+        pivot = space.insert(v)
         if pivot is not None:
             worklist.append(pivot)
     head = 0
-    while head < len(worklist) and ech.dimension < ambient:
-        v = ech.rows[worklist[head]]  # the row as later pivots reduced it
+    while head < len(worklist) and space.dimension < ambient:
+        v = space.rows[worklist[head]]  # the row as later pivots reduced it
         head += 1
         for a in actions:
-            pivot = ech.insert(a.act(v))
+            pivot = space.insert(a.act(v))
             if pivot is not None:
                 worklist.append(pivot)
-                if ech.dimension == ambient:
+                if space.dimension == ambient:
                     break
-    return Subspace(ambient, ech)
+    return space
 
 
 def charpoly(matrix: ModMatrix) -> list[int]:
@@ -293,12 +292,13 @@ def charpoly(matrix: ModMatrix) -> list[int]:
 
     Krylov spinning through a chain of cyclic subspaces (Keller-Gehrig 1985;
     Holt, Eick and O'Brien ch. 7): each standard vector not yet in the span
-    is pushed as v, v.M, v.M^2, ... into one echelon basis, the k-th Krylov
-    vector carrying the tag bit n + k.  When a push reduces to 0 in the low n
-    bits, its tags from the current block on are the block's monic relation,
-    the charpoly of M on that cyclic quotient; tags of earlier blocks only
-    record vectors already in the earlier span.  The charpoly is the product
-    of the block polynomials.
+    is pushed as v, v.M, v.M^2, ... into one semi-echelon basis
+    (``_semi_reduce`` on the low n bits), the k-th Krylov vector carrying the
+    tag bit n + k.  When a push reduces to 0 in the low n bits, its tags from
+    the current block on are the block's monic relation, the charpoly of M
+    on that cyclic quotient; tags of earlier blocks only record vectors
+    already in the earlier span.  The charpoly is the product of the block
+    polynomials.
 
     The next push is not the raw v.M^(k+1) but the residue r just inserted
     acted on, (r & low).M, with r's current-block tags shifted one power up.
@@ -311,20 +311,19 @@ def charpoly(matrix: ModMatrix) -> list[int]:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = matrix.nrows
     low = (1 << n) - 1
-    ech = _Echelon()
+    rows: dict[int, int] = {}
     result = 1
     tag = n
     for i in range(n):
-        if ech.dimension == n:
+        if len(rows) == n:
             break
         start = tag
         v = (1 << i) | (1 << tag)
         while True:
-            r = ech.reduce(v)
+            r = _semi_reduce(rows, v, low)
             tag += 1
             if not r & low:
                 break
-            ech.insert(r)
             # M on the residue, its block's tags one power up
             v = matrix.act(r & low) | ((r >> start) << (start + 1))
         result = clmul(result, r >> start)

@@ -14,7 +14,7 @@ from itertools import compress
 from math import gcd, isqrt, log
 
 from . import fppoly
-from .perms import CycleType, cycle_type, identity
+from .perms import CLOSURE_LIMIT, CycleType, cycle_type, identity
 from .zoo import GroupId, build_group
 
 
@@ -263,7 +263,7 @@ def cycle_type_mod_p(poly: IntPolynomial, p: int, derivative_resultant: int) -> 
     return CycleType(tuple(fppoly.factor_degrees(fbar, p)))
 
 
-EXACT_ENUMERATION_LIMIT = 10**6
+SAMPLE_BUDGET = 2000  # elements ``probe --budget`` samples by default
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -287,7 +287,7 @@ def _closed_form_cycle_types(group_id: GroupId) -> set[CycleType] | None:
     """
     family, n = group_id.family, group_id.parameters[0]
     families = ("symmetric", "alternating", "cyclic", "dihedral")
-    if family not in families or group_id.order > EXACT_ENUMERATION_LIMIT:
+    if family not in families or group_id.order > CLOSURE_LIMIT:
         return None
     if family == "symmetric":
         return {CycleType(t) for t in _partitions(n)}
@@ -303,13 +303,14 @@ def _closed_form_cycle_types(group_id: GroupId) -> set[CycleType] | None:
     return types
 
 
-def group_cycle_types(group_id: GroupId, budget: int = 2000, seed: int = 0) -> tuple[set[CycleType], bool]:
+def group_cycle_types(group_id: GroupId, budget: int, seed: int) -> tuple[set[CycleType], bool]:
     """Cycle types of a group: exact when the order is small enough.
 
-    Returns (types, exact).  For order <= 1e6, symmetric, alternating, cyclic
+    Returns (types, exact).  For order <= ``CLOSURE_LIMIT``, the most that
+    ``PermGroup.enumerate_elements`` lists, symmetric, alternating, cyclic
     and dihedral sets come from their closed forms with no group built, and
-    the other families from full breadth-first enumeration; larger groups are
-    sampled with the product-replacement stream, giving a subset.
+    the other families from full breadth-first enumeration; larger groups
+    are sampled with the product-replacement stream, giving a subset.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -317,7 +318,7 @@ def group_cycle_types(group_id: GroupId, budget: int = 2000, seed: int = 0) -> t
     if types is not None:
         return types, True
     group = build_group(group_id)
-    if group_id.order <= EXACT_ENUMERATION_LIMIT:
+    if group_id.order <= CLOSURE_LIMIT:
         types = {cycle_type(p) for p in group.enumerate_elements()}
         return types, True
     sampler = group.sampler(seed)
@@ -349,7 +350,7 @@ class ProbeReport:
     histogram: dict[CycleType, int]
     verdicts: list[CandidateVerdict]
     irreducibility_evidence: bool
-    seed: int = 0
+    seed: int
 
     def to_payload(self) -> dict:
         histogram = [
@@ -368,7 +369,7 @@ class ProbeReport:
 
 
 def probe(poly: IntPolynomial, prime_count: int, candidates: list[GroupId],
-          type_sets: dict[GroupId, tuple[set[CycleType], bool]], seed: int = 0) -> ProbeReport:
+          type_sets: dict[GroupId, tuple[set[CycleType], bool]], seed: int) -> ProbeReport:
     """Factor modulo the first ``prime_count`` good primes and compare the
     observed Frobenius cycle types against each candidate group's type set.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 from . import fppoly
-from .linalg import ModMatrix, Subspace, _Echelon, charpoly, kernel, spin
+from .linalg import ModMatrix, Subspace, charpoly, kernel, spin
 from .perms import PermGroup, Permutation
 from .rng import SplitMix64
 
@@ -120,15 +120,15 @@ def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
 
     # 1. spanning tree: tree[k] is (parent, g) with w_k = w_parent.A_g, or None
     # for a seed; roots lists the seeds' tree indices in seed order
-    ech = _Echelon()
+    reached = Subspace(d)
     vectors: list = []
     tree: list[tuple[int, int] | None] = []
     roots: list[int] = []
     relations: list[tuple[int, int]] = []
     for e in ModMatrix.identity(d).rows:
-        if ech.dimension == d:
+        if reached.dimension == d:
             break
-        if ech.insert(e) is None:
+        if reached.insert(e) is None:
             continue
         head = len(vectors)
         roots.append(head)
@@ -137,7 +137,7 @@ def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
         while head < len(vectors):
             for g, a in enumerate(rep.images):
                 image = a.act(vectors[head])
-                if ech.insert(image) is None:
+                if reached.insert(image) is None:
                     relations.append((head, g))
                 else:
                     vectors.append(image)
@@ -165,7 +165,7 @@ def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
     # the last relations first: the BFS lists those of the first tree vectors
     # first, and they are often group identities that give no condition.  The
     # scalars solve every condition, so the stop rule holds in any order.
-    conditions = _Echelon()
+    conditions = Subspace(unknowns)
     for k, g in reversed(relations):
         if conditions.dimension == unknowns - 1:
             break
@@ -173,7 +173,7 @@ def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
         rhs = ModMatrix(d, unknowns, [col.act(c) for col in by_coordinate])
         for row in (transposed[g] * images[k] + rhs).rows:
             conditions.insert(row)
-    null = kernel(ModMatrix(conditions.dimension, unknowns, conditions.basis_rows()))
+    null = kernel(ModMatrix(conditions.dimension, unknowns, conditions.basis))
 
     # 4. back to the standard basis: X = W^-1 . (phi(w_k))_k
     seed_slices = {k: images[k].transpose() for k in roots}
@@ -261,7 +261,7 @@ def _matrix_poly(coeffs, m: ModMatrix) -> ModMatrix:
     return acc
 
 
-def is_irreducible(rep: GModuleRep, seed: int = 0) -> IrreducibilityVerdict:
+def is_irreducible(rep: GModuleRep, seed: int) -> IrreducibilityVerdict:
     """Norton/Parker MeatAxe.
 
     For random algebra elements theta, each irreducible factor p of the

@@ -12,10 +12,10 @@ rather than taking the transcription on faith.
 PSL/PGL act on the points of ``fields.projective_points``, index tuples over
 the integer-coded F_q, through standard SL/GL generator matrices of field
 indices: each image vector is mapped to its point's index by
-``fields.point_ranks``, a closed form in the vector's coordinates.  The
-points, in label order, are attached to the returned group as
-``point_labels``.  The tests check every generator image against the
-coefficient-tuple construction of ``tests/support.py``.
+``fields.point_ranks``, a closed form in the vector's coordinates, so
+point i is ``projective_points(field, m)[i]``.  The tests check every
+generator image against the coefficient-tuple construction of
+``tests/support.py``.
 """
 
 from __future__ import annotations
@@ -273,9 +273,7 @@ def _projective_group(m: int, q: int, include_pgl: bool) -> PermGroup:
     points = projective_points(field, m)
     mats = _linear_generators(m, field, include_pgl)
     gens = [_projective_permutation(mat, points, field) for mat in mats]
-    group = PermGroup(gens, order=group_id.order)
-    group.point_labels = points
-    return group
+    return PermGroup(gens, order=group_id.order)
 
 
 def psl(m: int, q: int) -> PermGroup:

@@ -31,9 +31,9 @@ from heartlab import fppoly, zoo
 from heartlab.audit import AuditEvidence
 from heartlab.fields import make_field
 from heartlab.fppoly import clmul, degree, monic, normalize
-from heartlab.linalg import ModMatrix, Subspace, _Echelon, charpoly, kernel, spin
+from heartlab.linalg import ModMatrix, Subspace, charpoly, kernel, spin
 from heartlab.perms import _StabilizerChain
-from heartlab.probe import group_cycle_types
+from heartlab.probe import SAMPLE_BUDGET, group_cycle_types
 from heartlab.reps import (
     MEATAXE_ATTEMPT_CAP,
     GModuleRep,
@@ -367,10 +367,7 @@ def entry(matrix, i, j):
 
 
 def rank(matrix):
-    ech = _Echelon()
-    for r in matrix.rows:
-        ech.insert(r)
-    return ech.dimension
+    return Subspace.from_vectors(matrix.ncols, matrix.rows).dimension
 
 
 def permutation_matrix(p):
@@ -387,21 +384,21 @@ def drained_spin(seed_vectors, actions, ambient):
     was queued rather than on its row as later pivots reduced it: every
     queued vector is hit with every action, also after the basis has filled
     the space."""
-    ech = _Echelon()
+    space = Subspace(ambient)
     worklist = []
     for v in seed_vectors:
-        pivot = ech.insert(v)
+        pivot = space.insert(v)
         if pivot is not None:
-            worklist.append(ech.rows[pivot])
+            worklist.append(space.rows[pivot])
     head = 0
     while head < len(worklist):
         v = worklist[head]
         head += 1
         for a in actions:
-            pivot = ech.insert(a.act(v))
+            pivot = space.insert(a.act(v))
             if pivot is not None:
-                worklist.append(ech.rows[pivot])
-    return Subspace(ambient, ech)
+                worklist.append(space.rows[pivot])
+    return space
 
 
 def raw_krylov_charpoly(matrix):
@@ -411,20 +408,20 @@ def raw_krylov_charpoly(matrix):
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = matrix.nrows
     low = (1 << n) - 1
-    ech = _Echelon()
+    tagged = Subspace(3 * n)  # n columns, then at most 2n Krylov tags
     result = 1
     tag = n
     for i in range(n):
-        if ech.dimension == n:
+        if tagged.dimension == n:
             break
         v = 1 << i
         start = tag
         while True:
-            r = ech.reduce(v | (1 << tag))
+            r = tagged.reduce(v | (1 << tag))
             tag += 1
             if not r & low:
                 break
-            ech.insert(r)
+            tagged.insert(r)
             v = matrix.act(v)
         result = clmul(result, r >> start)
     return [(result >> k) & 1 for k in range(n + 1)]
@@ -433,15 +430,13 @@ def raw_krylov_charpoly(matrix):
 def reference_kernel(matrix):
     """``linalg.kernel`` by a fully reduced echelon of the rows and a
     rank x nullity bit test per kernel vector, put in echelon form again."""
-    ech = _Echelon()
-    for r in matrix.rows:
-        ech.insert(r)
+    echelon = Subspace.from_vectors(matrix.ncols, matrix.rows)
     vectors = []
     for free in range(matrix.ncols):
-        if free in ech.rows:
+        if free in echelon.rows:
             continue
         v = 1 << free
-        for p, row in ech.rows.items():
+        for p, row in echelon.rows.items():
             if (row >> free) & 1:
                 v |= 1 << p
         vectors.append(v)
@@ -641,7 +636,7 @@ def chain_evidence(group_id):
     return evidence
 
 
-def type_sets(candidates, budget=2000, seed=0):
+def type_sets(candidates, budget=SAMPLE_BUDGET, seed=0):
     """The ``type_sets`` argument of ``probe`` for these candidates, as the
     ``probe`` command builds it from its --budget and --seed."""
     return {c: group_cycle_types(c, budget=budget, seed=seed) for c in candidates}

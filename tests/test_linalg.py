@@ -4,8 +4,9 @@ The Krylov ``charpoly`` is cross-checked against ``hessenberg_charpoly``, the
 similarity-to-Hessenberg reduction it replaced, kept here as a test oracle,
 and against ``support.raw_krylov_charpoly``, which acts on the raw Krylov
 vectors instead of the residues;
-the sparse ``kernel`` against ``support.reference_kernel``, and the
-incremental echelon against column-by-column Gauss-Jordan elimination.
+the sparse ``kernel`` against ``support.reference_kernel``, the incremental
+``Subspace`` against column-by-column Gauss-Jordan elimination, and the
+semi-echelon ``_semi_reduce`` against ``Subspace``.
 """
 
 import random
@@ -13,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heartlab.linalg import ModMatrix, Subspace, _Echelon, charpoly, kernel, spin
+from heartlab.linalg import ModMatrix, Subspace, _semi_reduce, charpoly, kernel, spin
 from heartlab.perms import from_cycles
 from heartlab.reps import _random_algebra_element, heart
 from heartlab.rng import SplitMix64
@@ -246,7 +247,7 @@ class TestEchelon:
     def test_invariants_after_every_insert(self, ncols):
         rng = random.Random(ncols)
         for _ in range(40):
-            ech = _Echelon()
+            ech = Subspace(ncols)
             inserted = []
             for _ in range(rng.randrange(2 * ncols + 1)):
                 # every third vector a sum of earlier ones, so dependent
@@ -268,8 +269,50 @@ class TestEchelon:
                 for p, row in ech.rows.items():
                     assert row & -row == 1 << p
                     assert sum(1 for r in ech.rows.values() if r >> p & 1) == 1
-                assert ech.basis_rows() == Subspace.from_vectors(ncols, inserted).basis
-                assert ech.basis_rows() == gauss_jordan(inserted, ncols)
+                assert ech.basis == Subspace.from_vectors(ncols, inserted).basis
+                assert ech.basis == gauss_jordan(inserted, ncols)
+
+
+@st.composite
+def vector_lists(draw):
+    ncols = draw(st.integers(0, 24))
+    vectors = draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=2 * ncols + 2))
+    return ncols, vectors
+
+
+class TestSemiEchelon:
+    @settings(max_examples=300, deadline=None)
+    @given(vector_lists())
+    def test_keys_rank_and_membership(self, case):
+        ncols, vectors = case
+        rows: dict = {}
+        for v in vectors:
+            _semi_reduce(rows, v)
+        for key, row in rows.items():
+            assert row & -row == 1 << key
+        assert len(rows) == Subspace.from_vectors(ncols, vectors).dimension
+        stored = dict(rows)
+        for v in vectors:
+            assert _semi_reduce(rows, v) == 0
+        assert rows == stored
+
+    @settings(max_examples=300, deadline=None)
+    @given(vector_lists())
+    def test_masked_rows_carry_their_combination(self, case):
+        # the charpoly use: tag bit ncols + k marks the k-th vector, and only
+        # the low ncols bits are eliminated
+        ncols, vectors = case
+        low = (1 << ncols) - 1
+        rows: dict = {}
+        for k, v in enumerate(vectors):
+            r = _semi_reduce(rows, v | (1 << (ncols + k)), low)
+            combination = 0
+            for j, u in enumerate(vectors):
+                if r >> (ncols + j) & 1:
+                    combination ^= u
+            assert r & low == combination
+        assert all(row & -row == 1 << key and key < ncols for key, row in rows.items())
+        assert len(rows) == Subspace.from_vectors(ncols, vectors).dimension
 
 
 class TestSpin:

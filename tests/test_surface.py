@@ -1,9 +1,10 @@
 """The public surface: ``heartlab.__all__``, the README's library example,
-and the caches a command starts with."""
+the caches a command starts with, and the functions the benchmark traces."""
 
 import ast
 import functools
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
@@ -14,7 +15,8 @@ from pathlib import Path
 import heartlab
 from heartlab import fields, zoo
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 PUBLIC_NAMES = [
     "AuditReport", "CycleType", "EndoAlgebra", "FieldSpec", "GModuleRep",
@@ -88,3 +90,21 @@ class TestColdStart:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={"PYTHONPATH": str(Path(zoo.__file__).parents[1])})
         assert out.stdout.split() == ["0", "0"]
+
+
+def test_every_trace_hook_finds_its_target():
+    # perfbench/tracing.py wraps functions by name; a renamed one would drop
+    # out of its per-layer metric with no error, so none may be missing
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracing  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(tracing)
+        kernel = heartlab.linalg.kernel
+        with tracing.installed(tracing.Tracer()) as missing:
+            assert missing == []
+            assert heartlab.linalg.kernel is not kernel
+        assert heartlab.linalg.kernel is kernel
+    finally:
+        del sys.modules[spec.name]

@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+from heartlab.fields import make_field, projective_points
 from heartlab.perms import PermGroup, compose, cycle_type
 from heartlab.zoo import (
     MATHIEU_ORDERS as ZOO_MATHIEU_ORDERS,
@@ -182,14 +183,15 @@ class TestProjectiveGroups:
         for m, q in [(2, 5), (3, 2), (3, 3), (2, 8), (4, 2)]:
             assert build_group(GroupId("psl", (m, q))).transitivity_degree() >= 2
 
-    def test_point_labels_attached(self, psl32):
-        assert len(psl32.point_labels) == 7
+    def test_projective_points_label_the_points(self):
+        # point i of PSL(m, q) and PGL(m, q) is projective_points(F_q, m)[i]
         for name in ("PSL(3,2)", "PSL(3,4)", "PGL(3,3)"):
             gid = parse_group_spec(name)
-            labels = build_group(gid).point_labels
+            m, q = gid.parameters
+            labels = projective_points(make_field(*prime_power_decomposition(q)), m)
+            assert len(labels) == build_group(gid).degree
             assert labels == sorted(labels)
             assert all(next(c for c in label if c) == 1 for label in labels)
-            m, q = gid.parameters
             field = TupleField(*prime_power_decomposition(q))
             assert labels == [pt.key() for pt in reference_projective_points(field, m)]
 
