@@ -12,10 +12,10 @@ bit-sliced, so its cost follows the ones of a sparse matrix, and
 ``ModMatrix.act`` costs one step per set bit of the vector acted on, so
 ``spin`` and ``charpoly`` act on echelon rows, not on raw vectors:
 
-- ``spin`` acts on the current row of each queued pivot, back-reduced
-  against every pivot inserted since.  The rows read are a unitriangular
-  recombination of the queued residues, so they span the same space and the
-  closure, with its canonical reduced basis, is unchanged.
+- ``spin`` stores each new vector as its residue and leaves the other rows
+  alone; a queued row is reduced in full only at its turn, when it is the
+  row an eagerly back-reduced basis would hold, so the rows acted on and the
+  closure are unchanged.  ``ModMatrix.inverse`` stores residues alike.
 - ``charpoly`` acts on the low part of the residue just inserted and carries
   its current-block tags one power up.  That candidate equals the next raw
   Krylov vector, tagged alike, modulo the span of the earlier blocks, which
@@ -125,6 +125,37 @@ def _semi_reduce(rows: dict[int, int], v: int, mask: int = -1) -> int:
     return v
 
 
+def _chase(rows: dict[int, int], mask: int, v: int) -> int:
+    """v with every bit under ``mask`` cleared, lowest hit first, by the row
+    of ``rows`` keyed by that bit.  A stored row has no set bit below its
+    key, so each step changes only bits above the hit and the chase ends."""
+    hits = v & mask
+    while hits:
+        v ^= rows[(hits & -hits).bit_length() - 1]
+        hits = v & mask
+    return v
+
+
+def _residue(rows: dict[int, int], mask: int, v: int) -> int:
+    """``_chase`` of v, once the row of its lowest hit is stored back reduced
+    in full: in a Krylov-like spin (an A_n heart) most chases read that row,
+    and a stale copy would make each of them repeat its cascade."""
+    hits = v & mask
+    if not hits:
+        return v
+    low = hits & -hits
+    p = low.bit_length() - 1
+    row = rows[p] = _chase(rows, mask ^ low, rows[p])
+    return _chase(rows, mask, v ^ row)
+
+
+def _back_reduce(rows: dict[int, int], mask: int) -> None:
+    """Reduce ``rows`` in full, highest key first: each chase then reads only
+    rows that already are, so it XORs each hit once."""
+    for p in sorted(rows, reverse=True):
+        rows[p] = _chase(rows, mask ^ (1 << p), rows[p])
+
+
 class ModMatrix:
     """Dense matrix over F_2; row i is an int bitset of its entries."""
 
@@ -190,15 +221,21 @@ class ModMatrix:
         return self.nrows == self.ncols and (self.is_zero() or self.is_identity())
 
     def inverse(self) -> "ModMatrix":
-        """Exact inverse via row reduction of [M | I]; raises if singular."""
+        """Exact inverse: the rows of [M | I], the last first, are stored as
+        residues, and one ``_back_reduce`` leaves [I | M^-1]; raises if singular."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        augmented = (r | (1 << (n + i)) for i, r in enumerate(self.rows))  # [M | I]
-        rows = Subspace.from_vectors(2 * n, augmented).rows
-        mask = (1 << n) - 1
-        if any(rows.get(i, 0) & mask != (1 << i) for i in range(n)):
-            raise ValueError("matrix is singular")
+        rows: dict[int, int] = {}
+        mask = 0
+        for i in range(n - 1, -1, -1):
+            r = _residue(rows, mask, self.rows[i] | (1 << (n + i)))  # [M | I]
+            bit = r & -r
+            if bit >> n:  # no bit left in the M half
+                raise ValueError("matrix is singular")
+            rows[bit.bit_length() - 1] = r
+            mask |= bit
+        _back_reduce(rows, mask)
         return ModMatrix(n, n, [rows[i] >> n for i in range(n)])
 
     def __repr__(self) -> str:
@@ -251,39 +288,51 @@ def kernel(matrix: ModMatrix) -> Subspace:
 def spin(seed_vectors, actions: list[ModMatrix], ambient: int) -> Subspace:
     """Smallest subspace containing the seeds and closed under every action.
 
-    Worklist closure: the pivot of each newly independent residue is queued,
-    and its row is hit with every action when its turn comes; candidates are
-    reduced against the current echelon basis before insertion.  By its turn
-    the row has been back-reduced against every pivot inserted since, so it
-    is mostly sparser than the residue as queued, and the rows read are a
-    unitriangular recombination of the queued residues: the same span, the
-    same closure.  The spin stops as soon as the basis reaches the ambient
-    dimension, even between the actions on one vector: a full reduced
-    echelon basis is the identity whatever order its vectors arrived in, so
-    the result is the one the drained worklist would give.
+    Worklist closure: each new vector is stored as its residue under its
+    pivot and the pivot is queued; no other row is touched.  At its turn the
+    queued row is reduced in full, the row that an eager basis, back-reduced
+    at every insert, would hold then, and hit with every action: the rows
+    acted on, the pivots and the closure are the eager spin's.  The spin
+    stops once the pivots fill the space, even between the actions on one
+    row, since a full reduced echelon basis is the identity; a proper
+    closure is back-reduced once into its canonical basis.
     """
     for a in actions:
         if a.nrows != a.ncols or a.nrows != ambient:
             raise ValueError("actions must be square of the ambient dimension")
-    space = Subspace(ambient)
-    worklist = []
+    rows: dict[int, int] = {}  # pivot -> residue as inserted, or row at its turn
+    mask = 0  # union of pivot bits
+    worklist = []  # pivot bits
     for v in seed_vectors:
         # the early stop counts pivots, so every vector must lie in F_2^ambient
         if v < 0 or v >> ambient:
             raise ValueError("seed vectors must lie in F_2^ambient")
-        pivot = space.insert(v)
-        if pivot is not None:
-            worklist.append(pivot)
+        v = _residue(rows, mask, v)
+        if v:
+            rows[(v & -v).bit_length() - 1] = v
+            mask |= v & -v
+            worklist.append(v & -v)
     head = 0
-    while head < len(worklist) and space.dimension < ambient:
-        v = space.rows[worklist[head]]  # the row as later pivots reduced it
+    while head < len(worklist) and len(rows) < ambient:
+        bit = worklist[head]
         head += 1
+        p = bit.bit_length() - 1
+        v = rows[p] = _residue(rows, mask ^ bit, rows[p])  # reduced in full
         for a in actions:
-            pivot = space.insert(a.act(v))
-            if pivot is not None:
-                worklist.append(pivot)
-                if space.dimension == ambient:
+            w = _residue(rows, mask, a.act(v))
+            if w:
+                bit = w & -w
+                rows[bit.bit_length() - 1] = w
+                mask |= bit
+                worklist.append(bit)
+                if len(rows) == ambient:
                     break
+    if len(rows) == ambient:
+        rows = {i: 1 << i for i in range(ambient)}
+    else:
+        _back_reduce(rows, mask)
+    space = Subspace(ambient)
+    space.rows, space._pivot_mask = rows, mask
     return space
 
 

@@ -250,15 +250,17 @@ def _orthogonal_complement(dual_witness: Subspace, d: int) -> Subspace:
 
 
 def _matrix_poly(coeffs, m: ModMatrix) -> ModMatrix:
-    """Evaluate a polynomial (constant term first) at a square matrix."""
-    d = m.nrows
-    identity = ModMatrix.identity(d)
-    acc = ModMatrix.zeros(d, d)
+    """Evaluate a polynomial (constant term first) at a square matrix by
+    Horner's rule, with no product by a zero or identity accumulator."""
+    identity = ModMatrix.identity(m.nrows)
+    acc = None  # the zero matrix
     for c in reversed(coeffs):
-        acc = m * acc  # = acc * m; each act then walks a sparse row of m, not a dense one of acc
+        if acc is not None:
+            # = acc * m; each act then walks a sparse row of m, not a dense one of acc
+            acc = m if acc is identity else m * acc
         if c:
-            acc = acc + identity
-    return acc
+            acc = identity if acc is None else acc + identity
+    return ModMatrix.zeros(m.nrows, m.nrows) if acc is None else acc
 
 
 def is_irreducible(rep: GModuleRep, seed: int) -> IrreducibilityVerdict:
@@ -278,7 +280,6 @@ def is_irreducible(rep: GModuleRep, seed: int) -> IrreducibilityVerdict:
     images = rep.images
     if d == 1:
         return IrreducibilityVerdict("irreducible", attempts=0)
-    transposed = rep.transposed_images()
     # seeds whose spin filled the space: it would fill again, so it is not
     # repeated (a proper spin ends the search, so it is never met twice)
     filled: set[int] = set()
@@ -303,7 +304,7 @@ def is_irreducible(rep: GModuleRep, seed: int) -> IrreducibilityVerdict:
                 continue
             dual_null = kernel(p_of_theta)  # kernel under the transposed action
             w = dual_null.basis[0]
-            dual_span = spin([w], transposed, d)
+            dual_span = spin([w], rep.transposed_images(), d)  # ends the search: built once
             if dual_span.is_proper_nonzero():
                 complement = _orthogonal_complement(dual_span, d)
                 _verify_invariant(complement, images)

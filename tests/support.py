@@ -6,7 +6,9 @@
 - Permutation matrices and the permutation module, a test input for the
   End solver and the MeatAxe next to the heart.
 - The oracles of the MeatAxe steps: the kernel from a fully reduced
-  echelon, the spin that drains its whole worklist, the Krylov charpoly
+  echelon, the spin that drains its whole worklist, the spin and the
+  inverse on an eagerly back-reduced ``Subspace`` (and a matrix that logs
+  the rows a spin acts on), the Krylov charpoly
   that acts on the raw Krylov vectors, the polynomial evaluated
   at a matrix by right-multiplied Horner, and the MeatAxe that spins every
   kernel vector it meets, also one whose spin filled the space before.
@@ -399,6 +401,69 @@ def drained_spin(seed_vectors, actions, ambient):
             if pivot is not None:
                 worklist.append(space.rows[pivot])
     return space
+
+
+def eager_spin(seed_vectors, actions, ambient):
+    """``linalg.spin`` on an eager ``Subspace``, whose ``insert`` back-reduces
+    every stored row at every new pivot: the rows it acts on are the rows
+    that ``spin`` reduces in full at their turn."""
+    for a in actions:
+        if a.nrows != a.ncols or a.nrows != ambient:
+            raise ValueError("actions must be square of the ambient dimension")
+    space = Subspace(ambient)
+    worklist = []
+    for v in seed_vectors:
+        # the early stop counts pivots, so every vector must lie in F_2^ambient
+        if v < 0 or v >> ambient:
+            raise ValueError("seed vectors must lie in F_2^ambient")
+        pivot = space.insert(v)
+        if pivot is not None:
+            worklist.append(pivot)
+    head = 0
+    while head < len(worklist) and space.dimension < ambient:
+        v = space.rows[worklist[head]]  # the row as later pivots reduced it
+        head += 1
+        for a in actions:
+            pivot = space.insert(a.act(v))
+            if pivot is not None:
+                worklist.append(pivot)
+                if space.dimension == ambient:
+                    break
+    return space
+
+
+def eager_inverse(matrix):
+    """``ModMatrix.inverse`` by an eager ``Subspace`` of the rows of [M | I]."""
+    if matrix.nrows != matrix.ncols:
+        raise ValueError("inverse of a non-square matrix")
+    n = matrix.nrows
+    augmented = (r | (1 << (n + i)) for i, r in enumerate(matrix.rows))  # [M | I]
+    rows = Subspace.from_vectors(2 * n, augmented).rows
+    mask = (1 << n) - 1
+    if any(rows.get(i, 0) & mask != (1 << i) for i in range(n)):
+        raise ValueError("matrix is singular")
+    return ModMatrix(n, n, [rows[i] >> n for i in range(n)])
+
+
+class RecordingMatrix(ModMatrix):
+    """A matrix that appends every vector it acts on to a shared log."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, matrix, log):
+        super().__init__(matrix.nrows, matrix.ncols, matrix.rows)
+        self.log = log
+
+    def act(self, v):
+        self.log.append(v)
+        return super().act(v)
+
+
+def spin_and_acted_rows(spin_function, seeds, actions, ambient):
+    """The closure ``spin_function`` returns, and every row it acted on, in order."""
+    log = []
+    space = spin_function(seeds, [RecordingMatrix(a, log) for a in actions], ambient)
+    return space, log
 
 
 def raw_krylov_charpoly(matrix):

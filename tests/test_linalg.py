@@ -5,8 +5,10 @@ similarity-to-Hessenberg reduction it replaced, kept here as a test oracle,
 and against ``support.raw_krylov_charpoly``, which acts on the raw Krylov
 vectors instead of the residues;
 the sparse ``kernel`` against ``support.reference_kernel``, the incremental
-``Subspace`` against column-by-column Gauss-Jordan elimination, and the
-semi-echelon ``_semi_reduce`` against ``Subspace``.
+``Subspace`` against column-by-column Gauss-Jordan elimination, the
+semi-echelon ``_semi_reduce`` against ``Subspace``, and ``spin`` and
+``ModMatrix.inverse``, which store residues, against ``support.eager_spin``
+and ``support.eager_inverse``, which back-reduce at every insert.
 """
 
 import random
@@ -20,12 +22,15 @@ from heartlab.reps import _random_algebra_element, heart
 from heartlab.rng import SplitMix64
 from heartlab.zoo import mathieu, psl, symmetric
 from support import (
+    eager_inverse,
+    eager_spin,
     entry,
     matrix_from_entries,
     permutation_matrix,
     rank,
     raw_krylov_charpoly,
     reference_kernel,
+    spin_and_acted_rows,
 )
 
 
@@ -364,6 +369,103 @@ class TestSpin:
         actions = [permutation_matrix(g) for g in symmetric(4).generators]
         with pytest.raises(ValueError, match="F_2\\^ambient"):
             spin([0b0011, seed], actions, 4)
+
+
+@st.composite
+def spin_inputs(draw):
+    """1-3 square actions of size 0-40, each dense, triangular (so with
+    proper invariant subspaces) or one bit a row, and 1-6 seeds among which
+    zero, repeated and dependent vectors."""
+    n = draw(st.integers(0, 40))
+    vector = st.integers(0, (1 << n) - 1)
+    actions = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(vector, min_size=n, max_size=n))
+        shape = draw(st.sampled_from(["dense", "upper", "lower", "one bit"]))
+        if shape == "upper":
+            rows = [r >> i << i for i, r in enumerate(rows)]
+        elif shape == "lower":
+            rows = [r & ((2 << i) - 1) for i, r in enumerate(rows)]
+        elif shape == "one bit":
+            rows = [1 << (r % n) for r in rows]
+        actions.append(ModMatrix(n, n, rows))
+    seeds = []
+    for kind in draw(st.lists(st.sampled_from(["new", "zero", "repeat", "sum"]), min_size=1, max_size=6)):
+        if kind == "zero":
+            seeds.append(0)
+        elif kind == "new" or not seeds:
+            seeds.append(draw(vector))
+        elif kind == "repeat":
+            seeds.append(draw(st.sampled_from(seeds)))
+        else:
+            seeds.append(draw(st.sampled_from(seeds)) ^ draw(st.sampled_from(seeds)))
+    return seeds, actions, n
+
+
+def invertible_matrix(rng, n, density):
+    """L.U.P with L and U unit triangular and each off-diagonal entry set with
+    probability ``density``, so invertible and as sparse as asked."""
+    lower = ModMatrix(n, n, [(1 << i) | sparse_matrix(rng, 1, i, density).rows[0] for i in range(n)])
+    upper = ModMatrix(
+        n, n, [(1 << i) | sparse_matrix(rng, 1, n, density).rows[0] >> (i + 1) << (i + 1) for i in range(n)]
+    )
+    points = list(range(n))
+    rng.shuffle(points)
+    return lower * upper * ModMatrix(n, n, [1 << j for j in points])
+
+
+class TestResidueSpinAndInverse:
+    """``spin`` and ``ModMatrix.inverse`` store residues and reduce a row in
+    full only when it is read; the eager oracles back-reduce every stored
+    row at every insert.  Both must give the same basis, pivots and rows
+    acted on, and the same inverse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(spin_inputs())
+    def test_spin_matches_eager_spin(self, inputs):
+        seeds, actions, n = inputs
+        got, got_acted = spin_and_acted_rows(spin, seeds, actions, n)
+        want, want_acted = spin_and_acted_rows(eager_spin, seeds, actions, n)
+        assert (got.basis, got.pivots, got.dimension) == (want.basis, want.pivots, want.dimension)
+        assert got_acted == want_acted
+        assert got == Subspace.from_vectors(n, got.basis)
+
+    @pytest.mark.parametrize("density", [0.03, 0.2, 0.5])
+    def test_inverse_matches_eager_inverse(self, density):
+        rng = random.Random(int(density * 100))
+        for n in [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 64] + [rng.randrange(65) for _ in range(20)]:
+            m = invertible_matrix(rng, n, density)
+            assert m.inverse() == eager_inverse(m)
+            assert (m * m.inverse()).is_identity()
+
+    def test_inverse_of_random_matrices_matches_eager_inverse(self):
+        # dense uniform matrices: about 29 % invertible, the rest must raise
+        rng = random.Random(17)
+        counts = {True: 0, False: 0}
+        for _ in range(300):
+            m = random_matrix(rng, *(2 * [rng.randrange(1, 65)]))
+            try:
+                want = eager_inverse(m)
+            except ValueError:
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+                counts[False] += 1
+                continue
+            assert m.inverse() == want
+            counts[True] += 1
+        assert min(counts.values()) >= 30
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 64])
+    def test_singular_matrices_raise(self, n):
+        rng = random.Random(n)
+        m = invertible_matrix(rng, n, 0.2)
+        i = rng.randrange(n)
+        rows = list(m.rows)
+        rows[i] = 0 if n == 1 else rows[(i + 1) % n] ^ (rows[(i + 2) % n] if n > 2 else 0)
+        singular = ModMatrix(n, n, rows)
+        for invert in (eager_inverse, ModMatrix.inverse):
+            with pytest.raises(ValueError, match="singular"):
+                invert(singular)
 
 
 class TestCharpoly:

@@ -9,6 +9,7 @@ from heartlab import fppoly, reps
 from heartlab.linalg import ModMatrix, Subspace, charpoly, kernel, spin
 from heartlab.perms import PermGroup, compose, identity
 from heartlab.reps import (
+    GModuleRep,
     _matrix_poly,
     _random_algebra_element,
     _vec_of_matrix,
@@ -31,6 +32,8 @@ from heartlab.zoo import (
 import support
 from support import (
     drained_spin,
+    eager_inverse,
+    eager_spin,
     permutation_matrix,
     permutation_module,
     rank,
@@ -38,6 +41,7 @@ from support import (
     reference_is_irreducible,
     reference_kernel,
     right_horner_matrix_poly,
+    spin_and_acted_rows,
 )
 from test_cli import MEATAXE_PINS
 
@@ -518,6 +522,115 @@ class TestReducedRows:
         monkeypatch.setattr(reps, "charpoly", within("charpoly", charpoly))
         is_irreducible(rep, seed)
         assert (walked["spin"], walked["charpoly"]) == MEATAXE_WORK_PINS[group, seed]
+
+
+def meataxe_spin_inputs(rep, seed, attempts, per_kernel):
+    """(seed vector, actions) for the spins that MeatAxe attempts could ask
+    for: the first ``per_kernel`` basis vectors (all for None) of each
+    p(theta)-kernel under the module's action, and of each kernel of
+    p(theta) under the transposed one."""
+    transposed = rep.transposed_images()
+    rng = SplitMix64(seed)
+    for attempt in attempts:
+        theta = _random_algebra_element(rep.images, rng, attempt)
+        if theta.is_scalar():
+            continue
+        for factor, _ in fppoly.factor(tuple(charpoly(theta)), 2, rng):
+            p_of_theta = _matrix_poly(factor, theta)
+            for v in kernel(p_of_theta.transpose()).basis[:per_kernel]:
+                yield v, rep.images
+            for w in kernel(p_of_theta).basis[:per_kernel]:
+                yield w, transposed
+
+
+class TestResidueSpinAndInverseOnMeatAxeInputs:
+    """``spin`` and ``ModMatrix.inverse`` keep residues and back-reduce a row
+    once, when it is read; ``support.eager_spin`` and ``eager_inverse``
+    back-reduce every stored row at every insert.  On the seeds, closures
+    and matrices the MeatAxe and the End solve really meet, both give the
+    same basis, pivots and rows acted on, and the same inverse."""
+
+    @pytest.mark.parametrize("group", ["A301", "PSL(2,256)", "PSL(3,16)"])
+    def test_spin_matches_eager_spin_on_meataxe_seeds(self, group):
+        rep = heart_of(group)
+        d = rep.dimension
+        spins = 0
+        for v, actions in meataxe_spin_inputs(rep, 0, range(1, 4), 1):
+            got, got_acted = spin_and_acted_rows(spin, [v], actions, d)
+            want, want_acted = spin_and_acted_rows(eager_spin, [v], actions, d)
+            assert (got.basis, got.pivots, got.dimension) == (want.basis, want.pivots, want.dimension)
+            assert got_acted == want_acted
+            spins += 1
+        assert spins >= 4
+
+    def test_spin_matches_eager_spin_on_m24_proper_closures(self):
+        rep = heart_of("M24")
+        d = rep.dimension
+        proper = 0
+        for v, actions in meataxe_spin_inputs(rep, 0, range(1, 7), None):
+            got, got_acted = spin_and_acted_rows(spin, [v], actions, d)
+            want, want_acted = spin_and_acted_rows(eager_spin, [v], actions, d)
+            assert (got.basis, got.pivots, got.dimension) == (want.basis, want.pivots, want.dimension)
+            assert got_acted == want_acted
+            proper += got.is_proper_nonzero()
+        witness = is_irreducible(rep, 0).witness
+        for seeds in ([witness.basis[0]], [witness.basis[-1]], witness.basis):
+            got = spin(seeds, rep.images, d)
+            assert got.is_proper_nonzero()
+            assert got == eager_spin(seeds, rep.images, d)
+        assert proper >= 10
+
+    @pytest.mark.parametrize("group", ["A301", "PSL(2,97)"])
+    def test_inverse_matches_eager_inverse_on_end_and_meataxe(self, monkeypatch, group):
+        inverse = ModMatrix.inverse
+        checked = []
+
+        def checking(self):
+            got = inverse(self)
+            assert got == eager_inverse(self)
+            checked.append(self.nrows)
+            return got
+
+        monkeypatch.setattr(ModMatrix, "inverse", checking)
+        rep = heart_of(group)
+        endomorphism_algebra(rep)  # W, the matrix of the spanning-tree vectors
+        assert checked == [rep.dimension]
+        if group == "A301":
+            is_irreducible(rep, 0)  # h of theta = h.g.h^-1 + g' in odd attempts
+            assert len(checked) >= 2
+
+    @pytest.mark.parametrize(
+        "group,seed,transposes", [("M24", 1, 0), ("M24", 0, 1), ("PSL(3,4)", 0, 0), ("M12", 0, 1)]
+    )
+    def test_transposes_only_for_the_dual_test(self, monkeypatch, group, seed, transposes):
+        calls = []
+        transposed_images = GModuleRep.transposed_images
+        monkeypatch.setattr(
+            GModuleRep, "transposed_images", lambda rep: calls.append(rep) or transposed_images(rep)
+        )
+        verdict = is_irreducible(heart_of(group), seed)
+        assert verdict.status == ("irreducible" if group == "M12" else "reducible")
+        assert len(calls) == transposes
+
+    def test_matrix_poly_skips_zero_and_identity_products(self, monkeypatch):
+        rng = random.Random(5)
+        m = ModMatrix(6, 6, [rng.randrange(64) for _ in range(6)])
+        products = [0]
+        mul = ModMatrix.__mul__
+
+        def counted(self, other):
+            products[0] += 1
+            return mul(self, other)
+
+        for coeffs in ([], [0], [0, 0, 0], [1], [1, 0, 0], [0, 1], [1, 1, 0], [0, 0, 1], [1, 0, 1, 1, 0]):
+            want = right_horner_matrix_poly(coeffs, m)
+            monkeypatch.setattr(ModMatrix, "__mul__", counted)
+            products[0] = 0
+            got = _matrix_poly(coeffs, m)
+            monkeypatch.setattr(ModMatrix, "__mul__", mul)
+            assert got == want
+            degree = max((k for k, c in enumerate(coeffs) if c), default=0)
+            assert products[0] == max(degree - 1, 0)
 
 
 def record_spins(monkeypatch, module):
