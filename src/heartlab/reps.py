@@ -173,7 +173,8 @@ def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
         rhs = ModMatrix(d, unknowns, [col.act(c) for col in by_coordinate])
         for row in (transposed[g] * images[k] + rhs).rows:
             conditions.insert(row)
-    null = kernel(ModMatrix(conditions.dimension, unknowns, conditions.basis))
+    # a reduced echelon matrix, so its transpose is unit rows and nullity rows
+    null = kernel(ModMatrix(conditions.dimension, unknowns, conditions.basis).transpose())
 
     # 4. back to the standard basis: X = W^-1 . (phi(w_k))_k
     seed_slices = {k: images[k].transpose() for k in roots}
@@ -246,7 +247,7 @@ def _verify_invariant(witness: Subspace, images: list[ModMatrix]) -> None:
 
 
 def _orthogonal_complement(dual_witness: Subspace, d: int) -> Subspace:
-    return kernel(ModMatrix(len(dual_witness.basis), d, list(dual_witness.basis)))
+    return kernel(ModMatrix(len(dual_witness.basis), d, list(dual_witness.basis)).transpose())
 
 
 def _matrix_poly(coeffs, m: ModMatrix) -> ModMatrix:
@@ -290,7 +291,7 @@ def is_irreducible(rep: GModuleRep, seed: int) -> IrreducibilityVerdict:
         factors = fppoly.factor(tuple(charpoly(theta)), 2, rng)
         for poly_factor, _multiplicity in factors:
             p_of_theta = _matrix_poly(poly_factor, theta)
-            null = kernel(p_of_theta.transpose())  # vectors v with v.p(theta) = 0
+            null = kernel(p_of_theta)  # vectors v with v.p(theta) = 0
             if null.dimension == 0:
                 continue
             v = null.basis[0]
@@ -302,7 +303,7 @@ def is_irreducible(rep: GModuleRep, seed: int) -> IrreducibilityVerdict:
                 filled.add(v)
             if null.dimension != fppoly.degree(poly_factor):
                 continue
-            dual_null = kernel(p_of_theta)  # kernel under the transposed action
+            dual_null = kernel(p_of_theta.transpose())  # kernel under the transposed action
             w = dual_null.basis[0]
             dual_span = spin([w], rep.transposed_images(), d)  # ends the search: built once
             if dual_span.is_proper_nonzero():
@@ -357,7 +358,7 @@ def is_indecomposable(rep: GModuleRep, endo: EndoAlgebra) -> IndecomposabilityVe
 def _verify_idempotent_witness(x: ModMatrix, rep: GModuleRep) -> None:
     d = rep.dimension
     image = Subspace.from_vectors(d, list(x.rows))
-    null = kernel(x.transpose())  # vectors with v.x = 0
+    null = kernel(x)  # vectors with v.x = 0
     if image.dimension + null.dimension != d:
         raise AssertionError("idempotent image and kernel do not sum to the space")
     _verify_invariant(image, rep.images)

@@ -5,8 +5,9 @@
 - F_2 matrices from entry lists, their entries and rank.
 - Permutation matrices and the permutation module, a test input for the
   End solver and the MeatAxe next to the heart.
-- The oracles of the MeatAxe steps: the kernel from a fully reduced
-  echelon, the spin that drains its whole worklist, the spin and the
+- The oracles of the MeatAxe steps: the right kernel from a fully reduced
+  echelon and by bit-sliced back-substitution, the transpose one set bit at
+  a time, the spin that drains its whole worklist, the spin and the
   inverse on an eagerly back-reduced ``Subspace`` (and a matrix that logs
   the rows a spin acts on), the Krylov charpoly
   that acts on the raw Krylov vectors, the polynomial evaluated
@@ -33,7 +34,7 @@ from heartlab import fppoly, zoo
 from heartlab.audit import AuditEvidence
 from heartlab.fields import make_field
 from heartlab.fppoly import clmul, degree, monic, normalize
-from heartlab.linalg import ModMatrix, Subspace, charpoly, kernel, spin
+from heartlab.linalg import ModMatrix, Subspace, _semi_reduce, charpoly, kernel, spin
 from heartlab.perms import _StabilizerChain
 from heartlab.probe import SAMPLE_BUDGET, group_cycle_types
 from heartlab.reps import (
@@ -493,8 +494,9 @@ def raw_krylov_charpoly(matrix):
 
 
 def reference_kernel(matrix):
-    """``linalg.kernel`` by a fully reduced echelon of the rows and a
-    rank x nullity bit test per kernel vector, put in echelon form again."""
+    """Right kernel {x : M x = 0}, so ``linalg.kernel`` of the transpose, by a
+    fully reduced echelon of the rows and a rank x nullity bit test per
+    kernel vector, put in echelon form again."""
     echelon = Subspace.from_vectors(matrix.ncols, matrix.rows)
     vectors = []
     for free in range(matrix.ncols):
@@ -506,6 +508,59 @@ def reference_kernel(matrix):
                 v |= 1 << p
         vectors.append(v)
     return Subspace.from_vectors(matrix.ncols, vectors)
+
+
+def bitsliced_kernel(matrix):
+    """Right kernel {x : M x = 0}, so ``linalg.kernel`` of the transpose, as
+    ``linalg.kernel`` computed it before it took left kernels by row tags:
+    semi-echelon rows, then a bit-sliced back-substitution in which
+    ``coords[j]`` holds coordinate j of every kernel vector at once, bit k
+    for the k-th free column, each pivot solved from the highest down."""
+    n = matrix.ncols
+    rows = {}
+    for r in matrix.rows:
+        _semi_reduce(rows, r)
+    coords = [0] * n
+    nullity = 0
+    for j in range(n):
+        if j not in rows:
+            coords[j] = 1 << nullity
+            nullity += 1
+    for p in sorted(rows, reverse=True):
+        rest = rows[p] & (rows[p] - 1)  # the row without its pivot bit
+        acc = 0
+        while rest:
+            low = rest & -rest
+            acc ^= coords[low.bit_length() - 1]
+            rest ^= low
+        coords[p] = acc
+    vectors = [0] * nullity
+    for j, c in enumerate(coords):
+        while c:
+            low = c & -c
+            vectors[low.bit_length() - 1] |= 1 << j
+            c ^= low
+    return Subspace.from_vectors(n, vectors)
+
+
+def bitwise_transpose(matrix):
+    """``ModMatrix.transpose`` one set bit at a time."""
+    rows = [0] * matrix.ncols
+    for i, r in enumerate(matrix.rows):
+        while r:
+            j = (r & -r).bit_length() - 1
+            r &= r - 1
+            rows[j] |= 1 << i
+    return ModMatrix(matrix.ncols, matrix.nrows, rows)
+
+
+def left_kernels(matrix):
+    """``linalg.kernel(matrix)``, and ``bitsliced_kernel`` and
+    ``reference_kernel`` of its ``bitwise_transpose``, each as (ambient,
+    basis, pivots)."""
+    transposed = bitwise_transpose(matrix)
+    spaces = (kernel(matrix), bitsliced_kernel(transposed), reference_kernel(transposed))
+    return [(s.ambient, s.basis, s.pivots) for s in spaces]
 
 
 def right_horner_matrix_poly(coeffs, m):
@@ -537,7 +592,7 @@ def reference_is_irreducible(rep, seed=0):
             continue
         for poly_factor, _multiplicity in fppoly.factor(tuple(charpoly(theta)), 2, rng):
             p_of_theta = _matrix_poly(poly_factor, theta)
-            null = kernel(p_of_theta.transpose())
+            null = kernel(p_of_theta)
             if null.dimension == 0:
                 continue
             span = spin([null.basis[0]], images, d)
@@ -546,7 +601,7 @@ def reference_is_irreducible(rep, seed=0):
                 return IrreducibilityVerdict("reducible", span, attempt)
             if null.dimension != fppoly.degree(poly_factor):
                 continue
-            dual_span = spin([kernel(p_of_theta).basis[0]], transposed, d)
+            dual_span = spin([kernel(p_of_theta.transpose()).basis[0]], transposed, d)
             if dual_span.is_proper_nonzero():
                 complement = _orthogonal_complement(dual_span, d)
                 _verify_invariant(complement, images)

@@ -1,10 +1,13 @@
-"""Exact F_2 linear algebra on bitset rows: kernel, inverse, spin, charpoly.
+"""Exact F_2 linear algebra on bitset rows: transpose, kernel, inverse, spin,
+charpoly.
 
 The Krylov ``charpoly`` is cross-checked against ``hessenberg_charpoly``, the
 similarity-to-Hessenberg reduction it replaced, kept here as a test oracle,
 and against ``support.raw_krylov_charpoly``, which acts on the raw Krylov
 vectors instead of the residues;
-the sparse ``kernel`` against ``support.reference_kernel``, the incremental
+the byte-block ``ModMatrix.transpose`` against ``support.bitwise_transpose``,
+the row-tag left ``kernel`` against ``support.bitsliced_kernel`` and
+``support.reference_kernel`` of the transpose, the incremental
 ``Subspace`` against column-by-column Gauss-Jordan elimination, the
 semi-echelon ``_semi_reduce`` against ``Subspace``, and ``spin`` and
 ``ModMatrix.inverse``, which store residues, against ``support.eager_spin``
@@ -12,6 +15,8 @@ and ``support.eager_inverse``, which back-reduce at every insert.
 """
 
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +27,11 @@ from heartlab.reps import _random_algebra_element, heart
 from heartlab.rng import SplitMix64
 from heartlab.zoo import mathieu, psl, symmetric
 from support import (
+    bitwise_transpose,
     eager_inverse,
     eager_spin,
     entry,
+    left_kernels,
     matrix_from_entries,
     permutation_matrix,
     rank,
@@ -167,7 +174,7 @@ class TestRankKernelSolve:
         for _ in range(60):
             rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
             m = random_matrix(rng, rows, cols)
-            assert rank(m) + kernel(m).dimension == cols
+            assert rank(m) + kernel(m.transpose()).dimension == cols
 
     def test_planted_rank(self):
         rng = random.Random(1)
@@ -189,7 +196,7 @@ class TestRankKernelSolve:
         rng = random.Random(3)
         for _ in range(2):
             m = random_matrix(rng, 6, 9)
-            for v in kernel(m).basis:
+            for v in kernel(m.transpose()).basis:
                 # v is a length-ncols row vector with M v = 0
                 for i in range(m.nrows):
                     acc = 0
@@ -202,7 +209,7 @@ class TestRankKernelSolve:
         rng = random.Random(int(density * 100))
         for _ in range(1000):
             m = sparse_matrix(rng, rng.randrange(41), rng.randrange(41), density)
-            got, want = kernel(m), reference_kernel(m)
+            got, want = kernel(m.transpose()), reference_kernel(m)
             assert (got.ambient, got.basis, got.pivots) == (want.ambient, want.basis, want.pivots)
 
     def test_inverse_roundtrip_f2(self):
@@ -227,6 +234,122 @@ class TestRankKernelSolve:
         assert ModMatrix.zeros(1, 1).is_scalar()
         assert not matrix_from_entries([[0, 1], [0, 0]]).is_scalar()
         assert not ModMatrix.zeros(1, 2).is_scalar()
+
+
+# the byte and word edges of the byte-block transpose
+EDGE_SIZES = (0, 7, 8, 9, 63, 64, 65)
+
+
+@st.composite
+def edge_shaped_matrices(draw):
+    """Matrices of 0-70 rows and columns, each often an edge size, from
+    empty to full."""
+    size = st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, 70))
+    nrows, ncols = draw(size), draw(size)
+    density = draw(st.sampled_from((0.0, 0.02, 0.2, 0.5, 0.9, 1.0)))
+    return sparse_matrix(random.Random(draw(st.integers(0, 2**32 - 1))), nrows, ncols, density)
+
+
+def reduced_echelon_matrix(rng, nrows, ncols):
+    """A reduced echelon matrix of about ``nrows`` rows, the form of the End
+    conditions and of a dual witness."""
+    space = Subspace.from_vectors(ncols, [rng.getrandbits(ncols) for _ in range(nrows)])
+    return ModMatrix(space.dimension, ncols, space.basis)
+
+
+def footprint(matrix):
+    return sys.getsizeof(matrix.rows) + sum(sys.getsizeof(r) for r in matrix.rows)
+
+
+class TestByteBlockTranspose:
+    """``ModMatrix.transpose`` by byte blocks and delta swaps against the
+    per-bit ``support.bitwise_transpose``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(edge_shaped_matrices())
+    def test_matches_bitwise_transpose(self, m):
+        t = m.transpose()
+        assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
+        assert t == bitwise_transpose(m)
+        assert t.transpose() == m
+
+    @pytest.mark.parametrize(
+        "nrows,ncols",
+        [(299, 300), (94, 96), (19, 20), (1, 272), (81, 272), (191, 272), (271, 272)],
+    )
+    def test_matches_bitwise_transpose_on_end_and_complement_shapes(self, nrows, ncols):
+        # the End conditions (rank x unknowns) and the dual witnesses whose
+        # orthogonal complement the MeatAxe takes (dimension x d)
+        m = reduced_echelon_matrix(random.Random(nrows), nrows, ncols)
+        assert m.transpose() == bitwise_transpose(m)
+
+    def test_matches_bitwise_transpose_on_seed_slices(self):
+        # the End solve's symbolic seed images: d unit rows at an offset of
+        # the s * d unknowns
+        for d, seeds, k in ((20, 1, 0), (22, 3, 1), (30, 3, 2)):
+            m = ModMatrix(d, seeds * d, ModMatrix.identity(seeds * d).rows[k * d : (k + 1) * d])
+            assert m.transpose() == bitwise_transpose(m)
+
+    @pytest.mark.parametrize("nrows,ncols,dense", [(1, 50_000, False), (50_000, 1, False), (600, 600, True)])
+    def test_memory_is_linear_in_the_matrix(self, nrows, ncols, dense):
+        rng = random.Random(ncols)
+        rows = [(1 << ncols) - 1 if dense else rng.getrandbits(ncols) for _ in range(nrows)]
+        m = ModMatrix(nrows, ncols, rows)
+        tracemalloc.start()
+        try:
+            t = m.transpose()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t == bitwise_transpose(m)
+        # no power-of-two square padding: that would hold 50,000^2 bits
+        assert peak < 5 * (footprint(m) + footprint(t))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Matrices of 0-40 rows and columns: zero, sparse, dense, and of full
+    rank (independent rows with distinct lowest set bits, or the transpose)."""
+    nrows, ncols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("zero", "sparse", "dense", "full rank")))
+    if kind != "full rank":
+        return sparse_matrix(rng, nrows, ncols, {"zero": 0.0, "sparse": 0.1, "dense": 0.5}[kind])
+    short, long = sorted((nrows, ncols))
+    rows = [(1 << p) | (rng.getrandbits(long) >> (p + 1) << (p + 1)) for p in rng.sample(range(long), short)]
+    m = ModMatrix(short, long, rows)
+    return m if nrows <= ncols else bitwise_transpose(m)
+
+
+class TestLeftKernel:
+    """``kernel(M)``, the left kernel by row tags, against the right kernel
+    of the transpose by bit-sliced back-substitution and by a fully reduced
+    echelon."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(kernel_inputs())
+    def test_matches_right_kernel_oracles_of_the_transpose(self, m):
+        got, bitsliced, reference = left_kernels(m)
+        assert got == bitsliced == reference
+        assert got[0] == m.nrows
+        assert all(m.act(v) == 0 for v in got[1])
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            ModMatrix(0, 0, []),
+            ModMatrix(0, 5, []),
+            ModMatrix(5, 0, [0] * 5),
+            ModMatrix.zeros(4, 6),
+            ModMatrix.identity(7),
+            ModMatrix(3, 9, [0b111, 0b111000, 0b111111]),
+        ],
+        ids=["0x0", "0x5", "5x0", "zero", "identity", "dependent"],
+    )
+    def test_matches_right_kernel_oracles_on_edge_cases(self, m):
+        got, bitsliced, reference = left_kernels(m)
+        assert got == bitsliced == reference
+        assert len(got[1]) == m.nrows - rank(m)
 
 
 class TestSubspace:

@@ -11,8 +11,10 @@ from heartlab.perms import PermGroup, compose, identity
 from heartlab.reps import (
     GModuleRep,
     _matrix_poly,
+    _orthogonal_complement,
     _random_algebra_element,
     _vec_of_matrix,
+    _verify_invariant,
     endomorphism_algebra,
     heart,
     is_indecomposable,
@@ -34,6 +36,7 @@ from support import (
     drained_spin,
     eager_inverse,
     eager_spin,
+    left_kernels,
     permutation_matrix,
     permutation_module,
     rank,
@@ -175,7 +178,7 @@ def commutation_kernel(rep):
                 row = (col_masks[j] << (i * d)) ^ (spreads[i] << j)
                 if row:
                     constraints.append(row)
-    null = kernel(ModMatrix(len(constraints), d * d, constraints))
+    null = kernel(ModMatrix(len(constraints), d * d, constraints).transpose())
     mask = (1 << d) - 1
     return [[(v >> (i * d)) & mask for i in range(d)] for v in null.basis]
 
@@ -469,10 +472,10 @@ class TestReducedRows:
             theta = _random_algebra_element(rep.images, rng, attempt)
             for factor, _ in fppoly.factor(tuple(charpoly(theta)), 2, rng):
                 p_of_theta = _matrix_poly(factor, theta)
-                null = kernel(p_of_theta.transpose())
+                null = kernel(p_of_theta)
                 if null.dimension == 0:
                     continue
-                dual_seed = kernel(p_of_theta).basis[0]
+                dual_seed = kernel(p_of_theta.transpose()).basis[0]
                 for v, actions in ((null.basis[0], rep.images), (dual_seed, transposed)):
                     got = spin([v], actions, d)
                     expected = drained_spin([v], actions, d)
@@ -537,10 +540,77 @@ def meataxe_spin_inputs(rep, seed, attempts, per_kernel):
             continue
         for factor, _ in fppoly.factor(tuple(charpoly(theta)), 2, rng):
             p_of_theta = _matrix_poly(factor, theta)
-            for v in kernel(p_of_theta.transpose()).basis[:per_kernel]:
+            for v in kernel(p_of_theta).basis[:per_kernel]:
                 yield v, rep.images
-            for w in kernel(p_of_theta).basis[:per_kernel]:
+            for w in kernel(p_of_theta.transpose()).basis[:per_kernel]:
                 yield w, transposed
+
+
+def meataxe_polynomial_matrices(rep, seed, attempts):
+    """p(theta) for every factor p of the charpoly of each theta that the
+    MeatAxe at ``seed`` draws in ``attempts``."""
+    rng = SplitMix64(seed)
+    for attempt in attempts:
+        theta = _random_algebra_element(rep.images, rng, attempt)
+        if theta.is_scalar():
+            continue
+        for factor, _ in fppoly.factor(tuple(charpoly(theta)), 2, rng):
+            yield _matrix_poly(factor, theta)
+
+
+class TestLeftKernelOnMeatAxeAndEndSystems:
+    """``kernel``, the left kernel by row tags, against the right kernel of
+    the transpose by bit-sliced back-substitution and by a fully reduced
+    echelon, on the matrices the MeatAxe and the End solve pass it."""
+
+    @pytest.mark.parametrize("group", MEATAXE_LARGE_GROUPS)
+    def test_p_of_theta(self, group):
+        rep = heart_of(group)
+        checked = 0
+        for seed in (0, 1):
+            for p_of_theta in meataxe_polynomial_matrices(rep, seed, range(1, 4)):
+                got, bitsliced, reference = left_kernels(p_of_theta)
+                assert got == bitsliced == reference
+                checked += 1
+        assert checked >= 4
+
+    @pytest.mark.parametrize("group", ["A301", "PSL(2,97)"])
+    def test_end_conditions(self, monkeypatch, group):
+        captured = []
+
+        def capturing(matrix):
+            captured.append(matrix)
+            return kernel(matrix)
+
+        monkeypatch.setattr(reps, "kernel", capturing)
+        endomorphism_algebra(heart_of(group))
+        (conditions,) = captured  # the transpose of the reduced echelon conditions
+        got, bitsliced, reference = left_kernels(conditions)
+        assert got == bitsliced == reference
+
+    def test_dual_witnesses_of_psl_3_16(self):
+        # the proper spins of the first kernel vector of each p(theta)
+        # transposed under the transposed action, and their complements
+        rep = heart_of("PSL(3,16)")
+        d = rep.dimension
+        transposed = rep.transposed_images()
+        witnesses = 0
+        for seed in (0, 1):
+            for p_of_theta in meataxe_polynomial_matrices(rep, seed, range(1, 4)):
+                dual_null = kernel(p_of_theta.transpose())
+                if dual_null.dimension == 0:
+                    continue
+                dual_span = spin([dual_null.basis[0]], transposed, d)
+                if not dual_span.is_proper_nonzero():
+                    continue
+                witness = ModMatrix(dual_span.dimension, d, dual_span.basis)
+                got, bitsliced, reference = left_kernels(witness.transpose())
+                assert got == bitsliced == reference
+                complement = _orthogonal_complement(dual_span, d)
+                assert complement.basis == got[1]
+                _verify_invariant(complement, rep.images)
+                witnesses += 1
+        assert witnesses >= 5
 
 
 class TestResidueSpinAndInverseOnMeatAxeInputs:
@@ -681,7 +751,7 @@ class TestMeatAxeKernelAndMemo:
             endomorphism_algebra(rep)
         assert captured
         for matrix in captured:
-            got, want = kernel(matrix), reference_kernel(matrix)
+            got, want = kernel(matrix), reference_kernel(matrix.transpose())
             assert (got.ambient, got.basis, got.pivots) == (want.ambient, want.basis, want.pivots)
 
     @pytest.mark.parametrize("group", MEMO_GROUPS)
@@ -725,7 +795,7 @@ class TestIndecomposability:
         assert witness is not None
         assert witness * witness == witness
         image_rank = rank(witness)
-        assert image_rank + kernel(witness.transpose()).dimension == 2
+        assert image_rank + kernel(witness).dimension == 2
         assert 0 < image_rank < 2
 
     def test_irreducible_heart_is_indecomposable(self):
