@@ -1,14 +1,21 @@
 """Exact dense linear algebra over F_2, rows as int bitsets.
 
 A row vector is a plain Python int used as a bitset (bit j = column j), so a
-row operation is a single word-level XOR.  ``Subspace`` is the one fully
-reduced echelon form (pivot entries 1, zeros above and below), which makes
-subspace equality plain representation equality.  ``kernel`` and
-``charpoly`` read no reduced basis, so they share the semi-echelon loop
-``_semi_reduce`` (no back-reduction) on rows that carry tag bits above the
-columns: ``kernel`` is the left kernel {v : v.M = 0}, the orientation of
-``ModMatrix.act``, read off the tags of the rows that vanish, and
-``charpoly`` reads only each Krylov block's relation.
+row operation is a single word-level XOR.  Every vector is reduced by one
+loop, ``_chase``: each bit of the vector under a mask of keys is cleared,
+lowest first, by the row keyed by that bit.  It serves two elimination
+forms:
+
+- ``Subspace``, the fully reduced echelon form (pivot entries 1, zeros above
+  and below), which makes subspace equality plain representation equality;
+  its rows are mutually reduced, so a chase reads one row per pivot hit.
+- Residues keyed by their lowest set bit, no other row touched at an insert,
+  in ``spin``, ``ModMatrix.inverse``, ``kernel`` and ``charpoly``.  The last
+  two chase rows that carry tag bits above the columns: ``kernel`` is the
+  left kernel {v : v.M = 0}, the orientation of ``ModMatrix.act``, read off
+  the tags of the rows that vanish, and ``charpoly`` reads only each Krylov
+  block's relation.
+
 ``ModMatrix.transpose`` moves 8 x 8 bit blocks, so its Python steps follow
 the shape of the matrix, not its ones.
 
@@ -30,16 +37,11 @@ from __future__ import annotations
 from .fppoly import clmul
 
 
-def _low_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1
-
-
 class Subspace:
     """A subspace of F_2^ambient held as an incremental reduced-echelon basis.
 
     Rows are kept mutually reduced: a pivot column has a 1 in its own row and
-    zeros in every other basis row, so reducing an incoming vector is a single
-    pass over the pivot table in any order.
+    zeros in every other basis row, so a chase reads each row at most once.
     """
 
     def __init__(self, ambient: int):
@@ -55,16 +57,10 @@ class Subspace:
         return space
 
     def reduce(self, v: int) -> int:
-        """Residue of v modulo the current row space."""
-        # mutual reduction means each basis row carries no foreign pivot bits,
-        # so one pass over the actual pivot hits suffices
-        hits = v & self._pivot_mask
-        rows = self.rows
-        while hits:
-            low = (hits & -hits).bit_length() - 1
-            hits &= hits - 1
-            v ^= rows[low]
-        return v
+        """Residue of v modulo the current row space: a ``_chase``, which
+        reads one row per pivot hit of v, since no row carries another
+        pivot bit."""
+        return _chase(self.rows, self._pivot_mask, v)
 
     def insert(self, v: int) -> int | None:
         """Reduce v and add the residue to the basis.
@@ -74,8 +70,8 @@ class Subspace:
         v = self.reduce(v)
         if v == 0:
             return None
-        pivot = _low_bit(v)
-        bit = 1 << pivot
+        bit = v & -v
+        pivot = bit.bit_length() - 1
         rows = self.rows
         for p, r in rows.items():  # value stores only: the dict keeps its size
             if r & bit:
@@ -112,26 +108,12 @@ class Subspace:
         return f"Subspace(dim={self.dimension}, ambient={self.ambient})"
 
 
-def _semi_reduce(rows: dict[int, int], v: int, mask: int = -1) -> int:
-    """Reduce v by the row of ``rows`` keyed by its lowest set bit until that
-    bit is new, and store the residue under it; a stored row has no set bit
-    below its key.  Only bits under ``mask``, a run of low bits, are
-    eliminated: the residue is 0 under ``mask``, and not stored, exactly when
-    v lay in the span."""
-    while v & mask:
-        low = (v & -v).bit_length() - 1
-        row = rows.get(low)
-        if row is None:
-            rows[low] = v
-            break
-        v ^= row
-    return v
-
-
 def _chase(rows: dict[int, int], mask: int, v: int) -> int:
-    """v with every bit under ``mask`` cleared, lowest hit first, by the row
-    of ``rows`` keyed by that bit.  A stored row has no set bit below its
-    key, so each step changes only bits above the hit and the chase ends."""
+    """v with every bit under ``mask``, a union of keys of ``rows``,
+    cleared, lowest hit first, by the row keyed by that bit: the one
+    reduction loop of this module.  A stored row has no set bit below its
+    key, so each step changes only bits above the hit and the chase ends; a
+    row with no other key bit, as in a ``Subspace``, is read once per hit."""
     hits = v & mask
     while hits:
         v ^= rows[(hits & -hits).bit_length() - 1]
@@ -276,21 +258,26 @@ def kernel(matrix: ModMatrix) -> Subspace:
     """Left kernel {v : v.M = 0} as row vectors of length nrows, the
     orientation of ``ModMatrix.act``.
 
-    Row i of M carries the tag bit ncols + i and goes through the
-    semi-echelon loop ``_semi_reduce`` on the low ncols bits, as in
-    ``charpoly``.  A row that vanishes there leaves its tag part, the
-    combination of rows of M that sums to 0: a kernel vector, whose highest
-    tag is its own, so the vanishing rows give a basis of the kernel.
+    Row i of M carries the tag bit ncols + i and is ``_chase``d by the rows
+    stored so far on their keys, all among the low ncols bits, as in
+    ``charpoly``.  A row that keeps a low bit is stored under its lowest.  A
+    row whose low part vanishes leaves its tag part, the combination of rows
+    of M that sums to 0: a kernel vector, whose highest tag is its own, so
+    the vanishing rows give a basis of the kernel.
     ``Subspace.from_vectors`` puts it in reduced-echelon form.
     """
     n = matrix.ncols
-    low = (1 << n) - 1
-    rows: dict[int, int] = {}  # lowest set bit -> semi-reduced tagged row
+    rows: dict[int, int] = {}  # lowest set bit -> residue of a tagged row
+    mask = 0  # union of the keys
     vectors = []
     for i, r in enumerate(matrix.rows):
-        r = _semi_reduce(rows, r | (1 << (n + i)), low)
-        if not r & low:
+        r = _chase(rows, mask, r | (1 << (n + i)))
+        bit = r & -r
+        if bit >> n:  # no bit left in the low part
             vectors.append(r >> n)
+        else:
+            rows[bit.bit_length() - 1] = r
+            mask |= bit
     return Subspace.from_vectors(matrix.nrows, vectors)
 
 
@@ -350,15 +337,16 @@ def charpoly(matrix: ModMatrix) -> list[int]:
 
     Krylov spinning through a chain of cyclic subspaces (Keller-Gehrig 1985;
     Holt, Eick and O'Brien ch. 7): each standard vector not yet in the span
-    is pushed as v, v.M, v.M^2, ... into one semi-echelon basis
-    (``_semi_reduce`` on the low n bits), the k-th Krylov vector carrying the
-    tag bit n + k.  When a push reduces to 0 in the low n bits, its tags from
-    the current block on are the block's monic relation, the charpoly of M
-    on that cyclic quotient; tags of earlier blocks only record vectors
-    already in the earlier span.  The charpoly is the product of the block
-    polynomials.
+    is pushed as v, v.M, v.M^2, ..., the k-th Krylov vector carrying the tag
+    bit n + k; each push is ``_chase``d on the keys stored so far, all among
+    the low n bits, and a residue that keeps a low bit is stored under its
+    lowest, as in ``kernel``.  When a push reduces to 0 in the low n bits,
+    its tags from the current block on are the block's monic relation, the
+    charpoly of M on that cyclic quotient; tags of earlier blocks only
+    record vectors already in the earlier span.  The charpoly is the product
+    of the block polynomials.
 
-    The next push is not the raw v.M^(k+1) but the residue r just inserted
+    The next push is not the raw v.M^(k+1) but the residue r just stored
     acted on, (r & low).M, with r's current-block tags shifted one power up.
     Modulo the span of the earlier blocks, which M maps into itself, that is
     the same vector with the same tag polynomial, and ``r >> start`` drops
@@ -369,7 +357,8 @@ def charpoly(matrix: ModMatrix) -> list[int]:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = matrix.nrows
     low = (1 << n) - 1
-    rows: dict[int, int] = {}
+    rows: dict[int, int] = {}  # lowest set bit -> residue of a tagged push
+    mask = 0  # union of the keys
     result = 1
     tag = n
     for i in range(n):
@@ -378,10 +367,13 @@ def charpoly(matrix: ModMatrix) -> list[int]:
         start = tag
         v = (1 << i) | (1 << tag)
         while True:
-            r = _semi_reduce(rows, v, low)
+            r = _chase(rows, mask, v)
             tag += 1
-            if not r & low:
+            bit = r & -r
+            if bit >> n:  # no bit left in the low part
                 break
+            rows[bit.bit_length() - 1] = r
+            mask |= bit
             # M on the residue, its block's tags one power up
             v = matrix.act(r & low) | ((r >> start) << (start + 1))
         result = clmul(result, r >> start)

@@ -157,11 +157,6 @@ def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
         else:
             parent, g = edge
             images.append(transposed[g] * images[parent])
-    # by_coordinate[m] has row l = coordinate m of phi(w_l), so a relation's
-    # right-hand side sum_l c_l phi(w_l) is one action per coordinate
-    by_coordinate = [
-        ModMatrix(d, unknowns, [image.rows[m] for image in images]) for m in range(d)
-    ]
     # the last relations first: the BFS lists those of the first tree vectors
     # first, and they are often group identities that give no condition.  The
     # scalars solve every condition, so the stop rule holds in any order.
@@ -169,21 +164,27 @@ def endomorphism_algebra(rep: GModuleRep) -> EndoAlgebra:
     for k, g in reversed(relations):
         if conditions.dimension == unknowns - 1:
             break
+        # phi(w_k).A_g = sum_l c_l phi(w_l), coordinate by coordinate
         c = w_inverse.act(rep.images[g].act(vectors[k]))
-        rhs = ModMatrix(d, unknowns, [col.act(c) for col in by_coordinate])
-        for row in (transposed[g] * images[k] + rhs).rows:
+        rows = (transposed[g] * images[k]).rows
+        while c:
+            image = images[(c & -c).bit_length() - 1]
+            rows = [x ^ y for x, y in zip(rows, image.rows)]
+            c &= c - 1
+        for row in rows:
             conditions.insert(row)
     # a reduced echelon matrix, so its transpose is unit rows and nullity rows
     null = kernel(ModMatrix(conditions.dimension, unknowns, conditions.basis).transpose())
 
-    # 4. back to the standard basis: X = W^-1 . (phi(w_k))_k
-    seed_slices = {k: images[k].transpose() for k in roots}
+    # 4. back to the standard basis: X = W^-1 . (phi(w_k))_k, the image of
+    # the j-th seed being the j-th d-bit slice of the solution y
+    low = (1 << d) - 1
     solutions = []
     for y in null.basis:
         phi: list = []
         for k, edge in enumerate(tree):
             if edge is None:
-                phi.append(seed_slices[k].act(y))
+                phi.append((y >> (roots.index(k) * d)) & low)
             else:
                 parent, g = edge
                 phi.append(rep.images[g].act(phi[parent]))

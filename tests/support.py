@@ -5,7 +5,8 @@
 - F_2 matrices from entry lists, their entries and rank.
 - Permutation matrices and the permutation module, a test input for the
   End solver and the MeatAxe next to the heart.
-- The oracles of the MeatAxe steps: the right kernel from a fully reduced
+- The oracles of the MeatAxe steps: ``Subspace.reduce`` as one pass over
+  the pivot hits, the right kernel from a fully reduced
   echelon and by bit-sliced back-substitution, the transpose one set bit at
   a time, the spin that drains its whole worklist, the spin and the
   inverse on an eagerly back-reduced ``Subspace`` (and a matrix that logs
@@ -34,7 +35,7 @@ from heartlab import fppoly, zoo
 from heartlab.audit import AuditEvidence
 from heartlab.fields import make_field
 from heartlab.fppoly import clmul, degree, monic, normalize
-from heartlab.linalg import ModMatrix, Subspace, _semi_reduce, charpoly, kernel, spin
+from heartlab.linalg import ModMatrix, Subspace, _chase, charpoly, kernel, spin
 from heartlab.perms import _StabilizerChain
 from heartlab.probe import SAMPLE_BUDGET, group_cycle_types
 from heartlab.reps import (
@@ -513,13 +514,18 @@ def reference_kernel(matrix):
 def bitsliced_kernel(matrix):
     """Right kernel {x : M x = 0}, so ``linalg.kernel`` of the transpose, as
     ``linalg.kernel`` computed it before it took left kernels by row tags:
-    semi-echelon rows, then a bit-sliced back-substitution in which
-    ``coords[j]`` holds coordinate j of every kernel vector at once, bit k
-    for the k-th free column, each pivot solved from the highest down."""
+    rows keyed by their lowest bit, then a bit-sliced back-substitution in
+    which ``coords[j]`` holds coordinate j of every kernel vector at once,
+    bit k for the k-th free column, each pivot solved from the highest down."""
     n = matrix.ncols
     rows = {}
+    mask = 0
     for r in matrix.rows:
-        _semi_reduce(rows, r)
+        r = _chase(rows, mask, r)
+        if r:
+            bit = r & -r
+            rows[bit.bit_length() - 1] = r
+            mask |= bit
     coords = [0] * n
     nullity = 0
     for j in range(n):
@@ -541,6 +547,18 @@ def bitsliced_kernel(matrix):
             vectors[low.bit_length() - 1] |= 1 << j
             c ^= low
     return Subspace.from_vectors(n, vectors)
+
+
+def single_pass_reduce(space, v):
+    """``Subspace.reduce`` as one pass over the pivot hits of v, each read
+    once: a reduced-echelon row carries no other pivot bit, so XORing it in
+    adds no hit."""
+    hits = v & space._pivot_mask
+    while hits:
+        low = (hits & -hits).bit_length() - 1
+        hits &= hits - 1
+        v ^= space.rows[low]
+    return v
 
 
 def bitwise_transpose(matrix):

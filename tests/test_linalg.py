@@ -9,7 +9,8 @@ the byte-block ``ModMatrix.transpose`` against ``support.bitwise_transpose``,
 the row-tag left ``kernel`` against ``support.bitsliced_kernel`` and
 ``support.reference_kernel`` of the transpose, the incremental
 ``Subspace`` against column-by-column Gauss-Jordan elimination, the
-semi-echelon ``_semi_reduce`` against ``Subspace``, and ``spin`` and
+reduction loop ``_chase`` against ``Subspace`` and, on a reduced basis,
+against ``support.single_pass_reduce``, and ``spin`` and
 ``ModMatrix.inverse``, which store residues, against ``support.eager_spin``
 and ``support.eager_inverse``, which back-reduce at every insert.
 """
@@ -21,7 +22,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heartlab.linalg import ModMatrix, Subspace, _semi_reduce, charpoly, kernel, spin
+from heartlab.linalg import ModMatrix, Subspace, _chase, charpoly, kernel, spin
 from heartlab.perms import from_cycles
 from heartlab.reps import _random_algebra_element, heart
 from heartlab.rng import SplitMix64
@@ -37,6 +38,7 @@ from support import (
     rank,
     raw_krylov_charpoly,
     reference_kernel,
+    single_pass_reduce,
     spin_and_acted_rows,
 )
 
@@ -408,39 +410,76 @@ def vector_lists(draw):
     return ncols, vectors
 
 
-class TestSemiEchelon:
+class CountingDict(dict):
+    """A dict that logs the key of every read of an item."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+
+class TestChase:
     @settings(max_examples=300, deadline=None)
     @given(vector_lists())
     def test_keys_rank_and_membership(self, case):
         ncols, vectors = case
         rows: dict = {}
+        mask = 0
         for v in vectors:
-            _semi_reduce(rows, v)
+            r = _chase(rows, mask, v)
+            assert not r & mask
+            if r:
+                rows[(r & -r).bit_length() - 1] = r
+                mask |= r & -r
         for key, row in rows.items():
             assert row & -row == 1 << key
         assert len(rows) == Subspace.from_vectors(ncols, vectors).dimension
         stored = dict(rows)
         for v in vectors:
-            assert _semi_reduce(rows, v) == 0
+            assert _chase(rows, mask, v) == 0
         assert rows == stored
 
     @settings(max_examples=300, deadline=None)
     @given(vector_lists())
     def test_masked_rows_carry_their_combination(self, case):
-        # the charpoly use: tag bit ncols + k marks the k-th vector, and only
-        # the low ncols bits are eliminated
+        # the kernel and charpoly use: tag bit ncols + k marks the k-th
+        # vector, and only keys among the low ncols bits are chased
         ncols, vectors = case
         low = (1 << ncols) - 1
         rows: dict = {}
+        mask = 0
         for k, v in enumerate(vectors):
-            r = _semi_reduce(rows, v | (1 << (ncols + k)), low)
+            r = _chase(rows, mask, v | (1 << (ncols + k)))
             combination = 0
             for j, u in enumerate(vectors):
                 if r >> (ncols + j) & 1:
                     combination ^= u
             assert r & low == combination
+            if r & low:
+                rows[(r & -r).bit_length() - 1] = r
+                mask |= r & -r
         assert all(row & -row == 1 << key and key < ncols for key, row in rows.items())
         assert len(rows) == Subspace.from_vectors(ncols, vectors).dimension
+
+    @settings(max_examples=300, deadline=None)
+    @given(vector_lists(), st.integers(0, (1 << 24) - 1))
+    def test_reduced_basis_reads_one_row_per_pivot_hit(self, case, v):
+        # Subspace.reduce is a chase over a mutually reduced basis: it reads
+        # the row of each pivot hit of v once, lowest first, as the single
+        # pass did, and returns the same residue
+        ncols, vectors = case
+        v &= (1 << ncols) - 1
+        space = Subspace.from_vectors(ncols, vectors)
+        rows = CountingDict(space.rows)
+        residue = single_pass_reduce(space, v)
+        assert _chase(rows, space._pivot_mask, v) == residue
+        assert len(rows.reads) == (v & space._pivot_mask).bit_count()
+        assert rows.reads == [p for p in space.pivots if v >> p & 1]
+        assert space.reduce(v) == residue
 
 
 class TestSpin:

@@ -444,12 +444,12 @@ MEMO_GROUPS = (
 # Set bits of the vectors that ``ModMatrix.act`` walks inside spin and inside
 # charpoly during is_irreducible(heart(G), seed).  Acting on the vectors as
 # queued and on the raw Krylov vectors, not on the echelon rows, walked
-# (191578, 33740) and (300798, 14472).  Charpoly's semi-echelon residues are
-# a little denser than fully reduced ones (17105 and 8214 bits), but no
-# back-reduction scan runs.
+# (191578, 33740) and (300798, 14472).  Charpoly acts on full residues,
+# chased on every stored key; the semi-echelon residues it acted on before,
+# reduced only until their lowest bit was new, walked 17699 and 9837 bits.
 MEATAXE_WORK_PINS = {
-    ("PSL(2,256)", 0): (61878, 17699),
-    ("PSL(3,16)", 1): (154347, 9837),
+    ("PSL(2,256)", 0): (61878, 17105),
+    ("PSL(3,16)", 1): (154347, 8214),
 }
 
 
