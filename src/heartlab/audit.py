@@ -8,7 +8,9 @@ g, then every absolute endomorphism of the jacobian is an integer multiple of
 the identity.  The auditor checks exactly these hypotheses: transitivity and
 heart evidence are computed on the group itself, and g-unboundedness is
 established only through the sufficient rules R0-R4 below, each step carrying
-a citation into the bundled registry.  Anything outside those rules is
+a citation into the registry ``CITATIONS``.  R1-R3 read a minimal projective
+degree bound from the fact table ``FACTS``: one ``GroupFact`` record per case
+of a group family, the first match wins.  Anything outside those rules is
 reported inconclusive, never guessed.
 
 Rules:
@@ -25,11 +27,8 @@ Rules:
 
 from __future__ import annotations
 
-import ast
-import operator
-import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from importlib import resources
 
 from . import zoo
 from .perms import jordan_certificate
@@ -139,130 +138,53 @@ class NoFactError(LookupError):
 
 @dataclass(frozen=True)
 class GroupFact:
+    """One fact-table record.  The first six fields are the text ``zoo``
+    prints, read against the cited source: the selector joins conditions
+    with "&", and the bound is an integer expression in m, q, n, g with
+    ``^`` for power.  ``matches`` and ``bound`` are the same two conditions
+    as code, called with ``_fact_context``'s names (n, g, and m, q for
+    PSL)."""
+
     family: str
     selector: str
     bound_expr: str
     flags: frozenset[str]
-    cover_rule: str
+    cover_rule: str  # "feit_tits_transfer" (R1, R3) | "kleidman_liebeck_m4" (R2)
     citation: str
+    matches: Callable[..., bool] = field(compare=False, repr=False)
+    bound: Callable[..., int] = field(compare=False, repr=False)
 
 
-_ALLOWED_FLAGS = {
-    "no_linear_at_min_degree",
-    "no_real_rep_at_degree_g",
-    "lie_type_char2",  # printed by `zoo`; dispatch reads the cover rule
-    "wagner_char2_bound",
-}
-_ALLOWED_COVER_RULES = {"feit_tits_transfer", "kleidman_liebeck_m4"}
-_COND_RE = re.compile(r"^(m|q|n)(>=|=|>)(\d+)$")
-_BOUND_RE = re.compile(r"^[0-9mqng+\-*/()^ ]+$")
+_R3_FLAGS = frozenset({"no_linear_at_min_degree", "no_real_rep_at_degree_g"})
+_CHAR2 = frozenset({"lie_type_char2"})  # printed by `zoo`; dispatch reads the cover rule
 
-_fact_cache: list[GroupFact] | None = None
-
-
-def _load_facts() -> list[GroupFact]:
-    global _fact_cache
-    if _fact_cache is not None:
-        return _fact_cache
-    text = resources.files("heartlab.data").joinpath("group_facts.tsv").read_text()
-    facts = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise ValueError(f"malformed fact record: {line!r}")
-        family, selector, bound, flags_field, cover_rule, citation = parts
-        flags = frozenset() if flags_field == "-" else frozenset(flags_field.split(","))
-        if not flags <= _ALLOWED_FLAGS:
-            raise ValueError(f"unknown flags in fact record: {flags_field!r}")
-        if cover_rule not in _ALLOWED_COVER_RULES:
-            raise ValueError(f"unknown cover rule {cover_rule!r}")
-        if citation not in CITATIONS:
-            raise ValueError(f"citation {citation!r} missing from the registry")
-        if not _BOUND_RE.match(bound):
-            raise ValueError(f"unsupported bound expression {bound!r}")
-        facts.append(GroupFact(family, selector, bound, flags, cover_rule, citation))
-    _fact_cache = facts
-    return facts
-
-
-def _selector_matches(selector: str, context: dict[str, int]) -> bool:
-    for cond in selector.split("&"):
-        if cond == "q_even":
-            if context.get("q", 1) % 2 != 0:
-                return False
-        elif cond == "q_odd":
-            if context.get("q", 0) % 2 != 1:
-                return False
-        elif cond.startswith("except:"):
-            pairs = cond[len("except:") :].split(";")
-            mq = f"({context.get('m')},{context.get('q')})"
-            if mq in pairs:
-                return False
-        else:
-            match = _COND_RE.match(cond)
-            if not match:
-                raise ValueError(f"bad selector condition {cond!r}")
-            name, op, value = match.group(1), match.group(2), int(match.group(3))
-            have = context.get(name)
-            if have is None:
-                return False
-            if op == "=" and have != value:
-                return False
-            if op == ">" and not have > value:
-                return False
-            if op == ">=" and not have >= value:
-                return False
-    return True
-
-
-_BOUND_OPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.FloorDiv: operator.floordiv,
-    ast.Pow: operator.pow,
-}
-
-
-def _eval_int_expr(expr: str, context: dict[str, int]) -> int:
-    """Integer expression over int literals and the names in ``context``.
-
-    Operators are ``+ - * // ^`` (``^`` is power) and parentheses, with
-    Python's precedence; the parse tree is walked with that whitelist, so
-    anything else (calls, attributes, ``**``, unknown names) raises ValueError.
-    """
-    if "**" in expr:
-        raise ValueError(f"'**' in bound expression {expr!r}; write powers with '^'")
-    try:
-        tree = ast.parse(expr.replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
-        raise ValueError(f"cannot parse bound expression {expr!r}") from exc
-
-    def value(node) -> int:
-        if isinstance(node, ast.Constant) and type(node.value) is int:
-            return node.value
-        if isinstance(node, ast.Name) and node.id in context:
-            return context[node.id]
-        if isinstance(node, ast.BinOp) and type(node.op) in _BOUND_OPS:
-            left, right = value(node.left), value(node.right)
-            if isinstance(node.op, ast.FloorDiv) and right == 0:
-                raise ValueError(f"division by zero in bound expression {expr!r}")
-            if isinstance(node.op, ast.Pow) and right < 0:
-                raise ValueError(f"negative exponent in bound expression {expr!r}")
-            return _BOUND_OPS[type(node.op)](left, right)
-        raise ValueError(f"unsupported {ast.unparse(node)!r} in bound expression {expr!r}")
-
-    return value(tree.body)
-
-
-def _eval_bound(expr: str, context: dict[str, int]) -> int:
-    value = _eval_int_expr(expr, context)
-    if value < 2:
-        raise ValueError(f"bound expression {expr!r} did not give an integer >= 2")
-    return value
+# The first record of a group's family whose selector matches it wins.
+FACTS: tuple[GroupFact, ...] = (
+    GroupFact("mathieu", "n=11", "10", frozenset(), "feit_tits_transfer",
+              "atlas-m11-proj-min", lambda n, **_: n == 11, lambda **_: 10),
+    GroupFact("mathieu", "n=12", "10", frozenset(), "feit_tits_transfer",
+              "atlas-m11-proj-min", lambda n, **_: n == 12, lambda **_: 10),
+    GroupFact("mathieu", "n=22", "10", _R3_FLAGS, "feit_tits_transfer",
+              "atlas-m22-deg10", lambda n, **_: n == 22, lambda **_: 10),
+    GroupFact("mathieu", "n=23", "22", frozenset(), "feit_tits_transfer",
+              "atlas-m23-proj-min", lambda n, **_: n == 23, lambda **_: 22),
+    GroupFact("mathieu", "n=24", "22", frozenset(), "feit_tits_transfer",
+              "atlas-m23-proj-min", lambda n, **_: n == 24, lambda **_: 22),
+    GroupFact("psl", "q_odd&m=4&q=3", "26", frozenset(), "feit_tits_transfer",
+              "atlas-l43-deg26", lambda m, q, **_: (m, q) == (4, 3), lambda **_: 26),
+    GroupFact("psl", "q_odd&m>=3", "n-1", frozenset(), "feit_tits_transfer",
+              "ls-psl-odd", lambda m, q, **_: q % 2 == 1 and m >= 3, lambda n, **_: n - 1),
+    GroupFact("psl", "q_even&m=2&q>4", "q-1", _CHAR2, "kleidman_liebeck_m4",
+              "ls-psl2-even", lambda m, q, **_: q % 2 == 0 and m == 2 and q > 4,
+              lambda q, **_: q - 1),
+    GroupFact("psl", "q_even&m>=3&except:(3,2);(3,4);(4,2)", "(q^m-q)//(q-1)", _CHAR2,
+              "kleidman_liebeck_m4", "ls-psl-even",
+              lambda m, q, **_: q % 2 == 0 and m >= 3 and (m, q) not in {(3, 2), (3, 4), (4, 2)},
+              lambda m, q, **_: (q**m - q) // (q - 1)),
+    GroupFact("alternating", "n>=9", "2*g", frozenset({"wagner_char2_bound"}),
+              "feit_tits_transfer", "wagner-alt-char2", lambda n, **_: n >= 9,
+              lambda g, **_: 2 * g),
+)
 
 
 def _fact_context(group_id: GroupId) -> dict[str, int]:
@@ -273,23 +195,26 @@ def _fact_context(group_id: GroupId) -> dict[str, int]:
     return context
 
 
-def _fact_and_context(group_id: GroupId) -> tuple[GroupFact, dict[str, int]]:
-    """The first matching fact-table record and the context it matched in."""
+def group_fact(group_id: GroupId) -> GroupFact:
+    """The first ``FACTS`` record of the group's family that matches it."""
     context = _fact_context(group_id)
-    for fact in _load_facts():
-        if fact.family == group_id.family and _selector_matches(fact.selector, context):
-            return fact, context
+    for fact in FACTS:
+        if fact.family == group_id.family and fact.matches(**context):
+            return fact
     raise NoFactError(f"no fact-table record for {group_id.name()}")
 
 
-def group_fact(group_id: GroupId) -> GroupFact:
-    return _fact_and_context(group_id)[0]
+def _fact_bound(fact: GroupFact, group_id: GroupId) -> int:
+    value = fact.bound(**_fact_context(group_id))
+    if value < 2:
+        raise ValueError(f"bound expression {fact.bound_expr!r} did not give an integer >= 2")
+    return value
 
 
 def min_projective_degree_bound(group_id: GroupId) -> tuple[int, str]:
     """Lower bound on nontrivial projective representation degrees, with citation."""
     fact = group_fact(group_id)
-    return _eval_bound(fact.bound_expr, _fact_context(group_id)), fact.citation
+    return _fact_bound(fact, group_id), fact.citation
 
 
 # -- elementary checks -----------------------------------------------------------
@@ -362,12 +287,12 @@ def check_unbounded(group_id: GroupId, g: int) -> UnboundedCertificate | Inconcl
 
     steps: list[CertificateStep] = []
     try:
-        fact, context = _fact_and_context(group_id)
+        fact = group_fact(group_id)
     except NoFactError:
         fact, bound = None, None
 
     if fact is not None:
-        bound, citation = _eval_bound(fact.bound_expr, context), fact.citation
+        bound, citation = _fact_bound(fact, group_id), fact.citation
         # the cover rule picks R2 (Kleidman-Liebeck); every other record
         # transfers its bound by Feit-Tits (R1, R3)
         if fact.cover_rule == "kleidman_liebeck_m4":
@@ -419,7 +344,7 @@ def check_unbounded(group_id: GroupId, g: int) -> UnboundedCertificate | Inconcl
                 )
             )
             return UnboundedCertificate(name, g, steps)
-        elif fact.flags >= {"no_linear_at_min_degree", "no_real_rep_at_degree_g"} and bound == g:
+        elif fact.flags >= _R3_FLAGS and bound == g:
             steps.append(
                 CertificateStep(
                     "R3",

@@ -24,9 +24,9 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .audit import CITATIONS, audit, _load_facts
+from .audit import CITATIONS, FACTS, audit
 from .perms import ClosureLimitError
-from .probe import SAMPLE_BUDGET, PolyParseError, group_cycle_types, parse_poly, probe
+from .probe import SAMPLE_BUDGET, group_cycle_types, parse_poly, probe
 from .reps import endomorphism_algebra, heart, is_indecomposable, is_irreducible
 from .zoo import GroupSpecError, MATHIEU_DEGREES, build_group, parse_group_spec
 
@@ -38,9 +38,7 @@ EXIT_INTERNAL = 4
 
 
 def _envelope(args, payload: dict, citations: list[str]) -> dict:
-    timestamp = None
-    if getattr(args, "timestamp", False):
-        timestamp = datetime.now(timezone.utc).isoformat()
+    timestamp = datetime.now(timezone.utc).isoformat() if args.timestamp else None
     return {
         "tool": "heartlab",
         "version": __version__,
@@ -180,7 +178,7 @@ def _cmd_zoo(args) -> int:
             "citation": f.citation,
             "citation_text": CITATIONS[f.citation],
         }
-        for f in _load_facts()
+        for f in FACTS
     ]
     payload = {"families": families, "facts": facts}
     _emit(args, payload, sorted(CITATIONS), f"zoo: {len(facts)} fact records")
@@ -264,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     args.command_echo = ["heartlab", *argv]
     try:
         return args.func(args)
-    except (GroupSpecError, PolyParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # GroupSpecError and PolyParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, ClosureLimitError) as exc:

@@ -26,9 +26,12 @@
   oracle of the Jordan certificate that the audit reads instead.
 - The ``type_sets`` argument of ``probe``, built as the ``probe`` command
   builds it.
+- The reader of a fact record's printed selector text, the oracle that the
+  record's ``matches`` is checked against.
 """
 
 import itertools
+import re
 from operator import itemgetter
 
 from heartlab import fppoly, zoo
@@ -778,3 +781,38 @@ def type_sets(candidates, budget=SAMPLE_BUDGET, seed=0):
     """The ``type_sets`` argument of ``probe`` for these candidates, as the
     ``probe`` command builds it from its --budget and --seed."""
     return {c: group_cycle_types(c, budget=budget, seed=seed) for c in candidates}
+
+
+# -- the fact table's selector text ----------------------------------------------
+
+_COND_RE = re.compile(r"^(m|q|n)(>=|=|>)(\d+)$")
+
+
+def _selector_matches(selector: str, context: dict[str, int]) -> bool:
+    for cond in selector.split("&"):
+        if cond == "q_even":
+            if context.get("q", 1) % 2 != 0:
+                return False
+        elif cond == "q_odd":
+            if context.get("q", 0) % 2 != 1:
+                return False
+        elif cond.startswith("except:"):
+            pairs = cond[len("except:") :].split(";")
+            mq = f"({context.get('m')},{context.get('q')})"
+            if mq in pairs:
+                return False
+        else:
+            match = _COND_RE.match(cond)
+            if not match:
+                raise ValueError(f"bad selector condition {cond!r}")
+            name, op, value = match.group(1), match.group(2), int(match.group(3))
+            have = context.get(name)
+            if have is None:
+                return False
+            if op == "=" and have != value:
+                return False
+            if op == ">" and not have > value:
+                return False
+            if op == ">=" and not have >= value:
+                return False
+    return True

@@ -1,5 +1,6 @@
 """Fact table, unboundedness rules, and audit verdict logic."""
 
+import hashlib
 import importlib
 import json
 
@@ -8,16 +9,14 @@ import pytest
 from heartlab import cli, reps
 from heartlab.audit import (
     CITATIONS,
+    FACTS,
     AuditEvidence,
     InconclusiveUnbounded,
     NoFactError,
     UnboundedCertificate,
-    _ALLOWED_COVER_RULES,
     _branch_requirement,
     _decide,
-    _eval_bound,
     _fact_context,
-    _load_facts,
     audit,
     check_unbounded,
     cyclotomic_obstruction,
@@ -33,6 +32,7 @@ from heartlab.zoo import (
     parse_group_spec,
     prime_power_decomposition,
 )
+from support import _selector_matches
 
 
 class TestGenus:
@@ -67,19 +67,53 @@ class TestCyclotomicObstruction:
             cyclotomic_obstruction(6, 2)
 
 
+def fact_grid() -> list[GroupId]:
+    """The zoo groups the fact-table tests walk: every Mathieu group, A_n and
+    S_n for 5 <= n < 80, and PSL and PGL with q < 400 and q^m <= 10^5."""
+    ids = [GroupId("mathieu", (n,)) for n in MATHIEU_DEGREES]
+    ids += [GroupId(f, (n,)) for f in ("alternating", "symmetric") for n in range(5, 80)]
+    ids += [
+        GroupId(f, (m, q))
+        for f in ("psl", "pgl")
+        for q in range(2, 400)
+        if prime_power_decomposition(q)
+        for m in range(2, 17)
+        if q**m <= 10**5
+    ]
+    return ids
+
+
+# the record, the bound and the R0-R4 outcome of every group in fact_grid()
+# at these genera and at the group's own genus (n - 1) // 2
+FACT_GRID_GENERA = (2, 3, 4, 5, 10, 11, 40, 42, 100, 1000)
+FACT_GRID_PIN = "f92a878e3afe84c4de05d2f6d836113873a3ca984f02840f4bfbf6a49df35baf"
+
+# the flags a record may carry, and the cover rules check_unbounded handles
+FACT_FLAGS = {
+    "no_linear_at_min_degree", "no_real_rep_at_degree_g", "lie_type_char2", "wagner_char2_bound",
+}
+COVER_RULES = {"feit_tits_transfer", "kleidman_liebeck_m4"}
+
+
+def printed_bound(fact, context: dict[str, int]) -> int:
+    """The record's printed bound text, read as Python with ^ as **."""
+    return eval(fact.bound_expr.replace("^", "**"), {"__builtins__": {}}, context)
+
+
 class TestFactTable:
     def test_loads_and_validates(self):
-        facts = _load_facts()
-        assert len(facts) == 10
-        for fact in facts:
+        assert len(FACTS) == 10
+        for fact in FACTS:
             assert fact.citation in CITATIONS
+            assert fact.flags <= FACT_FLAGS
+            assert fact.cover_rule in COVER_RULES
 
     def test_every_allowed_cover_rule_is_used(self):
-        assert _ALLOWED_COVER_RULES == {fact.cover_rule for fact in _load_facts()}
+        assert COVER_RULES == {fact.cover_rule for fact in FACTS}
 
     def test_char2_flag_agrees_with_the_cover_rule(self):
         # check_unbounded dispatches on cover_rule; zoo still prints the flag
-        for fact in _load_facts():
+        for fact in FACTS:
             flags = fact.flags
             assert ("lie_type_char2" in flags) == (fact.cover_rule == "kleidman_liebeck_m4")
 
@@ -118,38 +152,53 @@ class TestFactTable:
             group_fact(gid)
 
     def test_bound_evaluator_matches_python_eval(self):
-        # every zoo group with a fact record: the evaluator gives what
-        # eval(expr with ^ as **) gives, on the same context
-        ids = [GroupId("mathieu", (n,)) for n in MATHIEU_DEGREES]
-        ids += [GroupId(f, (n,)) for f in ("alternating", "symmetric") for n in range(5, 80)]
-        ids += [
-            GroupId(f, (m, q))
-            for f in ("psl", "pgl")
-            for q in range(2, 400)
-            if prime_power_decomposition(q)
-            for m in range(2, 17)
-            if q**m <= 10**5
-        ]
+        # every zoo group with a fact record: the bound is at least 2 and is
+        # what eval(printed expr with ^ as **) gives, on the same context
         checked = 0
-        for gid in ids:
+        for gid in fact_grid():
             try:
                 fact = group_fact(gid)
             except NoFactError:
                 continue
-            context = _fact_context(gid)
-            expected = eval(fact.bound_expr.replace("^", "**"), {"__builtins__": {}}, context)
-            assert _eval_bound(fact.bound_expr, context) == expected
+            bound, _ = min_projective_degree_bound(gid)
+            assert bound == printed_bound(fact, _fact_context(gid)) >= 2
             checked += 1
         assert checked > 100
 
-    @pytest.mark.parametrize(
-        "expr",
-        ["k + 1", "q(2)", "n.bit_length()", "q**2", "__import__", "(q-1", "q-1)", "q 1",
-         "q/2", "2^(1-2)", "q//(q-q)", ""],
-    )
-    def test_bound_evaluator_rejects(self, expr):
-        with pytest.raises(ValueError):
-            _eval_bound(expr, {"m": 3, "q": 4, "n": 21, "g": 10})
+    def test_printed_text_picks_the_same_record(self):
+        # the selector and bound text that zoo prints say what the code does:
+        # the first record whose text matches is the first whose matches()
+        # does, and its bound() is eval of its text
+        for gid in fact_grid():
+            context = _fact_context(gid)
+            by_text = next(
+                (f for f in FACTS
+                 if f.family == gid.family and _selector_matches(f.selector, context)),
+                None,
+            )
+            try:
+                fact = group_fact(gid)
+            except NoFactError:
+                fact = None
+            assert fact is by_text, gid
+            if fact is not None:
+                assert fact.bound(**context) == printed_bound(fact, context), gid
+
+    def test_fact_grid_pin(self):
+        digest = hashlib.sha256()
+        for gid in fact_grid():
+            try:
+                fact = group_fact(gid)
+            except NoFactError:
+                fields = bound = None
+            else:
+                fields = (fact.family, fact.selector, fact.bound_expr, sorted(fact.flags),
+                          fact.cover_rule, fact.citation)
+                bound = min_projective_degree_bound(gid)
+            for g in (*FACT_GRID_GENERA, max(2, (gid.natural_degree - 1) // 2)):
+                outcome = (gid, fields, bound, repr(check_unbounded(gid, g)))
+                digest.update(repr(outcome).encode())
+        assert digest.hexdigest() == FACT_GRID_PIN
 
     def test_m22_flags(self):
         fact = group_fact(GroupId("mathieu", (22,)))

@@ -708,6 +708,8 @@ PROBE_PINS = {
 }
 PROBE_BATCH = "x^6-x-1\nx^6+3*x^2+2\nx^6-6*x^4+9*x^2-3\n"
 PROBE_BATCH_PIN = "89a1cf0c3882e388e0c30d6f41d4d6cec7bcdcc82f3526135a1320acc68ec86f"
+# the whole stdout of `heartlab zoo`: the families and every fact record as printed
+ZOO_STDOUT_PIN = "184307c09875e9d959ddbe70c188689aa2a19ecb5d8d118aea19c24368e01bad"
 
 
 def payload_digest(capsys, *argv, exit_code=0):
@@ -718,6 +720,11 @@ def payload_digest(capsys, *argv, exit_code=0):
 
 
 class TestPayloadPins:
+    def test_zoo_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "zoo")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ZOO_STDOUT_PIN
+
     @pytest.mark.parametrize("group,seed", list(MEATAXE_PINS))
     def test_meataxe_payload(self, capsys, group, seed):
         digest = payload_digest(capsys, "heart", group, "--meataxe", "--seed", str(seed))
