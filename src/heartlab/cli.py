@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .audit import CITATIONS, FACTS, audit
 from .perms import ClosureLimitError
-from .probe import SAMPLE_BUDGET, group_cycle_types, parse_poly, probe
+from .probe import MAX_PRIMES, SAMPLE_BUDGET, group_cycle_types, parse_poly, probe
 from .reps import endomorphism_algebra, heart, is_indecomposable, is_irreducible
 from .zoo import GroupSpecError, MATHIEU_DEGREES, build_group, parse_group_spec
 
@@ -122,6 +122,9 @@ def _cmd_probe(args) -> int:
     for option, value in (("--primes", args.primes), ("--budget", args.budget)):
         if value < 1:
             raise ValueError(f"{option} must be positive, got {value}")
+    if args.primes > MAX_PRIMES:
+        # before the sieve, whose size grows with the count
+        raise ValueError(f"--primes must be at most {MAX_PRIMES}, got {args.primes}")
     texts = []
     if args.poly is not None:
         texts.append(args.poly)

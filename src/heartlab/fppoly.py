@@ -8,12 +8,18 @@ The probe reads only factor degrees of f mod p (Dedekind), for any p, and
 learns whether f mod p is squarefree from Res(f, f') over Z (``probe``);
 ``make_field`` needs no squarefree test, since ``factor_degrees`` tells
 irreducible f from every other f.
-``distinct_degree_split`` packs each residue modulo f into one int
-(Kronecker substitution), its slots kept lazily in [0, 2p) and reduced all
-at once by a packed Barrett step, so a product modulo f is one int
-multiply, a fold of the high slots and two such steps; it computes x^p mod
-f once and gets each further Frobenius power from the rows x^(ip) mod f.
-Its gcds and exact divisions run Euclid on int lists of exact residues.
+``distinct_degree_steps`` is the one distinct-degree walk: a generator
+whose step k yields gcd(x^(p^k) - x, rest) and leaves the division by it,
+the next Frobenius power and the Q-matrix rows until it is resumed, so the
+probe stops it once the degrees found and the sign of Frobenius
+(Stickelberger's theorem) fix the cycle type; ``distinct_degree_split``
+and ``factor_degrees`` take every step.  It packs each residue modulo f
+into one int (Kronecker substitution), its slots kept lazily in [0, 2p)
+and reduced all at once by a packed Barrett step, so a product modulo f is
+one int multiply, a fold of the high slots and two such steps; it computes
+x^p mod f once and gets each further Frobenius power from the rows
+x^(ip) mod f.  Its gcds and exact divisions run Euclid on int lists of
+exact residues.
 
 The MeatAxe factors characteristic polynomials over F_2, where ``factor``
 works on Python ints, bit i the coefficient of x^i: carry-less multiply,
@@ -89,14 +95,18 @@ def _divide_exact(f: list[int], g: list[int], p: int) -> list[int]:
     return quot
 
 
-def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
-    """[(k, product of degree-k irreducible factors)] for squarefree monic f.
+def distinct_degree_steps(f: Poly, p: int):
+    """Distinct-degree splitting of monic f, one step at a time.
 
-    For any monic f of degree r, squarefree or not, the split is [(r, f)]
-    exactly when f is irreducible: a reducible f has irreducible factors of
-    degree at most r/2, and at k the least of these degrees the remainder is
-    still f (no factor of smaller degree exists), so gcd(x^(p^k) - x, f) is
-    a proper factor and (k, ...) is listed.
+    Step k yields (k, gcd(x^(p^k) - x, rest)), the product of the degree-k
+    irreducible factors of the rest (for squarefree f), and may be trivial,
+    (1,); the rest is f divided by every earlier step's product.  The steps
+    run while the rest has degree at least 2k; then the rest, when it has
+    positive degree, is yielded whole as the last step, (deg rest, rest).
+    Nothing of step k + 1 is done until the consumer asks for it: neither
+    the exact division by step k's product, nor the next Frobenius power,
+    nor, before step 2, the Q-matrix rows.  So a consumer that learns the
+    rest's factor degrees some other way can stop after any step.
 
     A residue modulo f (degree n) is one int with n slots of w bits, slot i
     the coefficient of x^i (Kronecker substitution; von zur Gathen and
@@ -113,7 +123,6 @@ def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
     which divides f.
     """
     f = monic(f, p)
-    out = []
     n = degree(f)
     if n >= 2:
         # every slot red() reads or the Euclid unpacks is below bound: a
@@ -167,29 +176,44 @@ def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
             if bit == "1":
                 h <<= w
             h = fold(h)
-        rows = [1, h]
-        for _ in range(n - 2):
-            rows.append(fold(rows[-1] * h))
+        rows = None
         power = coefficients(h)  # x^(p^k) mod f
 
         rem = list(f)
         k = 1
-        while 2 * k <= len(rem) - 1:
+        while True:
             diff = list(power)
             diff[1] = (diff[1] - 1) % p
             while diff and not diff[-1]:
                 diff.pop()
             g = _euclid(list(rem), diff, p)
+            yield k, tuple(g)
             if len(g) > 1:
-                out.append((k, tuple(g)))
                 rem = _divide_exact(rem, g, p)
             k += 1
-            if 2 * k <= len(rem) - 1:
-                power = coefficients(sum(map(operator.mul, power, rows)))
+            if 2 * k > len(rem) - 1:
+                break
+            if rows is None:
+                rows = [1, h]
+                for _ in range(n - 2):
+                    rows.append(fold(rows[-1] * h))
+            power = coefficients(sum(map(operator.mul, power, rows)))
         f = tuple(rem)
     if degree(f) > 0:
-        out.append((degree(f), f))
-    return out
+        yield degree(f), f
+
+
+def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
+    """[(k, product of degree-k irreducible factors)] for squarefree monic f:
+    the nontrivial steps of ``distinct_degree_steps``, every one taken.
+
+    For any monic f of degree r, squarefree or not, the split is [(r, f)]
+    exactly when f is irreducible: a reducible f has irreducible factors of
+    degree at most r/2, and at k the least of these degrees the remainder is
+    still f (no factor of smaller degree exists), so gcd(x^(p^k) - x, f) is
+    a proper factor and (k, ...) is listed.
+    """
+    return [(k, g) for k, g in distinct_degree_steps(f, p) if len(g) > 1]
 
 
 def factor_degrees(f: Poly, p: int) -> list[int]:

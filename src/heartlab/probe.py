@@ -254,16 +254,54 @@ def cycle_type_mod_p(poly: IntPolynomial, p: int, derivative_resultant: int) -> 
     divides deg f or f' vanishes mod p (the Sylvester matrix reduces mod p,
     and lc(f) is a unit).  ``derivative_resultant`` is Res(f, f'), which
     ``probe`` computes once per polynomial.
+
+    At odd p the distinct-degree walk stops as soon as the degrees found and
+    the sign of Frobenius fix the cycle type.  By Stickelberger's theorem
+    (Swan, Pacific J. Math. 12 (1962), 1099-1106, Cor. 1), for f squarefree
+    mod p, Frobenius is an even permutation of the roots exactly when
+    disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f) is a square mod p; a
+    degree-j factor is a j-cycle, of sign (-1)^(j-1).  After step k every
+    factor of the rest, of degree r, has degree at least K = k + 1, so the
+    rest has at most two factors when r < 3K, and the sign tells one factor,
+    (-1)^(r-1), from two, (-1)^r.  The walk stops when r < 2K, when r < 3K
+    and the sign is an r-cycle's, and when r is 2K or 2K + 1 and the sign is
+    that of two factors, which can then only be (K, r - K).  That last rule
+    needs 2K + 1 < 3K, so it never runs before step 1: at K = 1 a cubic rest
+    may be (1, 1, 1).
     """
     if poly.leading % p == 0:
         raise ValueError(f"prime {p} divides the leading coefficient")
     if derivative_resultant % p == 0:
         return None
-    fbar = fppoly.monic(fppoly.normalize(poly.coeffs, p), p)
-    return CycleType(tuple(fppoly.factor_degrees(fbar, p)))
+    inv = pow(poly.leading, -1, p)
+    fbar = tuple([c * inv % p for c in poly.coeffs])
+    if p == 2:  # no Legendre symbol mod 2: every step is taken
+        return CycleType(tuple(fppoly.factor_degrees(fbar, p)))
+    n = poly.degree
+    # disc(f) lc(f)^2, a square mod p exactly when disc(f) is
+    square_class = (-1) ** (n * (n - 1) // 2) * derivative_resultant * poly.leading
+    odd = pow(square_class % p, (p - 1) // 2, p) != 1  # Frobenius is odd on the rest
+    lengths = []
+    rest = n
+    for k, g in fppoly.distinct_degree_steps(fbar, p):
+        j = len(g) - 1
+        lengths += [k] * (j // k)
+        odd ^= (j // k) * (k - 1) % 2 == 1
+        rest -= j
+        least = k + 1
+        # an r-cycle is odd exactly when r is even
+        if rest < 2 * least or rest < 3 * least and odd == (rest % 2 == 0):
+            if rest:
+                lengths.append(rest)
+            break
+        if rest <= 2 * least + 1:
+            lengths += [least, rest - least]
+            break
+    return CycleType(tuple(lengths))
 
 
 SAMPLE_BUDGET = 2000  # elements ``probe --budget`` samples by default
+MAX_PRIMES = 10**6  # most primes one probe factors at; their sieve spans 1.6e7 bytes
 
 
 def _partitions(n: int, largest: int | None = None):
@@ -384,6 +422,8 @@ def probe(poly: IntPolynomial, prime_count: int, candidates: list[GroupId],
     """
     if prime_count < 1:
         raise ValueError(f"prime_count must be positive, got {prime_count}")
+    if prime_count > MAX_PRIMES:
+        raise ValueError(f"prime_count must be at most {MAX_PRIMES}, got {prime_count}")
     for candidate in candidates:
         if candidate.natural_degree != poly.degree:
             raise ValueError(

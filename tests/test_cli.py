@@ -81,6 +81,21 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {option} must be positive, got {value}\n"
 
+    @pytest.mark.parametrize("value", [10**6 + 1, 3 * 10**8])
+    def test_probe_prime_count_above_the_bound_exit_one(self, capsys, monkeypatch, value):
+        # checked before the sieve: a count this large never builds one
+        def refuse(count, leading):
+            raise AssertionError(f"sieve built for {count} primes")
+
+        monkeypatch.setattr(importlib.import_module("heartlab.probe"), "primes_coprime_to", refuse)
+        code, out, err = run_cli(capsys, "probe", "x^5-x-1", "--primes", str(value))
+        assert (code, out) == (1, "")
+        assert err == f"error: --primes must be at most 1000000, got {value}\n"
+        # the bound itself passes the check and reaches the sieve
+        code, out, err = run_cli(capsys, "probe", "x^5-x-1", "--primes", "1000000")
+        assert (code, out) == (4, "")
+        assert err == "error: internal check failed: sieve built for 1000000 primes\n"
+
     @pytest.mark.parametrize("name", ["PSL(2,10000000000000061)", "PSL(2,1000000000000000003)",
                                       "PSL(100000000,2)"])
     def test_huge_projective_parameters_fail_fast(self, capsys, name):

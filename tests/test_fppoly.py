@@ -261,6 +261,24 @@ class TestDistinctDegreeSplit:
         f = mul(quadratics, (0, 1), 3)
         assert fppoly.distinct_degree_split(f, 3) == [(1, (0, 1)), (2, quadratics)]
 
+    def test_steps_wait_for_the_consumer(self, monkeypatch):
+        # x (x^2 + 1) (x^3 + 2x + 1) over F_3, the cubic without a root: the
+        # division by a step's product waits until the walk is resumed
+        divide = fppoly._divide_exact
+        divisions = []
+        monkeypatch.setattr(fppoly, "_divide_exact",
+                            lambda f, g, p: divisions.append(tuple(g)) or divide(f, g, p))
+        cubic = (1, 2, 0, 1)
+        steps = fppoly.distinct_degree_steps(mul(mul((0, 1), (1, 0, 1), 3), cubic, 3), 3)
+        assert next(steps) == (1, (0, 1)) and divisions == []
+        assert next(steps) == (2, (1, 0, 1)) and divisions == [(0, 1)]
+        assert list(steps) == [(3, cubic)] and divisions == [(0, 1), (1, 0, 1)]
+        # a step may find nothing; the split leaves it out
+        f = mul((1, 0, 1), cubic, 3)
+        assert list(fppoly.distinct_degree_steps(f, 3)) == [(1, (1,)), (2, (1, 0, 1)), (3, cubic)]
+        assert fppoly.distinct_degree_split(f, 3) == [(2, (1, 0, 1)), (3, cubic)]
+
+
 class TestArithmetic:
     """The tuple arithmetic the oracles are built from."""
 

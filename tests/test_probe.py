@@ -1,6 +1,9 @@
 """Polynomial parsing, Frobenius cycle types, and probe soundness."""
 
+import collections
 import hashlib
+import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +14,7 @@ from heartlab import fppoly
 from heartlab.fields import is_prime
 from heartlab.perms import CycleType
 from heartlab.probe import (
+    MAX_PRIMES,
     SAMPLE_BUDGET,
     IntPolynomial,
     PolyParseError,
@@ -80,6 +84,22 @@ def tuple_cycle_type_mod_p(poly: IntPolynomial, p: int):
     for k, product in tuple_distinct_degree_split(fbar, p):
         degrees += [k] * (fppoly.degree(product) // k)
     return CycleType(tuple(degrees))
+
+
+def legendre(a: int, p: int) -> int:
+    """(a / p) by Euler's criterion, for an odd prime p (test oracle)."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def discriminant(poly: IntPolynomial) -> int:
+    """disc f = (-1)^(n(n-1)/2) Res(f, f') / lc(f), the resultant from the
+    Sylvester matrix (test oracle)."""
+    n = poly.degree
+    res = sylvester_resultant(poly.coeffs, int_derivative(poly.coeffs))
+    quotient, remainder = divmod((-1) ** (n * (n - 1) // 2) * res, poly.leading)
+    assert remainder == 0
+    return quotient
 
 
 def trial_division_primes_coprime_to(count: int, leading: int) -> list[int]:
@@ -276,6 +296,64 @@ class TestCycleTypeModP:
                 ramified += not expected
         assert ramified > 40  # every p dividing a discriminant, not one per polynomial
 
+    def test_sign_of_frobenius_is_the_discriminant_symbol(self):
+        # Stickelberger (Swan 1962, Cor. 1): at a good odd prime, Frobenius
+        # is even exactly when disc f is a square mod p; the primes are the
+        # ones the two tests above compare
+        cases = [(f, primes_coprime_to(12, 1)) for f in self.X_N_MINUS_X_MINUS_1]
+        for f in self.NON_MONIC:
+            primes = primes_coprime_to(500, f.leading)
+            cases.append((f, primes[:10] + primes[10::70]))
+        checked = 0
+        for f, primes in cases:
+            disc = discriminant(f)
+            for p in primes:
+                ctype = tuple_cycle_type_mod_p(f, p) if p > 2 else None
+                if ctype is not None:
+                    assert legendre(disc, p) == (-1) ** (f.degree - len(ctype.lengths)), (f, p)
+                    checked += 1
+        assert checked > 700
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_every_monic_of_degree_2_to_4_matches_tuple_oracle(self, p):
+        # every monic f over F_p, lifted to Z with coefficients in [0, p);
+        # the cubics include (1, 1, 1), which has the sign of (3): before
+        # the first gcd the degrees and the sign cannot tell them apart
+        seen = set()
+        for n in (2, 3, 4):
+            for tail in itertools.product(range(p), repeat=n):
+                f = IntPolynomial(tail + (1,))
+                ctype = cycle_type_mod_p(f, p, resultant(f.coeffs, f.derivative()))
+                assert ctype == tuple_cycle_type_mod_p(f, p), (tail, p)
+                seen.add(ctype)
+        expected = {(2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 2), (2, 1, 1),
+                    (1, 1, 1, 1)}
+        # F_2 has two monic linear polynomials and one irreducible quadratic,
+        # F_3 three linear ones
+        if p == 2:
+            expected -= {(1, 1, 1), (2, 2), (1, 1, 1, 1)}
+        if p == 3:
+            expected -= {(1, 1, 1, 1)}
+        assert {t.lengths for t in seen if t is not None} == expected
+
+    def test_non_square_leading_p_dividing_n_and_p_two_match_tuple_oracle(self):
+        rng = random.Random(31)
+        seen = collections.Counter()
+        for _ in range(80):
+            n = rng.randrange(2, 13)
+            lead = rng.choice((-1, 1)) * rng.choice((2, 3, 5, 6, 7, 10, 11, 13))
+            f = IntPolynomial(tuple(rng.randrange(-30, 31) for _ in range(n)) + (lead,))
+            res = resultant(f.coeffs, f.derivative())
+            for p in primes_coprime_to(40, lead):
+                cases = {"p = 2": p == 2, "p | n": n % p == 0,
+                         "non-square lc": p > 2 and legendre(lead, p) == -1}
+                if any(cases.values()):
+                    ctype = cycle_type_mod_p(f, p, res)
+                    assert ctype == tuple_cycle_type_mod_p(f, p), (f, p)
+                    if ctype is not None:
+                        seen.update(case for case, hit in cases.items() if hit)
+        assert min(seen[case] for case in ("p = 2", "p | n", "non-square lc")) >= 20, seen
+
     @pytest.mark.parametrize("p", [65537, 2**31 - 1])
     def test_large_primes_match_tuple_oracle(self, p):
         for f in self.X_N_MINUS_X_MINUS_1[::3] + self.NON_MONIC[::4]:
@@ -416,6 +494,18 @@ class TestProbe:
         with pytest.raises(ValueError, match=f"prime_count must be positive, got {count}"):
             a5 = [GroupId("alternating", (5,))]
             probe(parse_poly("x^5-x-1"), count, a5, type_sets(a5), seed=0)
+
+    def test_prime_count_above_the_bound_rejected_before_the_sieve(self, monkeypatch):
+        def refuse(count, leading):
+            raise AssertionError(f"sieve built for {count} primes")
+
+        monkeypatch.setattr(importlib.import_module("heartlab.probe"), "primes_coprime_to", refuse)
+        s5 = [GroupId("symmetric", (5,))]
+        for count in (MAX_PRIMES + 1, 3 * 10**8):
+            with pytest.raises(ValueError, match=f"prime_count must be at most 1000000, got {count}"):
+                probe(parse_poly("x^5-x-1"), count, s5, type_sets(s5), seed=0)
+        with pytest.raises(AssertionError, match="sieve built for 1000000 primes"):
+            probe(parse_poly("x^5-x-1"), MAX_PRIMES, s5, type_sets(s5), seed=0)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
