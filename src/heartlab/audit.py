@@ -31,6 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import zoo
+from .fields import is_prime
 from .perms import jordan_certificate
 from .reps import endomorphism_algebra, heart, is_indecomposable, is_irreducible
 from .zoo import GroupId, GroupSpecError, build_group
@@ -229,8 +230,6 @@ def genus_of(n: int) -> int:
 
 def cyclotomic_obstruction(order: int, dim: int) -> bool:
     """True iff rational matrices of size dim admit no element of prime order."""
-    from .fields import is_prime
-
     if not is_prime(order):
         raise ValueError("order must be prime")
     if dim < 1:

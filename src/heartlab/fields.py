@@ -26,15 +26,25 @@ import operator
 from . import fppoly
 
 
+def prime_power_decomposition(q: int) -> tuple[int, int] | None:
+    """(p, r) with q == p^r, or None if q is not a prime power."""
+    if q < 2:
+        return None
+    for p in range(2, q + 1):
+        if p * p > q:
+            break
+        if q % p == 0:
+            r = 0
+            rest = q
+            while rest % p == 0:
+                rest //= p
+                r += 1
+            return (p, r) if rest == 1 else None
+    return (q, 1)  # q itself is prime
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_power_decomposition(n) == (n, 1)
 
 
 class FieldSpec:
@@ -163,10 +173,15 @@ def make_field(p: int, r: int) -> FieldSpec:
     """GF(p^r) with the lexicographically smallest monic irreducible modulus.
 
     Candidate moduli x^r + c_{r-1} x^{r-1} + ... + c_0 are compared by the
-    tuple (c_0, ..., c_{r-1}), low-degree coefficient first.  A candidate is
-    irreducible iff ``factor_degrees`` gives one factor of degree r, also
-    when it is not squarefree (``distinct_degree_split``); c_0 = 0 means x
-    divides it, which rules it out before any factoring.
+    tuple (c_0, ..., c_{r-1}), low-degree coefficient first; c_0 = 0 means x
+    divides the candidate, which rules it out before any factoring.  The
+    others are read up to the first nontrivial step of
+    ``fppoly.distinct_degree_steps``, which is step r exactly when the
+    candidate is irreducible, also when it is not squarefree: a reducible
+    candidate has an irreducible factor of degree at most r/2, and at k the
+    least such degree the rest is still the whole candidate (no factor of
+    smaller degree exists), so gcd(x^(p^k) - x, candidate) is a proper
+    factor and step k is nontrivial.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -176,7 +191,8 @@ def make_field(p: int, r: int) -> FieldSpec:
         return FieldSpec(p, 1, (0, 1))  # modulus x, i.e. the prime field
     for tail in product(range(p), repeat=r):
         modulus = tail + (1,)
-        if tail[0] and fppoly.factor_degrees(modulus, p) == [r]:
+        if tail[0] and next(k for k, g in fppoly.distinct_degree_steps(modulus, p)
+                            if len(g) > 1) == r:
             return FieldSpec(p, r, modulus)
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 

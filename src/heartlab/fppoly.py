@@ -5,21 +5,20 @@ Polynomials are tuples of coefficients in [0, p), constant term first, with
 no trailing zeros (the zero polynomial is the empty tuple).
 
 The probe reads only factor degrees of f mod p (Dedekind), for any p, and
-learns whether f mod p is squarefree from Res(f, f') over Z (``probe``);
-``make_field`` needs no squarefree test, since ``factor_degrees`` tells
-irreducible f from every other f.
+learns whether f mod p is squarefree from Res(f, f') over Z (``probe``).
 ``distinct_degree_steps`` is the one distinct-degree walk: a generator
 whose step k yields gcd(x^(p^k) - x, rest) and leaves the division by it,
-the next Frobenius power and the Q-matrix rows until it is resumed, so the
-probe stops it once the degrees found and the sign of Frobenius
-(Stickelberger's theorem) fix the cycle type; ``distinct_degree_split``
-and ``factor_degrees`` take every step.  It packs each residue modulo f
-into one int (Kronecker substitution), its slots kept lazily in [0, 2p)
-and reduced all at once by a packed Barrett step, so a product modulo f is
-one int multiply, a fold of the high slots and two such steps; it computes
-x^p mod f once and gets each further Frobenius power from the rows
-x^(ip) mod f.  Its gcds and exact divisions run Euclid on int lists of
-exact residues.
+the next Frobenius power and the Q-matrix rows until it is resumed.  The
+probe stops it at every p once the degrees found and the sign of Frobenius
+(Stickelberger's theorem) fix the cycle type; ``make_field`` stops it at
+its first nontrivial step, which is step r exactly for irreducible f of
+degree r, squarefree or not, so it needs no squarefree test.  The walk
+packs each residue modulo f into one int (Kronecker substitution), its
+slots kept lazily in [0, 2p) and reduced all at once by a packed Barrett
+step, so a product modulo f is one int multiply, a fold of the high slots
+and two such steps; it computes x^p mod f once and gets each further
+Frobenius power from the rows x^(ip) mod f.  Its gcds and exact divisions
+run Euclid on int lists of exact residues.
 
 The MeatAxe factors characteristic polynomials over F_2, where ``factor``
 works on Python ints, bit i the coefficient of x^i: carry-less multiply,
@@ -203,28 +202,6 @@ def distinct_degree_steps(f: Poly, p: int):
         yield degree(f), f
 
 
-def distinct_degree_split(f: Poly, p: int) -> list[tuple[int, Poly]]:
-    """[(k, product of degree-k irreducible factors)] for squarefree monic f:
-    the nontrivial steps of ``distinct_degree_steps``, every one taken.
-
-    For any monic f of degree r, squarefree or not, the split is [(r, f)]
-    exactly when f is irreducible: a reducible f has irreducible factors of
-    degree at most r/2, and at k the least of these degrees the remainder is
-    still f (no factor of smaller degree exists), so gcd(x^(p^k) - x, f) is
-    a proper factor and (k, ...) is listed.
-    """
-    return [(k, g) for k, g in distinct_degree_steps(f, p) if len(g) > 1]
-
-
-def factor_degrees(f: Poly, p: int) -> list[int]:
-    """Degrees (with multiplicity) of the irreducible factors of squarefree f;
-    for any f of degree r, [r] exactly when f is irreducible."""
-    out = []
-    for k, product in distinct_degree_split(f, p):
-        out.extend([k] * (degree(product) // k))
-    return sorted(out)
-
-
 def factor(f: Poly, p: int, rng: SplitMix64) -> list[tuple[Poly, int]]:
     """Full monic factorization [(irreducible, multiplicity)] over F_2, sorted.
 
@@ -295,7 +272,8 @@ def _gcd2(a: int, b: int) -> int:
 
 
 def _distinct_degree_split2(f: int) -> list[tuple[int, int]]:
-    """distinct_degree_split for p = 2 on ints."""
+    """[(k, product of the degree-k irreducible factors)] for squarefree f
+    over F_2, every step taken, on ints."""
     out = []
     h = _mod2(0b10, f)
     k = 0

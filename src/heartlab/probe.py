@@ -15,7 +15,7 @@ from math import gcd, isqrt, log
 
 from . import fppoly
 from .perms import CLOSURE_LIMIT, CycleType, cycle_type, identity
-from .zoo import GroupId, build_group
+from .zoo import SUPPORTED_SCALE, GroupId, build_group
 
 
 class PolyParseError(ValueError):
@@ -83,7 +83,9 @@ def parse_poly(text: str) -> IntPolynomial:
 
     Grammar: terms joined by + and -, each term an integer, x, x^k, or a
     coefficient times a power of x ('*' optional: "2x^2" == "2*x^2");
-    parentheses are allowed only around the whole expression.
+    parentheses are allowed only around the whole expression.  An exponent
+    above ``zoo.SUPPORTED_SCALE`` is refused before any coefficient list is
+    built.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -140,7 +142,10 @@ def parse_poly(text: str) -> IntPolynomial:
                 if i >= len(tokens) or tokens[i][0] != "int":
                     where = tokens[i][2] if i < len(tokens) else pos
                     raise PolyParseError("expected integer exponent after '^'", where)
-                exponent = tokens[i][1]
+                exponent, pos = tokens[i][1:]
+                if exponent > SUPPORTED_SCALE:  # no candidate acts on more points
+                    raise PolyParseError(
+                        f"exponent must be at most {SUPPORTED_SCALE}, got {exponent}", pos)
                 i += 1
         elif not have_coefficient:
             raise PolyParseError("expected a coefficient or x", pos)
@@ -255,19 +260,22 @@ def cycle_type_mod_p(poly: IntPolynomial, p: int, derivative_resultant: int) -> 
     and lc(f) is a unit).  ``derivative_resultant`` is Res(f, f'), which
     ``probe`` computes once per polynomial.
 
-    At odd p the distinct-degree walk stops as soon as the degrees found and
-    the sign of Frobenius fix the cycle type.  By Stickelberger's theorem
-    (Swan, Pacific J. Math. 12 (1962), 1099-1106, Cor. 1), for f squarefree
-    mod p, Frobenius is an even permutation of the roots exactly when
-    disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f) is a square mod p; a
-    degree-j factor is a j-cycle, of sign (-1)^(j-1).  After step k every
-    factor of the rest, of degree r, has degree at least K = k + 1, so the
-    rest has at most two factors when r < 3K, and the sign tells one factor,
-    (-1)^(r-1), from two, (-1)^r.  The walk stops when r < 2K, when r < 3K
-    and the sign is an r-cycle's, and when r is 2K or 2K + 1 and the sign is
-    that of two factors, which can then only be (K, r - K).  That last rule
-    needs 2K + 1 < 3K, so it never runs before step 1: at K = 1 a cubic rest
-    may be (1, 1, 1).
+    The distinct-degree walk stops as soon as the degrees found and the sign
+    of Frobenius fix the cycle type.  By Stickelberger's theorem (Swan,
+    Pacific J. Math. 12 (1962), 1099-1106, Cor. 1), stated over any local
+    field, Q_2 included, for f squarefree mod p Frobenius is an even
+    permutation of the roots exactly when disc(f) = (-1)^(n(n-1)/2)
+    Res(f, f') / lc(f) is a square in Q_p.  At odd p that is a square mod p
+    (Euler's criterion); at p = 2 disc(f) is an odd 2-adic unit, a square
+    exactly when it is 1 mod 8.  The walk reads disc(f) lc(f)^2, in the same
+    square class, and a degree-j factor is a j-cycle, of sign (-1)^(j-1).
+    After step k every factor of the rest, of degree r, has degree at least
+    K = k + 1, so the rest has at most two factors when r < 3K, and the sign
+    tells one factor, (-1)^(r-1), from two, (-1)^r.  The walk stops when
+    r < 2K, when r < 3K and the sign is an r-cycle's, and when r is 2K or
+    2K + 1 and the sign is that of two factors, which can then only be
+    (K, r - K).  That last rule needs 2K + 1 < 3K, so it never runs before
+    step 1: at K = 1 a cubic rest may be (1, 1, 1).
     """
     if poly.leading % p == 0:
         raise ValueError(f"prime {p} divides the leading coefficient")
@@ -275,12 +283,14 @@ def cycle_type_mod_p(poly: IntPolynomial, p: int, derivative_resultant: int) -> 
         return None
     inv = pow(poly.leading, -1, p)
     fbar = tuple([c * inv % p for c in poly.coeffs])
-    if p == 2:  # no Legendre symbol mod 2: every step is taken
-        return CycleType(tuple(fppoly.factor_degrees(fbar, p)))
     n = poly.degree
-    # disc(f) lc(f)^2, a square mod p exactly when disc(f) is
+    # disc(f) lc(f)^2, a square exactly when disc(f) is, and Frobenius is odd
+    # on the rest exactly when it is not
     square_class = (-1) ** (n * (n - 1) // 2) * derivative_resultant * poly.leading
-    odd = pow(square_class % p, (p - 1) // 2, p) != 1  # Frobenius is odd on the rest
+    if p == 2:
+        odd = square_class % 8 != 1
+    else:
+        odd = pow(square_class % p, (p - 1) // 2, p) != 1
     lengths = []
     rest = n
     for k, g in fppoly.distinct_degree_steps(fbar, p):

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial, gcd
 import re
 
-from .fields import FieldSpec, make_field, point_ranks, projective_points
+from .fields import FieldSpec, make_field, point_ranks, prime_power_decomposition, projective_points
 from .perms import PermGroup, Permutation, from_cycles
 
 # Conway et al., ATLAS of Finite Groups (1985): |M11|, |M12|, |M22|, |M23|, |M24|
@@ -138,23 +138,6 @@ class GroupId:
         letter = {"symmetric": "S", "alternating": "A", "mathieu": "M",
                   "cyclic": "C", "dihedral": "D"}[self.family]
         return f"{letter}{self.parameters[0]}"
-
-
-def prime_power_decomposition(q: int) -> tuple[int, int] | None:
-    """(p, r) with q == p^r, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            break
-        if q % p == 0:
-            r = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                r += 1
-            return (p, r) if rest == 1 else None
-    return (q, 1)  # q itself is prime
 
 
 def symmetric_generators(n: int) -> list[Permutation]:

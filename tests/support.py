@@ -145,7 +145,8 @@ def brute_force_irreducible(f, p):
 
 
 def tuple_distinct_degree_split(f, p):
-    """distinct_degree_split as one pow_mod per degree on tuples."""
+    """The nontrivial steps of ``fppoly.distinct_degree_steps``, by one
+    pow_mod per degree on tuples."""
     x = (0, 1)
     f = monic(f, p)
     out = []

@@ -67,6 +67,11 @@ class TestExitCodes:
         assert code == 1
         assert "parenthes" in err
 
+    def test_probe_exponent_above_the_supported_scale_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "probe", "x^100001", "--primes", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: exponent must be at most 100000, got 100001 (at position 2)\n"
+
     def test_probe_degree_mismatch_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "probe", "x^4+1", "--candidates", "S5")
         assert code == 1

@@ -110,7 +110,10 @@ class TestMakeField:
         assert digest == "ced2d8a37ed2e7da63c68f0cd9c2af9d5d62459aa985d3ce2648ac4760f2b3c4"
 
     def test_is_prime(self):
-        assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert [n for n in range(-3, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        # read off prime_power_decomposition, against division by every d < n
+        assert [n for n in range(2, 2000) if is_prime(n)] == [
+            n for n in range(2, 2000) if all(n % d for d in range(2, n))]
 
 
 class TestArithmetic:

@@ -2,8 +2,9 @@
 
 The int-encoded F_2 ``factor`` is cross-checked against ``tuple_factor2``,
 the coefficient-tuple Cantor-Zassenhaus with the trace map it replaced, and
-the packed ``distinct_degree_split`` against the tuple one-``pow_mod``-per-
-degree loop of ``support``; both are kept as test oracles.
+the nontrivial steps of the packed ``distinct_degree_steps`` walk against
+the tuple one-``pow_mod``-per-degree loop of ``support``; both are kept as
+test oracles.
 """
 
 import itertools
@@ -174,6 +175,12 @@ def random_squarefree(rng, d, p):
             return f
 
 
+def split(f, p):
+    """The nontrivial steps of the walk, every one taken: [(k, product of the
+    degree-k irreducible factors)] for squarefree monic f."""
+    return [(k, g) for k, g in fppoly.distinct_degree_steps(f, p) if len(g) > 1]
+
+
 PRIMES = (2, 3, 5, 7, 101, 7919, 65537)
 # a residue slot holds 130 + 69 bits (bound, then quotient) at degree 40
 # and p = 2^61 - 1
@@ -188,18 +195,18 @@ class TestDistinctDegreeSplit:
             for _ in range(120):
                 f = squarefree_test_poly(rng, p)
                 degrees.add(degree(f))
-                assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+                assert split(f, p) == tuple_distinct_degree_split(f, p)
         assert degrees == set(range(1, 17))
         # the slot-width limits: every degree up to 40 and p up to 2^61 - 1
         cases = [(d, PRIMES[d % len(PRIMES)]) for d in range(17, 41)]
         cases += [(d, p) for p in WIDE_PRIMES for d in (24, 33, 40)]
         for d, p in cases:
             f = squarefree_product(rng, d, p)
-            assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+            assert split(f, p) == tuple_distinct_degree_split(f, p)
         for p in WIDE_PRIMES:
             for _ in range(8):
                 f = squarefree_test_poly(rng, p)
-                assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+                assert split(f, p) == tuple_distinct_degree_split(f, p)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_narrowest_slots(self, p):
@@ -209,24 +216,24 @@ class TestDistinctDegreeSplit:
         for d in range(1, 21):
             for _ in range(6):
                 f = squarefree_product(rng, d, p)
-                assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+                assert split(f, p) == tuple_distinct_degree_split(f, p)
 
     @pytest.mark.parametrize("p", [65537, 2**31 - 1, 2**61 - 1])
     def test_wide_primes_every_degree(self, p):
         rng = random.Random(p % 1000)
         for d in range(1, 13):
             f = random_squarefree(rng, d, p)
-            assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+            assert split(f, p) == tuple_distinct_degree_split(f, p)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 65537, 2**61 - 1])
     def test_degrees_one_and_two(self, p):
         # below the packed kernel (n = 1) and its smallest table (n = 2)
         for f in [(0, 1), (1, 1), (p - 1, 1)]:
-            assert fppoly.distinct_degree_split(f, p) == [(1, f)]
+            assert split(f, p) == [(1, f)]
         rng = random.Random(p)
         for _ in range(20):
             f = random_squarefree(rng, 2, p)
-            assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+            assert split(f, p) == tuple_distinct_degree_split(f, p)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -236,18 +243,18 @@ class TestDistinctDegreeSplit:
     def test_matches_tuple_oracle_property(self, p, tail):
         f = normalize(tail + [1], p)
         assume(is_squarefree(f, p))
-        assert fppoly.distinct_degree_split(f, p) == tuple_distinct_degree_split(f, p)
+        assert split(f, p) == tuple_distinct_degree_split(f, p)
 
     @pytest.mark.parametrize("p,max_degree", [(2, 10), (3, 6), (5, 4)])
     def test_one_factor_exactly_when_irreducible(self, p, max_degree):
         # every monic f with a nonzero constant term, squarefree or not:
-        # make_field reads factor_degrees(f, p) == [deg f] as irreducibility
+        # make_field reads a first nontrivial step at k = deg f as irreducibility
         repeated = 0
         for d in range(1, max_degree + 1):
             for tail in itertools.product(range(p), repeat=d):
                 if tail[0]:
                     f = tail + (1,)
-                    assert (fppoly.factor_degrees(f, p) == [d]) == brute_force_irreducible(f, p), f
+                    assert (split(f, p)[0][0] == d) == brute_force_irreducible(f, p), f
                     repeated += not is_squarefree(f, p)
         assert repeated > 0
 
@@ -255,11 +262,11 @@ class TestDistinctDegreeSplit:
         # x^p - x is the product of every linear factor over F_p
         for p in (2, 3, 5, 7, 11, 13):
             f = normalize([0, -1] + [0] * (p - 2) + [1], p)
-            assert fppoly.distinct_degree_split(f, p) == [(1, f)]
+            assert split(f, p) == [(1, f)]
         # the three irreducible quadratics over F_3 and x: one product each
         quadratics = mul(mul((1, 0, 1), (2, 1, 1), 3), (2, 2, 1), 3)
         f = mul(quadratics, (0, 1), 3)
-        assert fppoly.distinct_degree_split(f, 3) == [(1, (0, 1)), (2, quadratics)]
+        assert split(f, 3) == [(1, (0, 1)), (2, quadratics)]
 
     def test_steps_wait_for_the_consumer(self, monkeypatch):
         # x (x^2 + 1) (x^3 + 2x + 1) over F_3, the cubic without a root: the
@@ -276,7 +283,7 @@ class TestDistinctDegreeSplit:
         # a step may find nothing; the split leaves it out
         f = mul((1, 0, 1), cubic, 3)
         assert list(fppoly.distinct_degree_steps(f, 3)) == [(1, (1,)), (2, (1, 0, 1)), (3, cubic)]
-        assert fppoly.distinct_degree_split(f, 3) == [(2, (1, 0, 1)), (3, cubic)]
+        assert split(f, 3) == [(2, (1, 0, 1)), (3, cubic)]
 
 
 class TestArithmetic:
@@ -344,12 +351,11 @@ class TestFactorization:
 
     def test_distinct_degree_degrees(self):
         # x^5 + x + 1 = (x^2+x+1)(x^3+x^2+1) over F_2
-        assert fppoly.factor_degrees((1, 1, 0, 0, 0, 1), 2) == [2, 3]
+        assert split((1, 1, 0, 0, 0, 1), 2) == [(2, (1, 1, 1)), (3, (1, 0, 1, 1))]
 
     def test_x4_plus_1_splits_mod_every_odd_prime(self):
         for p in (3, 5, 7, 11, 13, 17, 19, 23):
-            degrees = fppoly.factor_degrees(fppoly.normalize((1, 0, 0, 0, 1), p), p)
-            assert max(degrees) <= 2
+            assert max(k for k, _ in split(fppoly.normalize((1, 0, 0, 0, 1), p), p)) <= 2
 
     def test_determinism_with_fixed_seed(self):
         f = fppoly.normalize([1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1], 2)

@@ -155,6 +155,14 @@ class TestParse:
         with pytest.raises((PolyParseError, ValueError)):
             parse_poly("5")
 
+    def test_exponent_above_the_supported_scale_rejected(self):
+        # refused at the exponent, before a coefficient list of that length
+        for text, position in [("x^100001", 2), ("x^2 + 3x^100001 - 1", 9)]:
+            with pytest.raises(PolyParseError) as info:
+                parse_poly(text)
+            assert info.value.position == position
+        assert parse_poly("x^100000-x-1").degree == 100000
+
     def test_roundtrip_corpus_of_100(self):
         rng = random.Random(99)
         for _ in range(100):
@@ -297,22 +305,51 @@ class TestCycleTypeModP:
         assert ramified > 40  # every p dividing a discriminant, not one per polynomial
 
     def test_sign_of_frobenius_is_the_discriminant_symbol(self):
-        # Stickelberger (Swan 1962, Cor. 1): at a good odd prime, Frobenius
-        # is even exactly when disc f is a square mod p; the primes are the
-        # ones the two tests above compare
+        # Stickelberger (Swan 1962, Cor. 1): at a good prime, Frobenius is
+        # even exactly when disc f is a square in Q_p: a square mod p at odd
+        # p, 1 mod 8 at p = 2; the primes are the ones the two tests above
+        # compare
         cases = [(f, primes_coprime_to(12, 1)) for f in self.X_N_MINUS_X_MINUS_1]
         for f in self.NON_MONIC:
             primes = primes_coprime_to(500, f.leading)
             cases.append((f, primes[:10] + primes[10::70]))
-        checked = 0
+        checked = collections.Counter()
         for f, primes in cases:
             disc = discriminant(f)
             for p in primes:
-                ctype = tuple_cycle_type_mod_p(f, p) if p > 2 else None
-                if ctype is not None:
-                    assert legendre(disc, p) == (-1) ** (f.degree - len(ctype.lengths)), (f, p)
-                    checked += 1
-        assert checked > 700
+                ctype = tuple_cycle_type_mod_p(f, p)
+                if ctype is None:
+                    continue
+                even = (f.degree - len(ctype.lengths)) % 2 == 0
+                if p == 2:
+                    assert (disc % 8 == 1) == even, f
+                else:
+                    assert legendre(disc, p) == (1 if even else -1), (f, p)
+                checked[p == 2] += 1
+        assert checked[False] > 700 and checked[True] > 30, checked
+
+    def test_p_two_stops_the_walk_by_sign(self, monkeypatch):
+        # x^5 - x - 1 = (x^2 + x + 1)(x^3 + x^2 + 1) mod 2, an odd Frobenius:
+        # after the empty step 1 a rest of degree 5 with that sign is (2, 3)
+        walk = fppoly.distinct_degree_steps
+        taken = []
+
+        def counting(f, p):
+            for step in walk(f, p):
+                taken.append(step)
+                yield step
+
+        monkeypatch.setattr(fppoly, "distinct_degree_steps", counting)
+        assert frobenius_type(parse_poly("x^5-x-1"), 2) == CycleType((3, 2))
+        assert taken == [(1, (1,))]
+        stopped = full = 0
+        for f in self.X_N_MINUS_X_MINUS_1:
+            fbar = fppoly.normalize(f.coeffs, 2)
+            taken.clear()
+            assert frobenius_type(f, 2) == tuple_cycle_type_mod_p(f, 2)
+            stopped += len(taken)
+            full += len(list(walk(fbar, 2)))
+        assert stopped < full, (stopped, full)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_every_monic_of_degree_2_to_4_matches_tuple_oracle(self, p):
