@@ -67,15 +67,6 @@ class FieldSpec:
     def __repr__(self) -> str:
         return f"FieldSpec(GF({self.p}^{self.r}))"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.r, self.modulus) == (other.p, other.r, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.r, self.modulus))
-
     def digits(self, a: int) -> tuple[int, ...]:
         """The coefficient vector (c_0, ..., c_{r-1}) of index ``a``."""
         out = []
@@ -119,34 +110,24 @@ class FieldSpec:
 
     @cached_property
     def primitive(self) -> int:
-        """The smallest index a >= 2 with a^((q-1)/l) != 1 for every prime
-        l dividing q - 1, a generator of the multiplicative group (1 in F_2)."""
-        n = self.q - 1
-        if n == 1:
-            return 1
-        primes = [ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)]
-        for a in range(2, self.q):
-            if all(self._power(a, n // ell) != 1 for ell in primes):
-                return a
-        raise AssertionError("multiplicative group of a finite field is cyclic")
-
-    def _power(self, a: int, k: int) -> int:
-        result = 1
-        while k:
-            if k & 1:
-                result = self._poly_mul(result, a)
-            a = self._poly_mul(a, a)
-            k >>= 1
-        return result
+        """The primitive element w = exp[1]."""
+        return self.exp[1]
 
     @cached_property
     def exp(self) -> list[int]:
-        """exp[k] = w^k for the primitive element w and 0 <= k < 2(q - 1),
-        so that a sum of two logs indexes it without reduction."""
-        w, table = self.primitive, [1]
-        for _ in range(self.q - 2):
-            table.append(self._poly_mul(table[-1], w))
-        return table * 2
+        """exp[k] = w^k for 0 <= k < 2(q - 1), so that a sum of two logs
+        indexes it without reduction.  w is the first index a >= 2 (1 in F_2)
+        whose powers, taken until they return to 1 but at most q - 1 times,
+        fill the multiplicative group; a reducible modulus has none."""
+        n = self.q - 1
+        for a in range(2 if n > 1 else 1, self.q):
+            table, x = [1], a
+            while x != 1 and len(table) < n:
+                table.append(x)
+                x = self._poly_mul(x, a)
+            if x == 1 and len(table) == n:
+                return table * 2
+        raise AssertionError(f"no element of order {n}: the modulus is reducible")
 
     @cached_property
     def log(self) -> list[int | None]:

@@ -405,8 +405,11 @@ class _StabilizerChain:
             self.levels[i].add_generator(g, g_inverse)
 
     def _sift_to_order(self, group: "PermGroup", order: int) -> None:
-        """The build loop: generators first, then sampled elements."""
-        if any(self._sift_reaches(g.images, order) for g in group.generators):
+        """The build loop: every generator, also once the order is reached
+        (one outside the chain then overshoots it), then sampled elements."""
+        for g in group.generators:
+            reached = self._sift_reaches(g.images, order)
+        if reached:
             return
         sampler = ElementSampler(group, KNOWN_ORDER_SEED)
         budget = max(KNOWN_ORDER_MIN_DRAWS, KNOWN_ORDER_DRAWS_PER_POINT * self.degree)

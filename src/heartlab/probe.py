@@ -51,6 +51,10 @@ class IntPolynomial:
 
 
 _TOKEN_CHARS = set("0123456789xX+-*^() \t")
+# CPython's default int/str conversion limit, checked by the parser on every
+# interpreter, so an over-long literal or coefficient fails at its position
+MAX_DIGITS = 4300
+_COEFFICIENT_BOUND = 10**MAX_DIGITS  # the least integer of MAX_DIGITS + 1 digits
 
 
 def _tokenize(text: str):
@@ -67,6 +71,8 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise PolyParseError(f"integer literal has more than {MAX_DIGITS} digits", i)
             tokens.append(("int", int(text[i:j]), i))
             i = j
         elif ch in "xX":
@@ -85,7 +91,8 @@ def parse_poly(text: str) -> IntPolynomial:
     coefficient times a power of x ('*' optional: "2x^2" == "2*x^2");
     parentheses are allowed only around the whole expression.  An exponent
     above ``zoo.SUPPORTED_SCALE`` is refused before any coefficient list is
-    built.
+    built, and so is a literal or a combined coefficient of more than
+    ``MAX_DIGITS`` digits.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -105,6 +112,7 @@ def parse_poly(text: str) -> IntPolynomial:
         raise PolyParseError("parentheses are only allowed around the whole expression", pos)
 
     coeffs: dict[int, int] = {}
+    last_term: dict[int, int] = {}  # exponent -> position of its last term
     i = 0
     first = True
     while i < len(tokens):
@@ -142,16 +150,23 @@ def parse_poly(text: str) -> IntPolynomial:
                 if i >= len(tokens) or tokens[i][0] != "int":
                     where = tokens[i][2] if i < len(tokens) else pos
                     raise PolyParseError("expected integer exponent after '^'", where)
-                exponent, pos = tokens[i][1:]
+                exponent = tokens[i][1]
                 if exponent > SUPPORTED_SCALE:  # no candidate acts on more points
                     raise PolyParseError(
-                        f"exponent must be at most {SUPPORTED_SCALE}, got {exponent}", pos)
+                        f"exponent must be at most {SUPPORTED_SCALE}, got {exponent}",
+                        tokens[i][2])
                 i += 1
         elif not have_coefficient:
             raise PolyParseError("expected a coefficient or x", pos)
 
         coeffs[exponent] = coeffs.get(exponent, 0) + sign * coefficient
+        last_term[exponent] = pos
 
+    for exponent, c in coeffs.items():
+        if abs(c) >= _COEFFICIENT_BOUND:
+            raise PolyParseError(
+                f"coefficient of x^{exponent} has more than {MAX_DIGITS} digits",
+                last_term[exponent])
     degree = max(coeffs)
     vector = [coeffs.get(k, 0) for k in range(degree + 1)]
     try:
@@ -443,21 +458,18 @@ def probe(poly: IntPolynomial, prime_count: int, candidates: list[GroupId],
     primes = primes_coprime_to(prime_count, poly.leading)
     derivative_resultant = resultant(poly.coeffs, poly.derivative())
     histogram: dict[CycleType, int] = {}
-    observed_order: list[CycleType] = []
     ramified = []
     for p in primes:
         ctype = cycle_type_mod_p(poly, p, derivative_resultant)
         if ctype is None:
             ramified.append(p)
             continue
-        if ctype not in histogram:
-            observed_order.append(ctype)
         histogram[ctype] = histogram.get(ctype, 0) + 1
 
     verdicts = []
     for candidate in candidates:
         types, exact = type_sets[candidate]
-        outside = [t for t in observed_order if t not in types]
+        outside = [t for t in histogram if t not in types]  # in observation order
         if not histogram:
             verdicts.append(CandidateVerdict(candidate.name(), "insufficient_data", exact))
         elif outside and exact:

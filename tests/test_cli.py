@@ -72,6 +72,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: exponent must be at most 100000, got 100001 (at position 2)\n"
 
+    @pytest.mark.parametrize("text,message", [
+        ("x^5-x-" + "1" * 5000, "integer literal has more than 4300 digits (at position 6)"),
+        ("x^5-x+" + "9" * 4300 + "+" + "9" * 4300,
+         "coefficient of x^0 has more than 4300 digits (at position 4307)"),
+    ], ids=["literal", "combined"])
+    def test_probe_coefficient_of_more_than_4300_digits_exit_one(self, capsys, text, message):
+        code, out, err = run_cli(capsys, "probe", text, "--primes", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_probe_degree_mismatch_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "probe", "x^4+1", "--candidates", "S5")
         assert code == 1

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from heartlab.fields import (
+    FieldSpec,
     is_prime,
     make_field,
     point_ranks,
@@ -193,23 +194,38 @@ class TestFieldTables:
                     assert field._poly_mul(a, b) == index[oracle.mul(ca, cb)], (r, a, b)
 
     def test_tables_match_tuple_arithmetic(self):
-        count = 0
-        for q in range(2, 65):
+        fields = products = 0
+        for q in range(2, 317):
             decomposition = prime_power_decomposition(q)
             if decomposition is None:
                 continue
-            field, oracle = make_field(*decomposition), TupleField(*decomposition)
-            assert field.modulus == oracle.modulus
+            field = make_field(*decomposition)
+            assert field.exp[1] == field.primitive
             for k in range(q - 1):
                 assert field.log[field.exp[k]] == k
             for a in range(1, q):
                 assert field.exp[field.log[a]] == a
+            fields += 1
+            if q >= 65:
+                continue
+            oracle = TupleField(*decomposition)
+            assert field.modulus == oracle.modulus
+            for a in range(1, q):
                 assert oracle.from_int(field.inv(a)) == oracle.from_int(a).inverse()
             for a, b in itertools.product(oracle.elements(), repeat=2):
                 assert field.mul(a.index(), b.index()) == (a * b).index()
                 assert field.add(a.index(), b.index()) == (a + b).index()
-            count += 1
-        assert count == 27  # 18 primes and 9 proper powers below 65
+            products += 1
+        assert fields == 82  # 65 primes and 17 proper powers up to 316
+        assert products == 27  # 18 primes and 9 proper powers below 65
+
+    @pytest.mark.parametrize("p,modulus", [(2, (1, 0, 1)), (3, (2, 0, 1))])
+    def test_reducible_modulus_raises(self, p, modulus):
+        # x^2 + 1 = (x + 1)^2 over F_2 and x^2 - 1 over F_3: the zero
+        # divisor x + 1 never powers back to 1, so no table is returned
+        for attribute in ("exp", "primitive"):
+            with pytest.raises(AssertionError, match="modulus is reducible"):
+                getattr(FieldSpec(p, 2, modulus), attribute)
 
     def test_primitive_element_matches_search(self):
         count = 0

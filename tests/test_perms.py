@@ -487,6 +487,15 @@ class TestKnownOrderChain:
         with pytest.raises(ChainOrderError, match="60 exceeds the given order 30"):
             PermGroup(alternating(5).generators, order=30).chain()
 
+    def test_a_later_generator_overshoots(self):
+        # the 5-cycle alone reaches order 5; the transposition after it must
+        # still be sifted, in either order of the generators
+        five_cycle = from_cycles(5, [(0, 1, 2, 3, 4)])
+        transposition = from_cycles(5, [(0, 1)])
+        for generators in ([five_cycle, transposition], [transposition, five_cycle]):
+            with pytest.raises(ChainOrderError, match="exceeds the given order 5"):
+                PermGroup(generators, order=5).chain()
+
     def test_trivial_group(self):
         chain = PermGroup([identity(4)], order=1).chain()
         assert (chain.order(), chain.draws, chain.levels) == (1, 0, [])

@@ -14,6 +14,7 @@ from heartlab import fppoly
 from heartlab.fields import is_prime
 from heartlab.perms import CycleType
 from heartlab.probe import (
+    MAX_DIGITS,
     MAX_PRIMES,
     SAMPLE_BUDGET,
     IntPolynomial,
@@ -162,6 +163,22 @@ class TestParse:
                 parse_poly(text)
             assert info.value.position == position
         assert parse_poly("x^100000-x-1").degree == 100000
+
+    def test_literal_of_more_than_max_digits_rejected(self):
+        # checked on the digit run, before int() meets the conversion limit
+        with pytest.raises(PolyParseError, match="more than 4300 digits") as info:
+            parse_poly("x^5-x-" + "1" * (MAX_DIGITS + 1))
+        assert info.value.position == 6
+        longest = parse_poly("x^5-x-" + "1" * MAX_DIGITS)
+        assert format_poly(longest) == "x^5-x-" + "1" * MAX_DIGITS
+
+    def test_combined_coefficient_of_more_than_max_digits_rejected(self):
+        nines = "9" * MAX_DIGITS
+        with pytest.raises(PolyParseError, match="x\\^0 has more than 4300") as info:
+            parse_poly(f"x^5-x+{nines}+{nines}")
+        assert info.value.position == 6 + MAX_DIGITS + 1  # the second literal
+        # only the combined value counts, not a running sum on the way
+        assert parse_poly(f"x^5-x+{nines}+{nines}-{nines}").coeffs[0] == int(nines)
 
     def test_roundtrip_corpus_of_100(self):
         rng = random.Random(99)
