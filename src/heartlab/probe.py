@@ -9,6 +9,7 @@ agreement is evidence, never proof, and the auditor never consumes it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt, log
@@ -50,116 +51,75 @@ class IntPolynomial:
         return tuple(i * c for i, c in enumerate(self.coeffs))[1:]
 
 
-_TOKEN_CHARS = set("0123456789xX+-*^() \t")
 # CPython's default int/str conversion limit, checked by the parser on every
 # interpreter, so an over-long literal or coefficient fails at its position
 MAX_DIGITS = 4300
 _COEFFICIENT_BOUND = 10**MAX_DIGITS  # the least integer of MAX_DIGITS + 1 digits
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch not in _TOKEN_CHARS:
-            raise PolyParseError(f"unexpected character {ch!r}", i)
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j - i > MAX_DIGITS:
-                raise PolyParseError(f"integer literal has more than {MAX_DIGITS} digits", i)
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif ch in "xX":
-            tokens.append(("x", None, i))
-            i += 1
-        else:
-            tokens.append((ch, None, i))
-            i += 1
-    return tokens
+# Regex sources, compiled and cached by re at the first parse rather than at
+# import, so a command that parses no polynomial does not pay for them.
+# The leftmost character outside the grammar, or the start of an over-long literal:
+_UNREADABLE = rf"[^0-9xX+\-*^() \t]|(?<![0-9])[0-9]{{{MAX_DIGITS + 1}}}"
+# one signed term, each part tried only after the parts the grammar puts before it:
+_TERM = r"""(?x)
+    [ \t]*(?P<sign>[+-]?)[ \t]*
+    (?P<term>
+      (?:(?P<coef>[0-9]+)[ \t]*(?:(?P<star>\*)[ \t]*)?)?
+      (?:(?P<x>[xX])[ \t]*(?:(?P<caret>\^)[ \t]*(?:(?P<exp>[0-9]+)[ \t]*)?)?)?
+    )"""
 
 
 def parse_poly(text: str) -> IntPolynomial:
     """Parse signed integer-coefficient polynomials in x.
 
     Grammar: terms joined by + and -, each term an integer, x, x^k, or a
-    coefficient times a power of x ('*' optional: "2x^2" == "2*x^2");
-    parentheses are allowed only around the whole expression.  An exponent
-    above ``zoo.SUPPORTED_SCALE`` is refused before any coefficient list is
-    built, and so is a literal or a combined coefficient of more than
-    ``MAX_DIGITS`` digits.
+    coefficient times a power of x ('*' optional: "2x^2" == "2*x^2").  The
+    text holds only the ASCII digits 0-9, x or X, + - * ^, spaces and tabs,
+    and parentheses, which are allowed only around the whole expression.  An
+    exponent above ``zoo.SUPPORTED_SCALE`` is refused before any coefficient
+    list is built, and so is a literal or a combined coefficient of more
+    than ``MAX_DIGITS`` digits.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    bad = re.search(_UNREADABLE, text)
+    if bad and len(bad[0]) > 1:
+        raise PolyParseError(f"integer literal has more than {MAX_DIGITS} digits", bad.start())
+    if bad:
+        raise PolyParseError(f"unexpected character {bad[0]!r}", bad.start())
+    start = len(text) - len(text.lstrip(" \t"))
+    if start == len(text):
         raise PolyParseError("empty polynomial", 0)
-    if tokens[0][0] == "(":
-        if tokens[-1][0] != ")":
-            raise PolyParseError("unbalanced parenthesis", tokens[0][2])
-        inner = tokens[1:-1]
-        if any(t[0] in "()" for t in inner):
-            raise PolyParseError("parentheses are only allowed around the whole expression",
-                                 tokens[0][2])
-        tokens = inner
-        if not tokens:
-            raise PolyParseError("empty parentheses", 0)
-    if any(t[0] in "()" for t in tokens):
-        pos = next(t[2] for t in tokens if t[0] in "()")
-        raise PolyParseError("parentheses are only allowed around the whole expression", pos)
+    lo, hi = 0, len(text)
+    if text[start] == "(":
+        lo, hi = start + 1, len(text.rstrip(" \t")) - 1
+        if text[hi] != ")":
+            raise PolyParseError("unbalanced parenthesis", start)
+    parens = [k for k in (text.find("(", lo, hi), text.find(")", lo, hi)) if k >= 0]
+    if parens:
+        raise PolyParseError("parentheses are only allowed around the whole expression",
+                             start if lo else min(parens))
+    if not text[lo:hi].strip(" \t"):
+        raise PolyParseError("empty parentheses", 0)
 
     coeffs: dict[int, int] = {}
     last_term: dict[int, int] = {}  # exponent -> position of its last term
-    i = 0
-    first = True
-    while i < len(tokens):
-        sign = 1
-        kind, _, pos = tokens[i]
-        if kind in "+-":
-            sign = -1 if kind == "-" else 1
-            i += 1
-        elif not first:
+    term, i = re.compile(_TERM), lo
+    while i < hi:
+        m = term.match(text, i, hi)
+        pos, i = m.start("term"), m.end()
+        if coeffs and not m["sign"]:  # coeffs is empty only before the first term
             raise PolyParseError("expected '+' or '-' between terms", pos)
-        first = False
-        if i >= len(tokens):
-            raise PolyParseError("dangling sign", pos)
-
-        kind, value, pos = tokens[i]
-        coefficient = 1
-        have_coefficient = False
-        if kind == "int":
-            coefficient = value
-            have_coefficient = True
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "*":
-                star_pos = tokens[i][2]
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "x":
-                    where = tokens[i][2] if i < len(tokens) else star_pos + 1
-                    raise PolyParseError("expected x after '*'", where)
-
-        exponent = 0
-        if i < len(tokens) and tokens[i][0] == "x":
-            exponent = 1
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "^":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "int":
-                    where = tokens[i][2] if i < len(tokens) else pos
-                    raise PolyParseError("expected integer exponent after '^'", where)
-                exponent = tokens[i][1]
-                if exponent > SUPPORTED_SCALE:  # no candidate acts on more points
-                    raise PolyParseError(
-                        f"exponent must be at most {SUPPORTED_SCALE}, got {exponent}",
-                        tokens[i][2])
-                i += 1
-        elif not have_coefficient:
+        if not m["term"]:
+            if pos == hi:
+                raise PolyParseError("dangling sign", m.start("sign"))
             raise PolyParseError("expected a coefficient or x", pos)
-
-        coeffs[exponent] = coeffs.get(exponent, 0) + sign * coefficient
+        if m["star"] and not m["x"]:
+            raise PolyParseError("expected x after '*'", i if i < hi else m.start("star") + 1)
+        if m["caret"] and not m["exp"]:
+            raise PolyParseError("expected integer exponent after '^'", i if i < hi else pos)
+        exponent = int(m["exp"]) if m["exp"] else 1 if m["x"] else 0
+        if exponent > SUPPORTED_SCALE:  # no candidate acts on more points
+            raise PolyParseError(f"exponent must be at most {SUPPORTED_SCALE}, got {exponent}",
+                                 m.start("exp"))
+        coeffs[exponent] = coeffs.get(exponent, 0) + int(m["sign"] + (m["coef"] or "1"))
         last_term[exponent] = pos
 
     for exponent, c in coeffs.items():
@@ -177,25 +137,17 @@ def parse_poly(text: str) -> IntPolynomial:
 
 def format_poly(poly: IntPolynomial) -> str:
     """Canonical form with descending powers; parse(format(p)) == p."""
-    parts = []
+    text = ""
     for exponent in range(poly.degree, -1, -1):
         c = poly.coeffs[exponent]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        magnitude = abs(c)
-        if exponent == 0:
-            body = str(magnitude)
-        else:
-            xpart = "x" if exponent == 1 else f"x^{exponent}"
-            body = xpart if magnitude == 1 else f"{magnitude}*{xpart}"
-        parts.append((sign, body))
-    text = ""
-    for k, (sign, body) in enumerate(parts):
-        if k == 0:
-            text = body if sign == "+" else "-" + body
-        else:
-            text += sign + body
+        if c:
+            sign = "-" if c < 0 else "+" if text else ""
+            magnitude = abs(c)
+            if exponent == 0:
+                text += f"{sign}{magnitude}"
+            else:
+                power = "x" if exponent == 1 else f"x^{exponent}"
+                text += sign + (power if magnitude == 1 else f"{magnitude}*{power}")
     return text
 
 

@@ -82,6 +82,11 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
+    def test_probe_non_ascii_digit_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "probe", "x^5-x-1\u00b2", "--primes", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: unexpected character '\u00b2' (at position 7)\n"
+
     def test_probe_degree_mismatch_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "probe", "x^4+1", "--candidates", "S5")
         assert code == 1

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from heartlab import fppoly
 from heartlab.fields import is_prime
@@ -180,6 +180,53 @@ class TestParse:
         # only the combined value counts, not a running sum on the way
         assert parse_poly(f"x^5-x+{nines}+{nines}-{nines}").coeffs[0] == int(nines)
 
+    # one row per rejection branch of parse_poly, with its message and position
+    @pytest.mark.parametrize("text,message,position", [
+        ("", "empty polynomial", 0),
+        ("x^2 + y", "unexpected character 'y'", 6),
+        ("(x+1", "unbalanced parenthesis", 0),
+        ("(x+(1))", "parentheses are only allowed around the whole expression", 0),
+        ("()", "empty parentheses", 0),
+        ("x+(1)", "parentheses are only allowed around the whole expression", 2),
+        ("x x", "expected '+' or '-' between terms", 2),
+        ("1 2", "expected '+' or '-' between terms", 2),
+        ("x+", "dangling sign", 1),
+        ("2*", "expected x after '*'", 2),
+        ("2*+x", "expected x after '*'", 2),
+        ("x^", "expected integer exponent after '^'", 0),  # the term's start
+        ("x^+1", "expected integer exponent after '^'", 2),
+        ("x^100001", "exponent must be at most 100000, got 100001", 2),
+        ("+*x", "expected a coefficient or x", 1),
+        ("x^2 ++ 1", "expected a coefficient or x", 5),
+        ("5", "polynomial must have degree at least 1", 0),
+        ("x^5-x-" + "1" * (MAX_DIGITS + 1), "integer literal has more than 4300 digits", 6),
+        ("x^5-x+" + "9" * MAX_DIGITS + "+" + "9" * MAX_DIGITS,
+         "coefficient of x^0 has more than 4300 digits", 4307),
+    ], ids=lambda v: v if isinstance(v, int) or len(v) < 20 else f"{v[:12]}...({len(v)})")
+    def test_rejection_message_and_position(self, text, message, position):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text)
+        assert (str(info.value), info.value.position) == (f"{message} (at position {position})",
+                                                          position)
+
+    @pytest.mark.parametrize("text,position", [
+        ("x^5-x-1\u0663", 7), ("x^5-x-1\u00b2", 7), ("x^1\u0663", 3), ("1\u06636x^5-1", 1),
+    ])
+    def test_non_ascii_digit_is_an_unexpected_character(self, text, position):
+        # not read as part of an ASCII literal: "x^5-x-1" + ARABIC-INDIC THREE is not x^5-x-13
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text)
+        assert info.value.position == position
+        assert str(info.value) == f"unexpected character {text[position]!r} (at position {position})"
+
+    @given(st.text(alphabet="0123456789xX+-*^() \ty\u0663\u00b2\n", max_size=24))
+    @example("1\u00b2")
+    def test_any_text_parses_or_fails_at_a_position(self, text):
+        try:
+            parse_poly(text)
+        except PolyParseError as exc:
+            assert 0 <= exc.position <= len(text)
+
     def test_roundtrip_corpus_of_100(self):
         rng = random.Random(99)
         for _ in range(100):
@@ -196,6 +243,26 @@ class TestParse:
     def test_roundtrip_property(self, low_coeffs, lead):
         poly = IntPolynomial(tuple(low_coeffs) + (lead,))
         assert parse_poly(format_poly(poly)) == poly
+
+
+class TestFormat:
+    @pytest.mark.parametrize("coeffs,text", [
+        ((1, 0, -2), "-2*x^2+1"),  # negative leading coefficient
+        ((-1, 1, -1), "-x^2+x-1"),  # coefficients of +-1
+        ((0, -1), "-x"),
+        ((0, 5), "5*x"),  # x for exponent 1
+        ((7, 0, 0, 1), "x^3+7"),  # constant term, zero gaps
+        ((4, 0, 0, -1), "-x^3+4"),
+        ((0, 0, 1), "x^2"),
+        ((0, 1, 0, 1), "x^3+x"),
+        ((-6, 0, 3, 0, 0, -12), "-12*x^5+3*x^2-6"),
+    ])
+    def test_exact_text(self, coeffs, text):
+        assert format_poly(IntPolynomial(coeffs)) == text
+
+    def test_capital_x_prints_as_x(self):
+        assert format_poly(parse_poly("X^2 - 3X")) == "x^2-3*x"
+        assert format_poly(parse_poly("(  2*X^3 -X +1)")) == "2*x^3-x+1"
 
 
 class TestCycleTypeModP:
