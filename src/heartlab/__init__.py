@@ -30,18 +30,7 @@ from .reps import (
     is_indecomposable,
     is_irreducible,
 )
-from .zoo import (
-    GroupId,
-    alternating,
-    build_group,
-    cyclic,
-    dihedral,
-    mathieu,
-    parse_group_spec,
-    pgl,
-    psl,
-    symmetric,
-)
+from .zoo import GroupId, build_group, parse_group_spec
 
 __all__ = [
     "AuditReport", "audit", "check_unbounded", "cyclotomic_obstruction", "genus_of",
@@ -52,6 +41,5 @@ __all__ = [
     "IntPolynomial", "ProbeReport", "cycle_type_mod_p", "group_cycle_types", "parse_poly", "probe",
     "EndoAlgebra", "GModuleRep", "endomorphism_algebra", "heart", "is_indecomposable",
     "is_irreducible",
-    "GroupId", "alternating", "build_group", "cyclic", "dihedral", "mathieu",
-    "parse_group_spec", "pgl", "psl", "symmetric",
+    "GroupId", "build_group", "parse_group_spec",
 ]

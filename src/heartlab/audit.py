@@ -506,7 +506,8 @@ def _jordan_evidence(group_id: GroupId) -> AuditEvidence:
     """The evidence of an A_n or S_n audit, from the zoo's generators by
     ``jordan_certificate``, with no stabilizer chain: A_n is
     (n-2)-transitive.  The generators are read through the ``zoo`` module,
-    from the same helpers ``zoo.alternating`` and ``zoo.symmetric`` build on."""
+    from the same helpers that ``zoo.build_group``, the one group
+    constructor, builds A_n and S_n from."""
     n = group_id.parameters[0]
     evidence = AuditEvidence(
         transitivity_degree=jordan_certificate(zoo.alternating_generators(n), alternating=True)

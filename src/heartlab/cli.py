@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .audit import CITATIONS, FACTS, audit
 from .perms import ClosureLimitError
-from .probe import MAX_PRIMES, SAMPLE_BUDGET, group_cycle_types, parse_poly, probe
+from .probe import MAX_PRIMES, SAMPLE_BUDGET, PolyParseError, group_cycle_types, parse_poly, probe
 from .reps import endomorphism_algebra, heart, is_indecomposable, is_irreducible
 from .zoo import GroupSpecError, MATHIEU_DEGREES, build_group, parse_group_spec
 
@@ -125,19 +125,27 @@ def _cmd_probe(args) -> int:
     if args.primes > MAX_PRIMES:
         # before the sieve, whose size grows with the count
         raise ValueError(f"--primes must be at most {MAX_PRIMES}, got {args.primes}")
-    texts = []
+    texts = []  # (file line number or None, characters stripped from its start, text)
     if args.poly is not None:
-        texts.append(args.poly)
+        texts.append((None, 0, args.poly))
     if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as handle:
-            texts.extend(line.strip() for line in handle if line.strip())
+            for number, line in enumerate(handle, 1):
+                if text := line.strip():
+                    texts.append((number, len(line) - len(line.lstrip()), text))
     if not texts:
         raise GroupSpecError("no polynomial given (positional or --file)")
     candidates = [parse_group_spec(c) for c in _split_candidates(args.candidates)]
     reports = []
     type_sets: dict = {}  # one cycle-type set per candidate for this command only
-    for text in texts:
-        poly = parse_poly(text)
+    for number, lead, text in texts:
+        try:
+            poly = parse_poly(text)
+        except PolyParseError as exc:
+            if number is None:
+                raise
+            # the position within the file's line as read
+            raise PolyParseError(f"line {number}: {exc.message}", lead + exc.position) from None
         for candidate in candidates:
             if candidate.natural_degree != poly.degree:
                 raise GroupSpecError(

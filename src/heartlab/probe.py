@@ -16,12 +16,13 @@ from math import gcd, isqrt, log
 
 from . import fppoly
 from .perms import CLOSURE_LIMIT, CycleType, cycle_type, identity
-from .zoo import SUPPORTED_SCALE, GroupId, build_group
+from .zoo import MAX_DIGITS, SUPPORTED_SCALE, GroupId, build_group
 
 
 class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -51,9 +52,6 @@ class IntPolynomial:
         return tuple(i * c for i, c in enumerate(self.coeffs))[1:]
 
 
-# CPython's default int/str conversion limit, checked by the parser on every
-# interpreter, so an over-long literal or coefficient fails at its position
-MAX_DIGITS = 4300
 _COEFFICIENT_BOUND = 10**MAX_DIGITS  # the least integer of MAX_DIGITS + 1 digits
 # Regex sources, compiled and cached by re at the first parse rather than at
 # import, so a command that parses no polynomial does not pay for them.

@@ -1,14 +1,15 @@
-"""Constructors for the group families under study.
+"""The group families under study, built by one constructor.
 
-Every constructor validates its parameters through ``GroupId`` and returns a
-plain PermGroup on 0-indexed points, built with ``GroupId.order``, the
-family's closed-form order, which the stabilizer chain of ``perms`` needs.
-Each formula's source is cited at ``GroupId.order``, ``psl_order`` and
-``pgl_order``; the test suite checks every formula against the deterministic
-Schreier-Sims oracle in ``tests/support.py``.  Mathieu groups ship with
-classical hard-coded generator permutations (transcribed 1-indexed from the
-literature); the test suite certifies their orders, degrees and transitivity
-rather than taking the transcription on faith.
+``build_group(group_id)`` is the one way to build a group: it returns a plain
+PermGroup on 0-indexed points, with the generators of ``group_id``'s family
+and ``GroupId.order``, the family's closed-form order, which the stabilizer
+chain of ``perms`` needs.  ``GroupId`` validates the parameters once, when it
+is made.  Each formula's source is cited at ``GroupId.order``; the test suite
+checks every formula against the deterministic Schreier-Sims oracle in
+``tests/support.py``.  Mathieu groups ship with classical hard-coded
+generator permutations (transcribed 1-indexed from the literature); the test
+suite certifies their orders, degrees and transitivity rather than taking
+the transcription on faith.
 PSL/PGL act on the points of ``fields.projective_points``, index tuples over
 the integer-coded F_q, through standard SL/GL generator matrices of field
 indices: each image vector is mapped to its point's index by
@@ -34,6 +35,9 @@ MATHIEU_DEGREES = tuple(MATHIEU_ORDERS)
 
 # The largest n of S_n and A_n, and the largest q^m of PSL_m(q) and PGL_m(q).
 SUPPORTED_SCALE = 10**5
+
+_FAMILY_LETTERS = {"symmetric": "S", "alternating": "A", "mathieu": "M",
+                   "cyclic": "C", "dihedral": "D"}
 
 # Classical generator cycles, 1-indexed as published.
 _MATHIEU_CYCLES = {
@@ -112,12 +116,22 @@ class GroupId:
     @property
     def order(self) -> int:
         """The group's order from its family's closed form, with no group
-        built: the order each zoo constructor passes to its ``PermGroup``.
+        built: the order ``build_group`` passes to its ``PermGroup``.
         S_n has order n!, A_n (index 2 in S_n) n!/2, C_n n and D_n 2n; the
-        Mathieu orders are ``MATHIEU_ORDERS``."""
+        Mathieu orders are ``MATHIEU_ORDERS``.
+
+        |SL_m(q)| = q^(m(m-1)/2) (q^2-1)(q^3-1)...(q^m-1) (Dickson, Linear
+        Groups, 1901; Artin, Geometric Algebra, 1957, ch. IV).
+        |PGL_m(q)| = |GL_m(q)|/(q-1) = |SL_m(q)|, and |PSL_m(q)| =
+        |SL_m(q)|/gcd(m, q-1), since the centre of SL_m(q) is the gcd(m, q-1)
+        scalar matrices of determinant 1 (Artin, ch. IV)."""
         fam, params = self.family, self.parameters
         if fam in ("psl", "pgl"):
-            return (psl_order if fam == "psl" else pgl_order)(*params)
+            m, q = params
+            order = q ** (m * (m - 1) // 2)
+            for i in range(2, m + 1):
+                order *= q**i - 1
+            return order if fam == "pgl" else order // gcd(m, q - 1)
         n = params[0]
         if fam in ("symmetric", "alternating"):
             return factorial(n) // (1 if fam == "symmetric" else 2)
@@ -135,14 +149,12 @@ class GroupId:
     def name(self) -> str:
         if self.family in ("psl", "pgl"):
             return f"{self.family.upper()}({self.parameters[0]},{self.parameters[1]})"
-        letter = {"symmetric": "S", "alternating": "A", "mathieu": "M",
-                  "cyclic": "C", "dihedral": "D"}[self.family]
-        return f"{letter}{self.parameters[0]}"
+        return f"{_FAMILY_LETTERS[self.family]}{self.parameters[0]}"
 
 
 def symmetric_generators(n: int) -> list[Permutation]:
-    """(0 1) and the n-cycle (0 1 ... n-1): the generators of ``symmetric(n)``
-    and of the Jordan certificate in an S_n audit."""
+    """(0 1) and the n-cycle (0 1 ... n-1): the generators of S_n in
+    ``build_group`` and of the Jordan certificate in an S_n audit."""
     gens = [from_cycles(n, [(0, 1)])]
     if n > 2:
         gens.append(from_cycles(n, [tuple(range(n))]))
@@ -151,47 +163,13 @@ def symmetric_generators(n: int) -> list[Permutation]:
 
 def alternating_generators(n: int) -> list[Permutation]:
     """(0 1 2) and an (n or n-1)-cycle of odd length, (0 1 ... n-1) or
-    (1 2 ... n-1): the generators of ``alternating(n)`` and of the Jordan
-    certificate in an A_n or S_n audit."""
+    (1 2 ... n-1): the generators of A_n in ``build_group`` and of the
+    Jordan certificate in an A_n or S_n audit."""
     gens = [from_cycles(n, [(0, 1, 2)])]
     if n > 3:
         long = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
         gens.append(from_cycles(n, [long]))
     return gens
-
-
-def symmetric(n: int) -> PermGroup:
-    """S_n, generated by ``symmetric_generators(n)``."""
-    group_id = GroupId("symmetric", (n,))  # validates n
-    return PermGroup(symmetric_generators(n), order=group_id.order)
-
-
-def alternating(n: int) -> PermGroup:
-    """A_n, generated by ``alternating_generators(n)``."""
-    group_id = GroupId("alternating", (n,))  # validates n
-    return PermGroup(alternating_generators(n), order=group_id.order)
-
-
-def cyclic(n: int) -> PermGroup:
-    """C_n, generated by the n-cycle."""
-    group_id = GroupId("cyclic", (n,))  # validates n
-    return PermGroup([from_cycles(n, [tuple(range(n))])], order=group_id.order)
-
-
-def dihedral(n: int) -> PermGroup:
-    """Dihedral group acting on the n vertices of a cycle: the n rotations
-    and the n reflections."""
-    group_id = GroupId("dihedral", (n,))  # validates n
-    rotation = from_cycles(n, [tuple(range(n))])
-    reflection = Permutation([(-i) % n for i in range(n)])
-    return PermGroup([rotation, reflection], order=group_id.order)
-
-
-def mathieu(n: int) -> PermGroup:
-    """M_n on n points, from classical generator cycles."""
-    group_id = GroupId("mathieu", (n,))  # validates n
-    gens = [from_cycles(n, cycles, shift=-1) for cycles in _MATHIEU_CYCLES[n]]
-    return PermGroup(gens, order=group_id.order)
 
 
 # -- projective linear groups -------------------------------------------------
@@ -249,78 +227,65 @@ def _linear_generators(m: int, field: FieldSpec, include_pgl: bool):
     return mats
 
 
-def _projective_group(m: int, q: int, include_pgl: bool) -> PermGroup:
-    group_id = GroupId("pgl" if include_pgl else "psl", (m, q))  # validates (m, q)
-    p, r = prime_power_decomposition(q)
-    field = make_field(p, r)
-    points = projective_points(field, m)
-    mats = _linear_generators(m, field, include_pgl)
-    gens = [_projective_permutation(mat, points, field) for mat in mats]
-    return PermGroup(gens, order=group_id.order)
-
-
-def psl(m: int, q: int) -> PermGroup:
-    """PSL_m(F_q) acting on the (q^m-1)/(q-1) projective points, of order
-    ``psl_order(m, q)``."""
-    return _projective_group(m, q, include_pgl=False)
-
-
-def pgl(m: int, q: int) -> PermGroup:
-    """PGL_m(F_q) on the same points, of order ``pgl_order(m, q)``; equals
-    psl(m, q) iff gcd(m, q-1) == 1."""
-    return _projective_group(m, q, include_pgl=True)
-
-
-def psl_order(m: int, q: int) -> int:
-    """|PSL_m(q)| = q^(m(m-1)/2) (q^2-1)(q^3-1)...(q^m-1) / gcd(m, q-1)
-    (Dickson, Linear Groups, 1901; Artin, Geometric Algebra, 1957, ch. IV):
-    |SL_m(q)| is that product without the divisor, and the centre of SL_m(q)
-    is the gcd(m, q-1) scalar matrices of determinant 1."""
-    order = q ** (m * (m - 1) // 2)
-    for i in range(2, m + 1):
-        order *= q**i - 1
-    return order // gcd(m, q - 1)
-
-
-def pgl_order(m: int, q: int) -> int:
-    """|PGL_m(q)| = |GL_m(q)|/(q-1) = |SL_m(q)| = gcd(m, q-1) |PSL_m(q)|
-    (Artin, Geometric Algebra, 1957, ch. IV)."""
-    return gcd(m, q - 1) * psl_order(m, q)
+def _generators(group_id: GroupId) -> list[Permutation]:
+    """The generators of the group ``group_id`` names, one dispatch on its
+    family: the n-cycle generates C_n, and with the reflection i -> -i, D_n."""
+    fam, params = group_id.family, group_id.parameters
+    if fam in ("psl", "pgl"):
+        m, q = params
+        field = make_field(*prime_power_decomposition(q))
+        points = projective_points(field, m)
+        return [_projective_permutation(mat, points, field)
+                for mat in _linear_generators(m, field, include_pgl=fam == "pgl")]
+    n = params[0]
+    if fam == "symmetric":
+        return symmetric_generators(n)
+    if fam == "alternating":
+        return alternating_generators(n)
+    if fam == "mathieu":
+        return [from_cycles(n, cycles, shift=-1) for cycles in _MATHIEU_CYCLES[n]]
+    rotation = from_cycles(n, [tuple(range(n))])
+    if fam == "cyclic":
+        return [rotation]
+    return [rotation, Permutation([(-i) % n for i in range(n)])]
 
 
 @lru_cache(maxsize=None)
 def build_group(group_id: GroupId) -> PermGroup:
-    builder = {
-        "symmetric": symmetric,
-        "alternating": alternating,
-        "mathieu": mathieu,
-        "cyclic": cyclic,
-        "dihedral": dihedral,
-        "psl": psl,
-        "pgl": pgl,
-    }[group_id.family]
-    return builder(*group_id.parameters)
+    """The one group constructor: the group ``group_id`` names, on 0-indexed
+    points, with its closed-form order ``group_id.order``."""
+    return PermGroup(_generators(group_id), order=group_id.order)
 
 
-_NAME_RE = re.compile(r"^([A-Z])(\d+)$")
-_PROJ_RE = re.compile(r"^(PSL|PGL)\((\d+),(\d+)\)$")
+# CPython's default int/str conversion limit, checked by the group-name and
+# polynomial parsers on every interpreter, before any int()
+MAX_DIGITS = 4300
+# Regex sources, compiled and cached by re at the first parse rather than at
+# import.  A character outside the name grammar's alphabet:
+_UNREADABLE = r"[^A-Za-z0-9(), \t\n\r\f\v]"
+_NAME = r"([MSACD])([0-9]+)|(PSL|PGL)\(([0-9]+),([0-9]+)\)"
 
 
 def parse_group_spec(text: str) -> GroupId:
     """Parse names like M11, S7, A9, C5, D6, PSL(3,4), PGL(3,3).
 
-    Case-insensitive; whitespace is ignored.
+    ASCII only and case-insensitive; ASCII whitespace is ignored.  A number
+    of more than ``MAX_DIGITS`` digits is refused before it is read.
     """
+    bad = re.search(_UNREADABLE, text)
+    if bad:
+        raise GroupSpecError(
+            f"cannot parse group name {text!r}: unexpected character {bad.group()!r} "
+            f"(at position {bad.start()})"
+        )
     compact = re.sub(r"\s+", "", text).upper()
-    match = _PROJ_RE.match(compact)
-    if match:
-        family = match.group(1).lower()
-        return GroupId(family, (int(match.group(2)), int(match.group(3))))
-    match = _NAME_RE.match(compact)
-    if match:
-        families = {"M": "mathieu", "S": "symmetric", "A": "alternating",
-                    "C": "cyclic", "D": "dihedral"}
-        family = families.get(match.group(1))
-        if family is not None:
-            return GroupId(family, (int(match.group(2)),))
-    raise GroupSpecError(f"cannot parse group name {text!r}")
+    if re.search(f"[0-9]{{{MAX_DIGITS + 1}}}", compact):
+        raise GroupSpecError(f"cannot parse group name: a number has more than {MAX_DIGITS} digits")
+    match = re.fullmatch(_NAME, compact)
+    if match is None:
+        raise GroupSpecError(f"cannot parse group name {text!r}")
+    letter, n, projective, m, q = match.groups()
+    if projective:
+        return GroupId(projective.lower(), (int(m), int(q)))
+    family = next(f for f, f_letter in _FAMILY_LETTERS.items() if f_letter == letter)
+    return GroupId(family, (int(n),))

@@ -763,6 +763,12 @@ class DeterministicChain(CachedInverses, _StabilizerChain):
                 i += 1
 
 
+def fresh_group(group_id):
+    """``build_group(group_id)`` outside its cache: a new group, with its own
+    chain, that no later ``build_group`` call returns."""
+    return zoo.build_group.__wrapped__(group_id)
+
+
 def chain_evidence(group_id):
     """An A_n or S_n audit's evidence as the audit computed it from
     stabilizer chains: A_n's ``transitivity_degree()`` and, for S_n, whether
@@ -770,10 +776,10 @@ def chain_evidence(group_id):
     the ``build_group`` cache, and their chains strip with cached
     representatives (``KnownOrderChain``)."""
     n = group_id.parameters[0]
-    simple = zoo.alternating(n)
+    simple = fresh_group(zoo.GroupId("alternating", (n,)))
     evidence = AuditEvidence(transitivity_degree=KnownOrderChain(simple).transitivity_degree())
     if group_id.family == "symmetric":
-        audited = KnownOrderChain(zoo.symmetric(n))
+        audited = KnownOrderChain(fresh_group(group_id))
         evidence.containment_verified = all(audited.contains(g) for g in simple.generators)
     return evidence
 

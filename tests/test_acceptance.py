@@ -16,13 +16,7 @@ from heartlab.reps import (
     is_indecomposable,
     is_irreducible,
 )
-from heartlab.zoo import (
-    GroupId,
-    build_group,
-    pgl_order,
-    prime_power_decomposition,
-    psl_order,
-)
+from heartlab.zoo import GroupId, build_group, prime_power_decomposition
 from support import DeterministicChain, type_sets
 
 HEART_SUITE = [
@@ -192,13 +186,14 @@ def test_criterion_4_group_constructions():
     # the constructors carry these orders, so each is proved on the same
     # generators without it, by the deterministic chain
     for m, q, _degree in instances:
-        group = build_group(GroupId("psl", (m, q)))
-        if DeterministicChain(group.degree, group.generators).order() != psl_order(m, q):
+        psl_id, pgl_id = GroupId("psl", (m, q)), GroupId("pgl", (m, q))
+        group = build_group(psl_id)
+        if DeterministicChain(group.degree, group.generators).order() != psl_id.order:
             ok = False
         if group.transitivity_degree() < 2:
             ok = False
-        pgl_group = build_group(GroupId("pgl", (m, q)))
-        if DeterministicChain(pgl_group.degree, pgl_group.generators).order() != pgl_order(m, q):
+        pgl_group = build_group(pgl_id)
+        if DeterministicChain(pgl_group.degree, pgl_group.generators).order() != pgl_id.order:
             ok = False
     m11 = build_group(GroupId("mathieu", (11,)))
     m12 = build_group(GroupId("mathieu", (12,)))

@@ -87,6 +87,28 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: unexpected character '\u00b2' (at position 7)\n"
 
+    def test_audit_non_ascii_name_exit_one(self, capsys):
+        # Arabic-Indic digits once read as M11 and certified
+        code, out, err = run_cli(capsys, "audit", "M\u0661\u0661")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: cannot parse group name 'M\u0661\u0661': unexpected character '\u0661' "
+            "(at position 1)\n"
+        )
+
+    def test_audit_number_of_more_than_4300_digits_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "audit", "S" + "9" * 5000)
+        assert (code, out) == (1, "")
+        assert err == "error: cannot parse group name: a number has more than 4300 digits\n"
+
+    def test_probe_file_error_names_line_and_position(self, capsys, tmp_path):
+        # lines are stripped before parsing; the position counts in the line as read
+        source = tmp_path / "polys.txt"
+        source.write_text("x^5-x-1\n\n  x^5-y\n")
+        code, out, err = run_cli(capsys, "probe", "--file", str(source), "--primes", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: line 3: unexpected character 'y' (at position 6)\n"
+
     def test_probe_degree_mismatch_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "probe", "x^4+1", "--candidates", "S5")
         assert code == 1

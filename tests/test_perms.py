@@ -32,11 +32,10 @@ from heartlab.perms import (
     jordan_certificate,
 )
 from heartlab.zoo import (
-    alternating,
+    GroupId,
     alternating_generators,
     build_group,
     parse_group_spec,
-    symmetric,
     symmetric_generators,
 )
 from support import DeterministicChain, base_points, chain_snapshot, orbit_sizes
@@ -480,12 +479,12 @@ class TestKnownOrderChain:
 
     def test_order_above_true_order_exhausts_the_draw_budget(self):
         with pytest.raises(ChainOrderError, match="still below the given order 240"):
-            PermGroup(symmetric(5).generators, order=240).chain()
+            PermGroup(symmetric_generators(5), order=240).chain()
 
     def test_order_the_product_overshoots(self):
         # the orbit-length product of A5's chain goes 3 -> 15 -> 60, past 30
         with pytest.raises(ChainOrderError, match="60 exceeds the given order 30"):
-            PermGroup(alternating(5).generators, order=30).chain()
+            PermGroup(alternating_generators(5), order=30).chain()
 
     def test_a_later_generator_overshoots(self):
         # the 5-cycle alone reaches order 5; the transposition after it must
@@ -513,7 +512,7 @@ class TestTransitivity:
         assert m11.transitivity_degree() == 4
 
     def test_a9_is_7_transitive(self):
-        assert alternating(9).transitivity_degree() == 7
+        assert build_group(parse_group_spec("A9")).transitivity_degree() == 7
 
     def test_intransitive_group(self):
         g = PermGroup([from_cycles(5, [(3, 4)])], order=2)
@@ -535,10 +534,10 @@ class TestJordanCertificate:
     @pytest.mark.parametrize("n", range(3, 31))
     def test_zoo_generators_match_the_chain(self, n):
         assert jordan_certificate(alternating_generators(n), alternating=True) == (
-            alternating(n).transitivity_degree()
+            build_group(GroupId("alternating", (n,))).transitivity_degree()
         )
         assert jordan_certificate(symmetric_generators(n), alternating=False) == (
-            symmetric(n).transitivity_degree()
+            build_group(GroupId("symmetric", (n,))).transitivity_degree()
         )
 
     def test_other_shapes_it_proves(self):

@@ -22,15 +22,7 @@ from heartlab.reps import (
     sum_zero_module,
 )
 from heartlab.rng import SplitMix64
-from heartlab.zoo import (
-    GroupId,
-    alternating,
-    build_group,
-    cyclic,
-    dihedral,
-    parse_group_spec,
-    symmetric,
-)
+from heartlab.zoo import GroupId, build_group, parse_group_spec
 import support
 from support import (
     drained_spin,
@@ -59,9 +51,10 @@ def is_absolutely_irreducible(rep, seed=0):
 
 class TestPermutationModule:
     def test_images_are_permutation_matrices(self):
-        rep = permutation_module(symmetric(3))
+        s3 = build_group(parse_group_spec("S3"))
+        rep = permutation_module(s3)
         assert rep.dimension == 3
-        for image, g in zip(rep.images, symmetric(3).generators):
+        for image, g in zip(rep.images, s3.generators):
             for i in range(3):
                 assert image.rows[i] == 1 << g.images[i]
 
@@ -257,23 +250,23 @@ class TestEndomorphismAlgebra:
 
     @pytest.mark.parametrize("n,expect_more_than_one", [(5, True), (6, True)])
     def test_cyclic_controls_against_brute_force(self, n, expect_more_than_one):
-        rep = heart(cyclic(n))
+        rep = heart(build_group(parse_group_spec(f"C{n}")))
         direct = endomorphism_algebra(rep).dimension
         assert direct == brute_force_commutant_dimension(rep)
         assert (direct > 1) == expect_more_than_one
 
     def test_dihedral_control_against_brute_force(self):
-        rep = heart(dihedral(5))
+        rep = heart(build_group(parse_group_spec("D5")))
         direct = endomorphism_algebra(rep).dimension
         assert direct == brute_force_commutant_dimension(rep)
         assert direct > 1
 
     def test_brute_force_agreement_on_2transitive_control(self):
-        rep = heart(alternating(5))
+        rep = heart(build_group(parse_group_spec("A5")))
         assert endomorphism_algebra(rep).dimension == brute_force_commutant_dimension(rep) == 1
 
     def test_basis_commutes_and_contains_identity(self):
-        rep = heart(cyclic(7))
+        rep = heart(build_group(parse_group_spec("C7")))
         endo = endomorphism_algebra(rep)
         for basis_element in endo.basis:
             for image in rep.images:
@@ -284,7 +277,7 @@ class TestEndomorphismAlgebra:
 
     def test_cyclic_negative_controls_up_to_12(self):
         for n in range(3, 13):
-            assert endomorphism_algebra(heart(cyclic(n))).dimension > 1
+            assert endomorphism_algebra(heart(build_group(parse_group_spec(f"C{n}")))).dimension > 1
 
     def test_klemm_criterion_through_degree_40(self):
         # whenever (n odd, 2-transitive) or (n even, 3-transitive) holds,
@@ -305,7 +298,7 @@ class TestEndomorphismAlgebra:
             rep = permutation_module(build_group(gid))
             assert endomorphism_algebra(rep).dimension == 2
         # C_5 acting regularly: orbits on pairs = 5, matching the group algebra
-        rep = permutation_module(cyclic(5))
+        rep = permutation_module(build_group(parse_group_spec("C5")))
         assert endomorphism_algebra(rep).dimension == 5
 
 
@@ -337,7 +330,8 @@ class TestMeatAxe:
             assert first.witness.basis == second.witness.basis
 
     def test_one_dimensional_module(self):
-        rep = heart(cyclic(3))  # degree 3 odd: dimension 2... use a true 1-dim module
+        # degree 3 odd: dimension 2... use a true 1-dim module
+        rep = heart(build_group(parse_group_spec("C3")))
         one_dim = permutation_module(PermGroup([identity(1)], order=1))
         assert is_irreducible(one_dim, seed=0).status == "irreducible"
         assert rep.dimension == 2
@@ -805,7 +799,7 @@ class TestIndecomposability:
     def test_cyclic_heart_decomposes_when_idempotent_exists(self):
         # C_5 heart: F_2[x]/(1+x+x^2+x^3+x^4) is a field, so indecomposable;
         # C_7 heart: x^6+...+1 = (x^3+x+1)(x^3+x^2+1) splits, so decomposable
-        c5, c7 = heart(cyclic(5)), heart(cyclic(7))
+        c5, c7 = (heart(build_group(parse_group_spec(name))) for name in ("C5", "C7"))
         assert is_indecomposable(c5, endomorphism_algebra(c5)).status == "indecomposable"
         verdict = is_indecomposable(c7, endomorphism_algebra(c7))
         assert verdict.status == "decomposable"

@@ -21,12 +21,11 @@ README = ROOT / "README.md"
 PUBLIC_NAMES = [
     "AuditReport", "CycleType", "EndoAlgebra", "FieldSpec", "GModuleRep",
     "GroupId", "IntPolynomial", "ModMatrix", "PermGroup", "Permutation", "ProbeReport",
-    "Subspace", "alternating", "audit", "build_group", "charpoly",
-    "check_unbounded", "compose", "cycle_type", "cycle_type_mod_p", "cyclic",
-    "cyclotomic_obstruction", "dihedral", "endomorphism_algebra", "from_cycles", "genus_of",
-    "group_cycle_types", "heart", "identity", "is_indecomposable", "is_irreducible", "kernel",
-    "make_field", "mathieu", "min_projective_degree_bound", "parse_group_spec", "parse_poly",
-    "pgl", "probe", "projective_points", "psl", "spin", "symmetric",
+    "Subspace", "audit", "build_group", "charpoly", "check_unbounded", "compose",
+    "cycle_type", "cycle_type_mod_p", "cyclotomic_obstruction", "endomorphism_algebra",
+    "from_cycles", "genus_of", "group_cycle_types", "heart", "identity", "is_indecomposable",
+    "is_irreducible", "kernel", "make_field", "min_projective_degree_bound",
+    "parse_group_spec", "parse_poly", "probe", "projective_points", "spin",
 ]
 
 

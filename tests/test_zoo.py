@@ -1,37 +1,32 @@
-"""Group constructors: orders, transitivity, containments, name parsing.
+"""Group construction: orders, transitivity, containments, name parsing.
 
-The constructors pass their closed-form order, which their own chain then
-only confirms.  So every order and containment check here builds
+``build_group`` passes the closed-form ``GroupId.order``, which the group's
+own chain then only confirms.  So every order and containment check here builds
 ``deterministic(G)``, the deterministic Schreier-Sims chain of the same
 generators without the order, which proves each formula independently.
 """
 
-from math import gcd
+import hashlib
+from math import gcd, prod
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from heartlab.fields import make_field, projective_points
 from heartlab.perms import PermGroup, compose, cycle_type
 from heartlab.zoo import (
     MATHIEU_ORDERS as ZOO_MATHIEU_ORDERS,
+    MAX_DIGITS,
     GroupId,
     GroupSpecError,
-    alternating,
     build_group,
-    cyclic,
-    dihedral,
-    mathieu,
     parse_group_spec,
-    pgl,
-    pgl_order,
     prime_power_decomposition,
-    psl,
-    psl_order,
-    symmetric,
 )
 from support import (
     DeterministicChain,
     TupleField,
+    fresh_group,
     reference_projective_generators,
     reference_projective_points,
 )
@@ -50,33 +45,35 @@ class TestElementaryFamilies:
             expected = 1
             for k in range(2, n + 1):
                 expected *= k
-            assert symmetric(n).known_order == expected
-            assert deterministic(symmetric(n)).order() == expected
+            group = build_group(GroupId("symmetric", (n,)))
+            assert group.known_order == expected
+            assert deterministic(group).order() == expected
 
     def test_alternating_orders_and_enumeration(self):
-        a5 = alternating(5)
+        a5 = build_group(GroupId("alternating", (5,)))
         assert a5.known_order == 60
         assert deterministic(a5).order() == 60
         assert len(a5.enumerate_elements()) == 60
-        assert alternating(7).known_order == 2520
-        assert deterministic(alternating(7)).order() == 2520
+        a7 = build_group(GroupId("alternating", (7,)))
+        assert a7.known_order == 2520
+        assert deterministic(a7).order() == 2520
 
     def test_alternating_transitivity(self):
-        assert alternating(5).transitivity_degree() == 3
+        assert build_group(GroupId("alternating", (5,))).transitivity_degree() == 3
 
     def test_cyclic_and_dihedral(self):
-        for group, order in [(cyclic(6), 6), (dihedral(6), 12), (dihedral(5), 10)]:
+        for name, order in [("C6", 6), ("D6", 12), ("D5", 10)]:
+            group = build_group(parse_group_spec(name))
             assert group.known_order == order
             assert deterministic(group).order() == order
 
     def test_parameter_validation(self):
-        # each constructor validates through GroupId, with its wording
-        for constructor, n in [(symmetric, 1), (alternating, 2), (cyclic, 1), (dihedral, 2)]:
-            family = constructor.__name__
+        # GroupId validates each family's parameters, with its wording
+        for family, n in [("symmetric", 1), ("alternating", 2), ("cyclic", 1), ("dihedral", 2)]:
             with pytest.raises(GroupSpecError, match=rf"^bad parameters \({n},\) for {family}$"):
-                constructor(n)
+                GroupId(family, (n,))
         with pytest.raises(GroupSpecError, match=r"^no Mathieu group of degree \(13,\)$"):
-            mathieu(13)
+            GroupId("mathieu", (13,))
 
 
 class TestMathieu:
@@ -153,8 +150,8 @@ class TestProjectiveGroups:
 
     def test_order_formulas_small_sample(self):
         for m, q in [(2, 4), (2, 9), (3, 2), (3, 3), (4, 2)]:
-            assert deterministic(build_group(GroupId("psl", (m, q)))).order() == psl_order(m, q)
-            assert deterministic(build_group(GroupId("pgl", (m, q)))).order() == pgl_order(m, q)
+            for gid in (GroupId("psl", (m, q)), GroupId("pgl", (m, q))):
+                assert deterministic(build_group(gid)).order() == gid.order
 
     def test_psl_contained_in_pgl(self):
         for m, q in [(3, 4), (4, 3), (2, 9)]:
@@ -166,8 +163,8 @@ class TestProjectiveGroups:
     # PGL(3,3) is in the q^m <= 3000 range
     @pytest.mark.parametrize("m,q", [*_small_projective_parameters(), (4, 16), (5, 9)])
     def test_psl_generators_are_a_prefix_of_pgl(self, m, q):
-        sub = [g.images for g in psl(m, q).generators]
-        big = [g.images for g in pgl(m, q).generators]
+        sub = [g.images for g in fresh_group(GroupId("psl", (m, q))).generators]
+        big = [g.images for g in fresh_group(GroupId("pgl", (m, q))).generators]
         assert big[: len(sub)] == sub
         assert len(big) == len(sub) + 1
 
@@ -197,11 +194,11 @@ class TestProjectiveGroups:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(GroupSpecError):
-            psl(3, 6)  # not a prime power
+            GroupId("psl", (3, 6))  # not a prime power
         with pytest.raises(GroupSpecError):
-            pgl(1, 5)
+            GroupId("pgl", (1, 5))
         with pytest.raises(GroupSpecError):
-            psl(8, 7)  # q^m over desk scale
+            GroupId("psl", (8, 7))  # q^m over desk scale
 
     def test_cycle_types_match_known_element_orders(self, psl32):
         # PSL(3,2) has elements of orders 1,2,3,4,7 only
@@ -221,13 +218,15 @@ class TestGeneratorImages:
 
     @pytest.mark.parametrize("m,q", _small_projective_parameters())
     def test_small_groups(self, m, q):
-        assert [g.images for g in psl(m, q).generators] == reference_projective_generators(m, q, False)
-        assert [g.images for g in pgl(m, q).generators] == reference_projective_generators(m, q, True)
+        for family, include_pgl in (("psl", False), ("pgl", True)):
+            images = [g.images for g in fresh_group(GroupId(family, (m, q))).generators]
+            assert images == reference_projective_generators(m, q, include_pgl)
 
     @pytest.mark.parametrize("m,q", [(3, 13), (3, 16), (2, 256), (5, 3), (2, 128), (3, 7), (2, 64),
                                      (3, 5)])
     def test_benchmark_groups(self, m, q):
-        assert [g.images for g in psl(m, q).generators] == reference_projective_generators(m, q, False)
+        images = [g.images for g in fresh_group(GroupId("psl", (m, q))).generators]
+        assert images == reference_projective_generators(m, q, False)
 
 
 # every family at its smallest parameters and beyond, PSL = PGL (gcd(m, q-1)
@@ -251,7 +250,8 @@ class TestGroupIdOrder:
             assert GroupId("mathieu", (n,)).order == order
         assert GroupId("symmetric", (30,)).order == 2 * GroupId("alternating", (30,)).order
         assert GroupId("pgl", (6, 3)).order == 2 * GroupId("psl", (6, 3)).order
-        assert GroupId("psl", (16, 2)).order == psl_order(16, 2)
+        # gcd(16, 2 - 1) = 1: q^(m(m-1)/2) (q^2-1)...(q^m-1) undivided
+        assert GroupId("psl", (16, 2)).order == 2**120 * prod(2**i - 1 for i in range(2, 17))
 
 
 class TestGroupSpecParsing:
@@ -309,8 +309,81 @@ class TestGroupSpecParsing:
                 GroupId("pgl", params)
         assert GroupId("psl", (16, 2)).natural_degree == 65535
 
+    @pytest.mark.parametrize("text,character,position", [
+        ("M\u0661\u0661", "\u0661", 1),  # Arabic-Indic digits
+        ("PSL(3,\u0663)", "\u0663", 6),
+        ("psl(2,\uff18)", "\uff18", 6),  # a fullwidth digit
+        ("\u017f7", "\u017f", 0),  # the long s, whose upper case is S
+        ("A\u00a07", "\u00a0", 1),  # a no-break space
+        ("S7\x1c", "\x1c", 2),  # ASCII, but not ASCII whitespace
+    ])
+    def test_non_ascii_refused(self, text, character, position):
+        with pytest.raises(GroupSpecError) as info:
+            parse_group_spec(text)
+        assert str(info.value) == (
+            f"cannot parse group name {text!r}: unexpected character {character!r} "
+            f"(at position {position})"
+        )
+
+    def test_ascii_whitespace_ignored(self):
+        assert parse_group_spec("PSL (3,\t4)\n") == GroupId("psl", (3, 4))
+        assert parse_group_spec(" m11\r\n\x0b\x0c") == GroupId("mathieu", (11,))
+
+    @given(st.text(alphabet="MSACDPLGmsacdplgX0123456789(), \t\n\u0661\uff18\u017f\u00a0", max_size=12))
+    @example("M\u0661\u0661")
+    def test_any_text_parses_as_ascii_or_is_refused(self, text):
+        try:
+            gid = parse_group_spec(text)
+        except GroupSpecError:
+            return
+        assert text.isascii()
+        assert parse_group_spec(gid.name()) == gid
+
+    @pytest.mark.parametrize("text", [
+        "S" + "9" * 4301,
+        "PSL(2," + "9" * 4301 + ")",
+        "c" + "1" * 3000 + " " + "1" * 1301,  # whitespace inside a number is ignored
+    ], ids=["symmetric", "psl", "split"])
+    def test_number_of_more_than_max_digits_refused(self, text):
+        with pytest.raises(GroupSpecError) as info:
+            parse_group_spec(text)
+        assert str(info.value) == "cannot parse group name: a number has more than 4300 digits"
+
+    def test_number_of_max_digits_is_read(self):
+        assert MAX_DIGITS == 4300
+        assert parse_group_spec("C" + "1" * 4300).parameters == (int("1" * 4300),)
+        with pytest.raises(GroupSpecError, match="exceeds the supported scale n <= 1e5"):
+            parse_group_spec("S" + "9" * 4300)
+
     def test_prime_power_decomposition(self):
         assert prime_power_decomposition(8) == (2, 3)
         assert prime_power_decomposition(49) == (7, 2)
         assert prime_power_decomposition(12) is None
         assert prime_power_decomposition(97) == (97, 1)
+
+
+# every family, and PSL/PGL for every q^m <= 6561 (PSL(8,2) to PGL(4,9))
+PINNED_GROUPS = (
+    [f"S{n}" for n in range(2, 13)] + [f"A{n}" for n in range(3, 13)]
+    + [f"C{n}" for n in range(2, 10)] + [f"D{n}" for n in range(3, 11)]
+    + [f"M{n}" for n in sorted(MATHIEU_ORDERS)]
+    + [f"{family}({m},{q})" for m in range(2, 9) for q in range(2, 82)
+       if q**m <= 6561 and prime_power_decomposition(q) is not None for family in ("PSL", "PGL")]
+)
+
+
+class TestGeneratorPin:
+    """One digest over every pinned group's name, order and generator
+    images: any change to a generator, its order in the list or a closed-form
+    order shows here."""
+
+    def test_group_count(self):
+        assert len(PINNED_GROUPS) == 164
+
+    def test_digest(self):
+        digest = hashlib.sha256()
+        for name in PINNED_GROUPS:
+            group = fresh_group(parse_group_spec(name))  # the pinned groups are not kept
+            images = tuple(g.images for g in group.generators)
+            digest.update(repr((name, group.known_order, images)).encode())
+        assert digest.hexdigest() == "35bb08d1c114b900c28f5b88797dd23804b24af2d1c27e19b54da9a709066c69"
